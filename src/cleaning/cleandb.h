@@ -51,7 +51,7 @@ struct CleanDBOptions {
   // In brief (see exec_options.h for the full per-knob documentation):
   //   unify_operations   — Nest-coalesced plan forms (Figure-5 ablation).
   //   shuffle_*          — simulated interconnect model.
-  //   pipeline / morsel_rows — morsel-driven execution below the sink.
+  //   morsel_rows        — morsel size of the execution below the sink.
   //   incremental        — serve minor-generation (mutation) re-executions
   //     from the incremental delta path instead of a full run.
   //   buffer_pool_bytes / spill_dir / page_bytes — out-of-core storage

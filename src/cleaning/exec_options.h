@@ -16,11 +16,9 @@
 //     standalone per-operation plans (the Figure-5 ablation, per call).
 //   shuffle_ns_per_byte / shuffle_ns_per_batch / shuffle_batch_rows —
 //     simulated interconnect model (see engine::ClusterOptions).
-//   pipeline — operator-level pipelining below the sink (morsel-driven
-//     chains with breakers at Nest/Reduce/shuffle boundaries); false = the
-//     materialize-first A/B baseline. Violation sets are bit-identical
-//     either way (CI-gated).
-//   morsel_rows — rows per morsel on the pipelined path (clamped to ≥ 1).
+//   morsel_rows — rows per morsel of the morsel-driven execution below the
+//     sink (clamped to ≥ 1). Violation sets are bit-identical at every size
+//     (CI-gated).
 //   incremental — serve a re-execution whose table snapshot differs from
 //     the cached state only by *minor* generations (mutations via
 //     AppendRows/UpdateRows/DeleteRows) from the incremental delta path:
@@ -81,8 +79,7 @@ struct ExecOptions {
   /// Poison rows tolerated: a row whose compiled expression or UDF throws
   /// is recorded in QueryResult::quarantined and skipped instead of
   /// aborting. Past the cap the execution fails. Unset/0 = quarantine off
-  /// (a throwing row fails the execution with kInternal). Pipelined path
-  /// only; the materialize-first baseline ignores it.
+  /// (a throwing row fails the execution with kInternal).
   std::optional<size_t> max_quarantined_rows;
 
   // Fault-injection / retry overrides (see engine::FaultOptions). Applied

@@ -88,7 +88,7 @@ Result<std::vector<ChainStage>> CompileChainStages(
 
 /// Applies the compiled chain to one tuple, collecting the produced tuples.
 /// Select filtering and (Outer)Unnest padding mirror the physical executor
-/// exactly (planner.cc kUnnest / pipeline.cc CompileChain): null or empty
+/// exactly (pipeline.cc CompileChain): null or empty
 /// list pads Null only under OuterUnnest, a non-list scalar behaves as a
 /// singleton, a list iterates.
 void ApplyChain(const std::vector<ChainStage>& stages, size_t i, const Value& tuple,

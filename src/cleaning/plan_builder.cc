@@ -19,16 +19,6 @@ bool ViolationDeduper::ShouldEmit(const Value& v) {
   return !projected || seen_.insert(h).second;
 }
 
-Status ForEachDedupedViolation(const Value& plan_output, const CleaningPlan& cp,
-                               const std::function<Status(const Value&)>& emit) {
-  ViolationDeduper dedup(cp);
-  for (const auto& v : plan_output.AsList()) {
-    if (!dedup.ShouldEmit(v)) continue;  // duplicate projection
-    CLEANM_RETURN_NOT_OK(emit(v));
-  }
-  return Status::OK();
-}
-
 ExprPtr CombineAttrs(const std::vector<ExprPtr>& attrs) {
   CLEANM_CHECK(!attrs.empty());
   if (attrs.size() == 1) return attrs[0];

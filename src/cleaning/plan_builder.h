@@ -27,7 +27,6 @@
 // clauses.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -85,9 +84,8 @@ ExprPtr FdComprehension(const std::string& table, const std::string& var,
 /// the same violating pair can surface once per shared group, and only its
 /// first occurrence must reach the sink.
 ///
-/// The seen-set persists across calls, so the morsel-at-a-time pipelined
-/// path and the whole-output materializing path apply the identical dedup
-/// — morsel boundaries cannot change which violations are emitted.
+/// The seen-set persists across calls, so morsel boundaries cannot change
+/// which violations are emitted.
 class ViolationDeduper {
  public:
   explicit ViolationDeduper(const CleaningPlan& cp) : cp_(&cp) {}
@@ -100,14 +98,5 @@ class ViolationDeduper {
   const CleaningPlan* cp_;
   std::unordered_set<uint64_t> seen_;
 };
-
-/// Walks a cleaning plan's output (a list Value of tuples), deduplicated
-/// on the operation's entity projection via ViolationDeduper. Calls `emit`
-/// for each kept violation; a non-OK status from `emit` stops the walk and
-/// is returned. Shared by the materializing (RunCleaningPlan) and
-/// streaming (ExecutePrepared) consumption paths so the dedup semantics
-/// cannot diverge.
-Status ForEachDedupedViolation(const Value& plan_output, const CleaningPlan& cp,
-                               const std::function<Status(const Value&)>& emit);
 
 }  // namespace cleanm

@@ -602,7 +602,7 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   engine::ExecControlScope control_scope(&control);
 
   // Poison-row quarantine (opt-in): rows whose compiled expressions throw
-  // are recorded here and skipped on the pipelined path.
+  // are recorded here and skipped.
   const size_t max_quarantined = opts.max_quarantined_rows.value_or(0);
   engine::QuarantineSink quarantine(max_quarantined);
 
@@ -650,7 +650,6 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   };
   std::unordered_map<Value, std::vector<std::string>, ValueHash, ValueEq> entities;
 
-  const bool pipeline = knobs.pipeline;
   const size_t morsel_rows = std::max<size_t>(1, knobs.morsel_rows);
 
   // The engine propagates worker failures as exceptions (see
@@ -707,12 +706,12 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
       return Status::OK();
     };
 
-    if (pipeline && root->kind != AlgKind::kReduce) {
+    if (root->kind != AlgKind::kReduce) {
       // Operator-level pipelining below the sink: violations reach the
       // sink as each morsel completes, so a sink error (early abort) stops
       // the plan mid-morsel and no whole operator output is ever
       // materialized driver-side.
-      CLEANM_RETURN_NOT_OK(exec.RunPipelined(
+      CLEANM_RETURN_NOT_OK(exec.Run(
           root, morsel_rows, [&](size_t, engine::Partition&& morsel) -> Status {
             for (const auto& row : morsel) {
               CLEANM_RETURN_NOT_OK(emit_violation(PhysicalTupleOf(row)));
@@ -721,15 +720,9 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
           }));
     } else {
       // Reduce roots fold to one value (the query's actual result — e.g. a
-      // user GROUP BY projection), so the pipelined gain is on the input
-      // side only; the materialize-first baseline takes this branch for
-      // every root kind.
-      Value out;
-      if (pipeline) {
-        CLEANM_ASSIGN_OR_RETURN(out, exec.RunToValuePipelined(root, morsel_rows));
-      } else {
-        CLEANM_ASSIGN_OR_RETURN(out, exec.RunToValue(root));
-      }
+      // user GROUP BY projection), so streaming stops at the fold and the
+      // value's elements reach the sink afterwards.
+      CLEANM_ASSIGN_OR_RETURN(Value out, exec.RunToValue(root, morsel_rows));
       for (const auto& v : out.AsList()) {
         CLEANM_RETURN_NOT_OK(emit_violation(v));
       }

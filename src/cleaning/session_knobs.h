@@ -31,7 +31,6 @@
   X(double, shuffle_ns_per_byte, 1.0)                    \
   X(double, shuffle_ns_per_batch, 0.0)                   \
   X(size_t, shuffle_batch_rows, 1024)                    \
-  X(bool, pipeline, true)                                \
   X(size_t, morsel_rows, 4096)                           \
   X(bool, incremental, true)                             \
   X(uint64_t, buffer_pool_bytes, 0)                      \

@@ -36,14 +36,13 @@ namespace cleanm {
 //   repairs_applied — cells overwritten by the repair applier (src/repair/).
 //   peak_bytes_materialized — high-water mark of *logical* bytes
 //     (RowByteSize, the same accounting the shuffle meter and the partition
-//     cache use) held in transient operator-output buffers at any instant of
-//     the execution: whole materialized operator outputs on the
-//     materialize-first path, in-flight morsels on the pipelined path.
-//     Cache-resident partitionings (scans, shared Nest outputs) and
-//     breaker-internal state (aggregation hash tables, shuffle buffers) are
-//     identical on both paths and excluded.
-//   morsels_processed — morsels flushed through the pipelined execution path
-//     (0 on the materialize-first path).
+//     cache use) held in transient buffers at any instant of the execution:
+//     in-flight morsels, breaker outputs (join inputs and results), and the
+//     driver-side collected result. Cache-resident partitionings (scans,
+//     shared Nest outputs) and breaker-internal state (aggregation hash
+//     tables, shuffle buffers) are excluded.
+//   morsels_processed — morsels flushed through the execution's morsel
+//     pumps.
 //   tasks_failed — task attempts that failed with an (injected)
 //     node-unavailable fault.
 //   tasks_retried — failed task attempts that were retried (per-node

@@ -126,7 +126,7 @@ struct OrderedAccs {
 ///
 /// kLocalCombine folds incrementally; the shuffle-all-rows baseline
 /// strategies (sort/hash) inherently need every raw row and therefore
-/// buffer them, degenerating to the materializing path.
+/// buffer them, then run AggregateByKey over the buffered input.
 class MorselAggregator {
  public:
   /// `spill` (optional) lets the breaker bound its resident partial state:

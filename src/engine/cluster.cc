@@ -231,24 +231,6 @@ Partitioned Cluster::Filter(const Partitioned& in,
   return out;
 }
 
-Partitioned Cluster::FlatMap(
-    const Partitioned& in,
-    const std::function<void(const Row&, Partition*)>& fn) const {
-  Partitioned out(in.size());
-  RunOnNodes([&](size_t n) {
-    for (const auto& row : in[n]) fn(row, &out[n]);
-  });
-  return out;
-}
-
-Partitioned Cluster::MapPartitions(
-    const Partitioned& in,
-    const std::function<Partition(size_t, const Partition&)>& fn) const {
-  Partitioned out(in.size());
-  RunOnNodes([&](size_t n) { out[n] = fn(n, in[n]); });
-  return out;
-}
-
 void Cluster::ChargeNetwork(uint64_t bytes, uint64_t batches) const {
   const double ns = static_cast<double>(bytes) * options_.shuffle_ns_per_byte +
                     static_cast<double>(batches) * options_.shuffle_ns_per_batch;

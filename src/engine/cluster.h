@@ -183,14 +183,6 @@ class Cluster {
   Partitioned Filter(const Partitioned& in,
                      const std::function<bool(const Row&)>& pred) const;
 
-  Partitioned FlatMap(const Partitioned& in,
-                      const std::function<void(const Row&, Partition*)>& fn) const;
-
-  /// mapPartitions: the function sees a whole node-local partition at once.
-  Partitioned MapPartitions(
-      const Partitioned& in,
-      const std::function<Partition(size_t node, const Partition&)>& fn) const;
-
   // ---- Wide dependencies (shuffle; metered + charged) ----
 
   /// Routes every row to the node chosen by `route(row) % num_nodes`.

@@ -1,11 +1,5 @@
 // Pipelined (morsel-driven) execution of physical plans.
 //
-// The materialize-first path (planner.cc) produces every operator's whole
-// output as a Partitioned before its consumer runs, so peak memory scales
-// with the largest intermediate — for cleaning plans, the keyed Nest
-// expansion or an Unnest pair blow-up, i.e. the dirtiest table, not the
-// result. This file implements the streaming alternative:
-//
 //   MorselSource → Transform* → SinkDriver
 //
 // A plan decomposes from the root downward: Select / Unnest stages compose
@@ -16,11 +10,15 @@
 // materializes), Join (shuffle-backed; its inputs and output materialize as
 // breaker state, but stream onward). Morsels of ExecOptions::morsel_rows
 // rows then flow across the persistent WorkerPool to the consumer
-// (engine::Cluster::PumpToDriver / PumpOnWorkers).
+// (engine::Cluster::PumpToDriver / PumpOnWorkers). Peak memory therefore
+// tracks breaker state and in-flight morsels, not the largest intermediate
+// (for cleaning plans, the keyed Nest expansion or an Unnest pair blow-up).
 //
 // Equivalence contract (CI-gated): per-node row order, per-node fold order,
-// and node-major delivery all match the materializing path, so violation
-// sets are bit-identical between ExecOptions::pipeline = true and false.
+// and node-major delivery do not depend on the morsel size, so violation
+// sets are bit-identical across ExecOptions::morsel_rows; the reference
+// evaluator (algebra/algebra_eval.h) is the oracle the results are checked
+// against.
 #include <atomic>
 
 #include "algebra/algebra_eval.h"
@@ -46,7 +44,9 @@ using TupleCont = Executor::TupleSink;
 /// Composes the root-first transform chain into a single per-row expansion:
 /// data flows source → chain.back() → ... → chain.front() → terminal, so
 /// the continuation is built from the top down. Select filters; Unnest
-/// expands with the exact padding/branching of the materializing executor.
+/// pads each collection element onto the tuple (a null or empty collection
+/// drops the tuple, or pads Null under OuterUnnest; a scalar is a
+/// singleton).
 Result<engine::MorselExpand> CompileChain(const std::vector<const AlgOp*>& chain,
                                           const std::vector<AlgOpPtr>& chain_inputs,
                                           const CompileEnv& env, TupleCont terminal) {
@@ -250,8 +250,8 @@ Result<PartitionPin> Executor::PipelinedNest(const AlgOpPtr& plan,
   // rows through the segment's transforms *fused with* the keyed expansion
   // (passed as the chain's terminal continuation, so no per-row
   // intermediate buffer exists), then folds the (key, tuple) pairs
-  // straight into node-local aggregation state — the keyed Partitioned of
-  // the materializing path never exists.
+  // straight into node-local aggregation state — the keyed expansion never
+  // exists as a whole Partitioned.
   auto nest_expand = compiled.expand;
   CLEANM_ASSIGN_OR_RETURN(
       PipelineSegment seg,
@@ -375,12 +375,12 @@ Result<Executor::PipelineSegment> Executor::BuildSegment(const AlgOpPtr& plan,
   return seg;
 }
 
-Status Executor::RunPipelined(
+Status Executor::Run(
     const AlgOpPtr& plan, size_t morsel_rows,
     const std::function<Status(size_t node, engine::Partition&&)>& consume) {
   if (!plan) return Status::Internal("null physical plan");
   if (plan->kind == AlgKind::kReduce) {
-    return Status::InvalidArgument("Reduce root must go through RunToValuePipelined");
+    return Status::InvalidArgument("Reduce root must go through RunToValue");
   }
   // The root operator span for the fused transform chain: Select/Unnest
   // stages compile into the segment's expansion, so the chain's work (and
@@ -394,12 +394,12 @@ Status Executor::RunPipelined(
   return cluster->PumpToDriver(seg.data(), spec, seg.expand, consume);
 }
 
-Result<Value> Executor::RunToValuePipelined(const AlgOpPtr& plan, size_t morsel_rows) {
+Result<Value> Executor::RunToValue(const AlgOpPtr& plan, size_t morsel_rows) {
   if (!plan) return Status::Internal("null physical plan");
   if (plan->kind != AlgKind::kReduce) {
     ValueList out;
     uint64_t list_bytes = 0;
-    CLEANM_RETURN_NOT_OK(RunPipelined(
+    CLEANM_RETURN_NOT_OK(Run(
         plan, morsel_rows, [&out, &list_bytes](size_t, Partition&& morsel) {
           for (const auto& row : morsel) {
             list_bytes += PhysicalTupleOf(row).ByteSize();
@@ -407,9 +407,8 @@ Result<Value> Executor::RunToValuePipelined(const AlgOpPtr& plan, size_t morsel_
           }
           return Status::OK();
         }));
-    // The collected result is driver-side materialization, exactly as on
-    // the materializing RunToValue: fold it into the peak, then stop
-    // tracking (the returned Value is the caller's).
+    // The collected result is driver-side materialization: fold it into
+    // the peak, then stop tracking (the returned Value is the caller's).
     cluster->metrics().ChargeMaterialized(list_bytes);
     cluster->metrics().ReleaseMaterialized(list_bytes);
     return Value(std::move(out));
@@ -420,15 +419,21 @@ Result<Value> Executor::RunToValuePipelined(const AlgOpPtr& plan, size_t morsel_
                           ResolveAggregateMonoid(functions, plan->monoid, &udf));
   TraceScope op_span("operator", AlgKindName(plan->kind), plan.get(), -1,
                      &cluster->metrics());
-  CLEANM_ASSIGN_OR_RETURN(PipelineSegment seg, BuildSegment(plan->input, morsel_rows));
   const TupleLayout layout = CollectVars(plan->input);
   CLEANM_ASSIGN_OR_RETURN(CompiledExpr head, CompileExpr(plan->head, layout, Env()));
+  // The head is the segment's terminal, so it runs inside the quarantine
+  // wrap like every other per-row expression: a head that throws skips and
+  // records its row instead of failing the execution.
+  CLEANM_ASSIGN_OR_RETURN(
+      PipelineSegment seg,
+      BuildSegment(plan->input, morsel_rows, [head](Value t, Partition* out) {
+        out->push_back(MakePhysicalTuple(head(t)));
+      }));
 
-  // Morsel-fed per-node fold, merged on the driver — the same
-  // fold-then-merge shape (and order) as the materializing RunToValue.
-  // One *fresh* zero per node: Value copies share nested storage, so a
-  // vector(n, zero) fill would alias one accumulator across all nodes and
-  // every in-place fold would land in the same shared list.
+  // Morsel-fed per-node fold, merged on the driver. One *fresh* zero per
+  // node: Value copies share nested storage, so a vector(n, zero) fill
+  // would alias one accumulator across all nodes and every in-place fold
+  // would land in the same shared list.
   std::vector<Value> partials;
   partials.reserve(cluster->num_nodes());
   for (size_t n = 0; n < cluster->num_nodes(); n++) partials.push_back(monoid->zero());
@@ -440,7 +445,7 @@ Result<Value> Executor::RunToValuePipelined(const AlgOpPtr& plan, size_t morsel_
                            Value acc = std::move(partials[n]);
                            for (const auto& row : morsel) {
                              acc = monoid->Accumulate(std::move(acc),
-                                                      head(PhysicalTupleOf(row)));
+                                                      PhysicalTupleOf(row));
                            }
                            partials[n] = std::move(acc);
                            rows_folded += morsel.size();

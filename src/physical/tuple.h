@@ -1,6 +1,6 @@
-// Physical tuple representation shared by the materializing executor
-// (planner.cc), the pipelined executor (pipeline.cc), and the streaming
-// consumption layer (cleaning/prepared_query.cc).
+// Physical tuple representation shared by the executor (planner.cc,
+// pipeline.cc) and the streaming consumption layer
+// (cleaning/prepared_query.cc).
 //
 // Physical rows are single-Value rows holding the algebra-level tuple
 // struct {var → record}; see physical/compile.h for the layout contract.

@@ -41,9 +41,9 @@ const char* ValueTypeName(ValueType t);
 
 /// Thrown when a value is read as the wrong type — e.g. a cleaning rule
 /// calling ToDouble on a string cell. Deliberately an ordinary catchable
-/// exception (not an abort): on the pipelined path the executor's
-/// poison-row quarantine records the offending row and skips it, and the
-/// session layer converts an uncaught escape into Status::Internal.
+/// exception (not an abort): the executor's poison-row quarantine records
+/// the offending row and skips it, and the session layer converts an
+/// uncaught escape into Status::Internal.
 class ValueCoercionError : public std::runtime_error {
  public:
   ValueCoercionError(ValueType actual, const char* wanted);
@@ -99,7 +99,7 @@ class Value {
   }
 
   /// Numeric coercion: ints and doubles read as double; anything else
-  /// throws ValueCoercionError (quarantinable on the pipelined path).
+  /// throws ValueCoercionError (quarantinable).
   double ToDouble() const {
     if (type() == ValueType::kInt) return static_cast<double>(std::get<int64_t>(v_));
     Expect(ValueType::kDouble, "numeric");

@@ -325,26 +325,36 @@ Status RegisterToNum(CleanDB& db) {
 const char* kPoisonQuery = "SELECT * FROM t c FD(c.address, to_num(c.val))";
 
 TEST(FaultToleranceTest, QuarantineSkipsPoisonRowsAndReportsThem) {
-  CleanDB db(FastCleanDBOptions(4));
-  ASSERT_TRUE(RegisterToNum(db).ok());
-  db.RegisterTable("t", PoisonTable());
-  auto prepared = db.Prepare(kPoisonQuery);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  // The throwing UDF in four per-row positions: an FD right-hand side (Nest
+  // fold), an ungrouped projection (Reduce head), a WHERE predicate
+  // (transform chain), and a grouped aggregate.
+  for (const char* query :
+       {kPoisonQuery, "SELECT to_num(c.val) AS v FROM t c",
+        "SELECT c.address AS a FROM t c WHERE to_num(c.val) >= 0",
+        "SELECT c.address AS a, sum(to_num(c.val)) AS s FROM t c "
+        "GROUP BY c.address"}) {
+    SCOPED_TRACE(query);
+    CleanDB db(FastCleanDBOptions(4));
+    ASSERT_TRUE(RegisterToNum(db).ok());
+    db.RegisterTable("t", PoisonTable());
+    auto prepared = db.Prepare(query);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
 
-  ExecOptions qopts;
-  qopts.max_quarantined_rows = 150;
-  auto r = prepared.value().Execute(qopts);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const QueryResult& result = r.value();
-  // Acceptance: all 100 poison rows skipped, the query succeeds, and the
-  // clean rows' FD violations still come out.
-  EXPECT_EQ(result.metrics.rows_quarantined, 100u);
-  ASSERT_EQ(result.quarantined.size(), 100u);
-  EXPECT_GT(result.ops[0].violations.size(), 0u);
-  for (const auto& q : result.quarantined) {
-    EXPECT_EQ(q.table, "t");
-    EXPECT_NE(q.error.find("cannot read string value as numeric"),
-              std::string::npos);
+    ExecOptions qopts;
+    qopts.max_quarantined_rows = 150;
+    auto r = prepared.value().Execute(qopts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const QueryResult& result = r.value();
+    // Acceptance: all 100 poison rows skipped, the query succeeds, and the
+    // clean rows' results still come out.
+    EXPECT_EQ(result.metrics.rows_quarantined, 100u);
+    ASSERT_EQ(result.quarantined.size(), 100u);
+    EXPECT_GT(result.ops[0].violations.size(), 0u);
+    for (const auto& q : result.quarantined) {
+      EXPECT_EQ(q.table, "t");
+      EXPECT_NE(q.error.find("cannot read string value as numeric"),
+                std::string::npos);
+    }
   }
 }
 

@@ -1,9 +1,10 @@
 // Physical-layer tests: compiled expressions, and agreement between the
 // distributed executor and the reference algebra evaluator across all
-// aggregation strategies and theta-join algorithms.
+// aggregation strategies, theta-join algorithms, and morsel sizes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "algebra/algebra_eval.h"
 #include "datagen/generators.h"
@@ -14,6 +15,7 @@ namespace cleanm {
 namespace {
 
 using testsupport::CustomerFdPlan;
+using testsupport::kMorselSizes;
 
 engine::ClusterOptions FastCluster() {
   return testsupport::FastClusterOptions(4);
@@ -63,9 +65,10 @@ TEST(CompileTest, ArithmeticAndCalls) {
 }
 
 class PhysicalAgreementTest
-    : public ::testing::TestWithParam<engine::AggregateStrategy> {};
+    : public ::testing::TestWithParam<std::tuple<engine::AggregateStrategy, size_t>> {};
 
 TEST_P(PhysicalAgreementTest, NestPlanMatchesReferenceEvaluator) {
+  const auto [strategy, morsel_rows] = GetParam();
   datagen::CustomerOptions copts;
   copts.base_rows = 400;
   copts.duplicate_fraction = 0.1;
@@ -77,10 +80,10 @@ TEST_P(PhysicalAgreementTest, NestPlanMatchesReferenceEvaluator) {
 
   engine::Cluster cluster(FastCluster());
   PhysicalOptions popts;
-  popts.aggregate_strategy = GetParam();
+  popts.aggregate_strategy = strategy;
   PartitionCache cache;
   Executor exec{&cluster, &catalog, popts, &cache};
-  auto distributed = exec.RunToValue(plan).ValueOrDie();
+  auto distributed = exec.RunToValue(plan, morsel_rows).ValueOrDie();
 
   // Same number of violating groups, same key set.
   ASSERT_EQ(distributed.AsList().size(), reference.size());
@@ -96,11 +99,15 @@ TEST_P(PhysicalAgreementTest, NestPlanMatchesReferenceEvaluator) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, PhysicalAgreementTest,
-    ::testing::Values(engine::AggregateStrategy::kLocalCombine,
-                      engine::AggregateStrategy::kSortShuffle,
-                      engine::AggregateStrategy::kHashShuffle));
+    ::testing::Combine(::testing::Values(engine::AggregateStrategy::kLocalCombine,
+                                         engine::AggregateStrategy::kSortShuffle,
+                                         engine::AggregateStrategy::kHashShuffle),
+                       ::testing::ValuesIn(kMorselSizes)));
 
-TEST(PhysicalTest, EquiJoinAndReduceMatchReference) {
+/// Executor-vs-reference tests, run at every morsel size.
+class PhysicalTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PhysicalTest, EquiJoinAndReduceMatchReference) {
   Dataset left(Schema{{"k", ValueType::kInt}, {"v", ValueType::kString}});
   Dataset right(Schema{{"k", ValueType::kInt}, {"w", ValueType::kString}});
   for (int i = 0; i < 50; i++) {
@@ -119,12 +126,12 @@ TEST(PhysicalTest, EquiJoinAndReduceMatchReference) {
   engine::Cluster cluster(FastCluster());
   PartitionCache cache;
   Executor exec{&cluster, &catalog, {}, &cache};
-  auto actual = exec.RunToValue(plan).ValueOrDie();
+  auto actual = exec.RunToValue(plan, GetParam()).ValueOrDie();
   EXPECT_EQ(actual.AsInt(), expected.AsInt());
   EXPECT_EQ(actual.AsInt(), 50);
 }
 
-TEST(PhysicalTest, ThetaJoinMatchesReferenceAcrossAlgorithms) {
+TEST_P(PhysicalTest, ThetaJoinMatchesReferenceAcrossAlgorithms) {
   Dataset t(Schema{{"price", ValueType::kDouble}, {"discount", ValueType::kDouble}});
   Rng rng(5);
   for (int i = 0; i < 40; i++) {
@@ -149,12 +156,12 @@ TEST(PhysicalTest, ThetaJoinMatchesReferenceAcrossAlgorithms) {
     popts.theta_algo = algo;
     PartitionCache cache;
     Executor exec{&cluster, &catalog, popts, &cache};
-    auto actual = exec.RunToValue(plan).ValueOrDie();
+    auto actual = exec.RunToValue(plan, GetParam()).ValueOrDie();
     EXPECT_EQ(actual.AsInt(), expected.AsInt()) << engine::ThetaJoinAlgoName(algo);
   }
 }
 
-TEST(PhysicalTest, UnnestAndOuterUnnest) {
+TEST_P(PhysicalTest, UnnestAndOuterUnnest) {
   Dataset pubs(Schema{{"title", ValueType::kString}, {"authors", ValueType::kList}});
   pubs.Append({Value("p1"), Value(ValueList{Value("a"), Value("b")})});
   pubs.Append({Value("p2"), Value(ValueList{})});
@@ -162,31 +169,37 @@ TEST(PhysicalTest, UnnestAndOuterUnnest) {
   engine::Cluster cluster(FastCluster());
   PartitionCache cache;
   Executor exec{&cluster, &catalog, {}, &cache};
-  auto inner = exec.RunToValue(ReduceOp(
+  auto inner_plan = ReduceOp(
       UnnestOp(Scan("pubs", "p"), FieldAccess(Var("p"), "authors"), "a"), "count",
-      Var("a")));
-  EXPECT_EQ(inner.ValueOrDie().AsInt(), 2);
-  auto outer = exec.RunToValue(ReduceOp(
+      Var("a"));
+  auto inner = exec.RunToValue(inner_plan, GetParam()).ValueOrDie();
+  EXPECT_EQ(inner.AsInt(), 2);
+  EXPECT_EQ(inner.AsInt(), EvalPlan(inner_plan, catalog).ValueOrDie().AsInt());
+  auto outer_plan = ReduceOp(
       UnnestOp(Scan("pubs", "p"), FieldAccess(Var("p"), "authors"), "a", true), "count",
-      Var("p")));
-  EXPECT_EQ(outer.ValueOrDie().AsInt(), 3);
+      Var("p"));
+  auto outer = exec.RunToValue(outer_plan, GetParam()).ValueOrDie();
+  EXPECT_EQ(outer.AsInt(), 3);
+  EXPECT_EQ(outer.AsInt(), EvalPlan(outer_plan, catalog).ValueOrDie().AsInt());
 }
 
-TEST(PhysicalTest, ScanCacheSharesTablesAcrossPlans) {
+TEST_P(PhysicalTest, ScanCacheSharesTablesAcrossPlans) {
   Dataset t(Schema{{"x", ValueType::kInt}});
   for (int i = 0; i < 100; i++) t.Append({Value(int64_t{i})});
   Catalog catalog{{{"t", &t}}};
   engine::Cluster cluster(FastCluster());
   PartitionCache cache;
   Executor exec{&cluster, &catalog, {}, &cache};
-  (void)exec.RunToValue(ReduceOp(Scan("t", "a"), "count", Var("a"))).ValueOrDie();
+  (void)exec.RunToValue(ReduceOp(Scan("t", "a"), "count", Var("a")), GetParam())
+      .ValueOrDie();
   const uint64_t scanned_once = cluster.metrics().rows_scanned.load();
-  (void)exec.RunToValue(ReduceOp(Scan("t", "b"), "count", Var("b"))).ValueOrDie();
+  (void)exec.RunToValue(ReduceOp(Scan("t", "b"), "count", Var("b")), GetParam())
+      .ValueOrDie();
   // Second plan reuses the cached scan: no additional parallelize.
   EXPECT_EQ(cluster.metrics().rows_scanned.load(), scanned_once);
 }
 
-TEST(PhysicalTest, NestCacheExecutesSharedNestOnce) {
+TEST_P(PhysicalTest, NestCacheExecutesSharedNestOnce) {
   datagen::CustomerOptions copts;
   copts.base_rows = 200;
   auto customers = datagen::MakeCustomer(copts);
@@ -200,12 +213,14 @@ TEST(PhysicalTest, NestCacheExecutesSharedNestOnce) {
   engine::Cluster cluster(FastCluster());
   PartitionCache cache;
   Executor exec{&cluster, &catalog, {}, &cache};
-  (void)exec.RunToValue(root1).ValueOrDie();
+  (void)exec.RunToValue(root1, GetParam()).ValueOrDie();
   const uint64_t groups_after_first = cluster.metrics().groups_built.load();
-  (void)exec.RunToValue(root2).ValueOrDie();
+  (void)exec.RunToValue(root2, GetParam()).ValueOrDie();
   // The second root hits the nest cache: no additional grouping work.
   EXPECT_EQ(cluster.metrics().groups_built.load(), groups_after_first);
 }
+
+INSTANTIATE_TEST_SUITE_P(Morsels, PhysicalTest, ::testing::ValuesIn(kMorselSizes));
 
 }  // namespace
 }  // namespace cleanm

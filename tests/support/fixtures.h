@@ -47,6 +47,13 @@ Dataset RandomFlatDataset(Rng* rng, size_t rows);
 /// Rows {0}, {1}, ..., {n-1} as single-int rows for engine-level tests.
 std::vector<Row> IntRows(int n);
 
+// ---- Morsel-size sweep ----
+
+/// The morsel sizes every engine-vs-reference test runs at: a degenerate
+/// 1-row morsel, a prime size that straddles every partition, and the
+/// 4096-row default. Results must be bit-identical across all three.
+inline constexpr size_t kMorselSizes[] = {1, 7, 4096};
+
 // ---- Plan shapes ----
 
 /// The FD-shaped Nest plan used throughout the cleaning layer: group

@@ -8,7 +8,7 @@ Stdlib-only. Two jobs:
    silently stops writing its section can't pass CI on a stale file.
 2. Regression: each gate metric is compared against the checked-in baseline
    (the repo's BENCH_cluster.json). Deterministic metrics (byte/row counts
-   and bit-identical flags — e.g. pipeline.reduction) are a *hard* gate:
+   and bit-identical flags — e.g. pipeline.peak_over_footprint) are a *hard* gate:
    moving more than --tolerance (default 20%) in the bad direction fails
    with exit 1. Wall-clock-derived ratios (dispatch.speedup,
    prepared_reexec.speedup, udf_vs_builtin_ratio, concurrency.speedup) are
@@ -52,10 +52,12 @@ SCHEMA = {
     },
     "pipeline": {
         "peak_materialized_bytes": None,
-        "peak_pipelined_bytes": None,
-        "reduction": ("higher", "exact"),
-        "morsels": None,
-        "violations_identical": None,
+        "footprint_bytes": None,
+        # Absolute memory bound: peak transient bytes over the table's
+        # logical footprint (<=2 enforced by the bench's own --check).
+        "peak_over_footprint": ("lower", "exact"),
+        "morsels": None,  # >0 enforced by the bench's own --check
+        "pipelined_s": None,
     },
     "out_of_core": {
         "footprint_bytes": None,

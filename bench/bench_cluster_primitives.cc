@@ -1,8 +1,9 @@
 // Microbenchmark for the virtual-cluster primitives underneath every
-// operator: RunOnNodes dispatch latency (persistent worker pool vs. the
-// legacy spawn-per-call thread model) and shuffle throughput as a function
-// of the batch size. Emits a machine-readable BENCH_cluster.json so the
-// perf trajectory of the substrate is tracked across PRs.
+// operator: RunOnNodes dispatch latency on the persistent worker pool
+// against a spawn-per-call reference (spawning and joining one thread per
+// node around the same closure), and shuffle throughput as a function of
+// the batch size. Emits a machine-readable BENCH_cluster.json so the perf
+// trajectory of the substrate is tracked across PRs.
 //
 // Flags:
 //   --smoke        tiny sizes (CTest smoke run)
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/timer.h"
@@ -23,28 +25,35 @@ namespace {
 
 constexpr size_t kNodes = 8;
 
-ClusterOptions PureComputeOptions(bool use_pool, size_t batch_rows = 1024) {
+ClusterOptions PureComputeOptions(size_t batch_rows = 1024) {
   ClusterOptions opts;
   opts.num_nodes = kNodes;
   opts.shuffle_ns_per_byte = 0;  // pure dispatch/compute cost
-  opts.use_worker_pool = use_pool;
   opts.shuffle_batch_rows = batch_rows;
   return opts;
 }
 
-/// Average ns per RunOnNodes dispatch of a near-empty task.
-double MeasureDispatchNs(bool use_pool, int iterations) {
-  Cluster cluster(PureComputeOptions(use_pool));
+/// Average ns per call of `run_on_nodes(task)` for a near-empty task, after
+/// a warm-up (pool thread startup, first-touch of scheduler state).
+template <typename RunOnNodes>
+double MeasureDispatchNs(int iterations, RunOnNodes&& run_on_nodes) {
   std::atomic<uint64_t> sink{0};
-  // Warm-up (pool thread startup, first-touch of scheduler state).
-  for (int i = 0; i < 10; i++) cluster.RunOnNodes([&](size_t n) { sink += n; });
+  const auto task = [&](size_t n) { sink += n; };
+  for (int i = 0; i < 10; i++) run_on_nodes(task);
   Timer timer;
-  for (int i = 0; i < iterations; i++) {
-    cluster.RunOnNodes([&](size_t n) { sink += n; });
-  }
+  for (int i = 0; i < iterations; i++) run_on_nodes(task);
   const double total_ns = timer.ElapsedSeconds() * 1e9;
   if (sink.load() == ~uint64_t{0}) std::printf("unreachable\n");
   return total_ns / iterations;
+}
+
+/// The spawn-per-call reference: one fresh thread per node per call.
+template <typename Task>
+void SpawnAndJoin(const Task& task) {
+  std::vector<std::thread> threads;
+  threads.reserve(kNodes);
+  for (size_t n = 0; n < kNodes; n++) threads.emplace_back(task, n);
+  for (auto& t : threads) t.join();
 }
 
 std::vector<Row> MakeShuffleRows(size_t n) {
@@ -60,7 +69,7 @@ std::vector<Row> MakeShuffleRows(size_t n) {
 /// Shuffle throughput in rows/sec for one batch size (all-remote routing:
 /// every row shifts one node over, the worst case for batching to help).
 double MeasureShuffleRowsPerSec(size_t batch_rows, size_t n_rows, int repeats) {
-  Cluster cluster(PureComputeOptions(/*use_pool=*/true, batch_rows));
+  Cluster cluster(PureComputeOptions(batch_rows));
   auto data = cluster.Parallelize(MakeShuffleRows(n_rows));
   auto route = [](const Row& r) {
     return static_cast<uint64_t>(r[0].AsInt()) % kNodes + 1;
@@ -94,8 +103,11 @@ int main(int argc, char** argv) {
 
   std::printf("=== cluster primitives microbenchmark (%zu nodes) ===\n", kNodes);
 
-  const double spawn_ns = MeasureDispatchNs(/*use_pool=*/false, dispatch_iters);
-  const double pool_ns = MeasureDispatchNs(/*use_pool=*/true, dispatch_iters);
+  const double spawn_ns = MeasureDispatchNs(
+      dispatch_iters, [](const auto& task) { SpawnAndJoin(task); });
+  Cluster cluster(PureComputeOptions());
+  const double pool_ns = MeasureDispatchNs(
+      dispatch_iters, [&](const auto& task) { cluster.RunOnNodes(task); });
   const double dispatch_speedup = spawn_ns / pool_ns;
   std::printf("RunOnNodes dispatch: spawn-per-call %10.0f ns   worker-pool %10.0f ns"
               "   speedup %.2fx\n",
@@ -134,8 +146,8 @@ int main(int argc, char** argv) {
 
   if (check) {
     // Generous gate: the pool must beat spawn-per-call by a clear margin.
-    // If someone regresses RunOnNodes back to spawning threads, pool and
-    // spawn latency converge and this trips.
+    // If RunOnNodes regresses to spawning threads (or to creating a pool
+    // per call), pool and spawn latency converge and this trips.
     if (pool_ns > 0.9 * spawn_ns) {
       std::fprintf(stderr,
                    "REGRESSION: worker-pool dispatch (%.0f ns) is not clearly "

@@ -18,20 +18,14 @@
 namespace cleanm {
 namespace {
 
-// --nonet: zero simulated network cost; --legacy: spawn-per-call threads +
-// unbatched shuffles (the pre-pool model, for before/after comparison).
+// --nonet: zero simulated network cost.
 bool g_nonet = false;
-bool g_legacy = false;
 
 CleanDBOptions BenchOptions() {
   CleanDBOptions opts;
   opts.num_nodes = 8;
   // Per-byte shuffle cost including serialization (see DESIGN.md).
   opts.shuffle_ns_per_byte = g_nonet ? 0.0 : 40.0;
-  if (g_legacy) {
-    opts.use_worker_pool = false;
-    opts.shuffle_batch_rows = 1;
-  }
   return opts;
 }
 
@@ -52,37 +46,6 @@ DedupClause MagDedup() {
   dedup.attributes = {ParseCleanMExpr("c.year").ValueOrDie(),
                       ParseCleanMExpr("c.author_id").ValueOrDie()};
   return dedup;
-}
-
-// Substrate A/B — a session of many sequential dedup operators over small
-// partitions: per-operator dispatch dominates, which is exactly what the
-// persistent worker pool amortizes (thread startup paid once per session,
-// not once per operator). Pure compute, pool+batching vs. legacy.
-double RunSequentialSession(bool legacy, size_t rows, int repeats) {
-  CleanDBOptions opts;
-  opts.num_nodes = 8;
-  opts.shuffle_ns_per_byte = 0;
-  if (legacy) {
-    opts.use_worker_pool = false;
-    opts.shuffle_batch_rows = 1;
-  }
-  CleanDB db(opts);
-  datagen::CustomerOptions copts;
-  copts.base_rows = rows;
-  copts.duplicate_fraction = 0.10;
-  copts.max_duplicates = 5;
-  db.RegisterTable("t", datagen::MakeCustomer(copts));
-  const DedupClause dedup = CustomerDedup();  // parse clause exprs once
-  double best = -1;
-  for (int session = 0; session < 3; session++) {  // best-of-3 vs scheduler noise
-    Timer timer;
-    for (int r = 0; r < repeats; r++) {
-      CLEANM_CHECK(db.Deduplicate("t", "c", dedup).ok());
-    }
-    const double s = timer.ElapsedSeconds();
-    if (best < 0 || s < best) best = s;
-  }
-  return best;
 }
 
 template <typename System>
@@ -108,7 +71,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") smoke = true;
     if (arg == "--nonet") g_nonet = true;
-    if (arg == "--legacy") g_legacy = true;
   }
   const size_t base_rows = smoke ? 200 : 4000;
   const std::vector<size_t> dup_sweep =
@@ -170,22 +132,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\n[measured] verify CleanDB < baselines in every row and that the gap "
               "grows with the duplicate skew / dataset size.\n");
-
-  std::printf("\n=== substrate A/B: sequential dedup session (many operators), "
-              "pure compute ===\n");
-  // Small partitions keep each operator dispatch-bound — the regime the
-  // pool targets (per-op compute at this size is tens of microseconds per
-  // node, far below legacy thread-spawn cost).
-  const size_t session_rows = 16;
-  const int session_repeats = smoke ? 6 : 30;
-  const double seq_legacy = RunSequentialSession(/*legacy=*/true, session_rows,
-                                                 session_repeats);
-  const double seq_pool = RunSequentialSession(/*legacy=*/false, session_rows,
-                                               session_repeats);
-  std::printf("%d dedup ops over %zu rows: legacy %7.3f s   pool %7.3f s\n",
-              session_repeats, session_rows, seq_legacy, seq_pool);
-  std::printf("[measured] substrate speedup %.2fx on the sequential-operator "
-              "session\n",
-              seq_legacy / seq_pool);
   return 0;
 }

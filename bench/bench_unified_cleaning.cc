@@ -34,11 +34,8 @@ namespace {
 
 // Set by --smoke: tiny sizes so CTest can verify the bench end to end.
 size_t g_base_rows = 12000;
-// --nonet: zero simulated network cost (pure compute, for dispatch A/B).
+// --nonet: zero simulated network cost (pure compute).
 bool g_nonet = false;
-// --legacy: spawn-per-call threads + unbatched shuffles (the pre-pool
-// execution model, kept for before/after comparison).
-bool g_legacy = false;
 
 CleanDBOptions BenchOptions() {
   CleanDBOptions opts;
@@ -46,10 +43,6 @@ CleanDBOptions BenchOptions() {
   // Effective per-byte cost of a shuffle hop including serialization —
   // shuffles dominate cleaning jobs on real clusters (see DESIGN.md).
   opts.shuffle_ns_per_byte = g_nonet ? 0.0 : 40.0;
-  if (g_legacy) {
-    opts.use_worker_pool = false;
-    opts.shuffle_batch_rows = 1;
-  }
   return opts;
 }
 
@@ -123,11 +116,9 @@ SystemTimes RunBigDansing() {
   return t;
 }
 
-// Substrate A/B — a *many-operator* unified plan: eight FD clauses compile
-// into a deep operator DAG (scans, groupings, joins) whose per-operator
-// dispatch cost is what the persistent worker pool amortizes. Runs at zero
-// simulated network cost (pure compute), pool+batching vs. the legacy
-// spawn-per-call model, in-process.
+// A *many-operator* unified plan: eight FD clauses compile into a deep
+// operator DAG (scans, groupings, joins). The sections below run it at zero
+// simulated network cost (pure compute).
 const char* kManyOpQuery = R"(
   SELECT * FROM customer c
   FD(c.address, c.nationkey)
@@ -141,8 +132,9 @@ const char* kManyOpQuery = R"(
 )";
 
 Dataset ManyOpData() {
-  // Fixed small table regardless of --smoke: per-operator dispatch must
-  // stay the dominant cost for these A/Bs to isolate the substrate.
+  // Fixed small table regardless of --smoke, so the per-query fixed costs
+  // (planning, partitioning, dispatch) that prepared re-execution
+  // amortizes dominate.
   datagen::CustomerOptions copts;
   copts.base_rows = 400;
   copts.duplicate_fraction = 0.10;
@@ -151,29 +143,11 @@ Dataset ManyOpData() {
   return datagen::MakeCustomer(copts);
 }
 
-CleanDBOptions ManyOpOptions(bool legacy) {
+CleanDBOptions ManyOpOptions() {
   CleanDBOptions opts;
   opts.num_nodes = 8;
   opts.shuffle_ns_per_byte = 0;
-  if (legacy) {
-    opts.use_worker_pool = false;
-    opts.shuffle_batch_rows = 1;
-  }
   return opts;
-}
-
-double RunManyOpPlan(bool legacy) {
-  CleanDB db(ManyOpOptions(legacy));
-  db.RegisterTable("customer", ManyOpData());
-  double best = -1;
-  for (int rep = 0; rep < 3; rep++) {
-    Timer timer;
-    auto result = db.Execute(kManyOpQuery).ValueOrDie();
-    CLEANM_CHECK(result.ops.size() == 8);
-    const double s = timer.ElapsedSeconds();
-    if (best < 0 || s < best) best = s;
-  }
-  return best;
 }
 
 // ---- Prepared-query A/B: cold one-shot Execute (fresh session: construct,
@@ -196,7 +170,7 @@ PreparedAb RunPreparedAb() {
   double cold_best = -1;
   for (int rep = 0; rep < reps; rep++) {
     Timer timer;
-    CleanDB db(ManyOpOptions(/*legacy=*/false));
+    CleanDB db(ManyOpOptions());
     db.RegisterTable("customer", data);
     auto result = db.Execute(kManyOpQuery).ValueOrDie();
     CLEANM_CHECK(result.ops.size() == 8);
@@ -204,7 +178,7 @@ PreparedAb RunPreparedAb() {
     if (cold_best < 0 || s < cold_best) cold_best = s;
   }
 
-  CleanDB db(ManyOpOptions(/*legacy=*/false));
+  CleanDB db(ManyOpOptions());
   db.RegisterTable("customer", data);
   auto prepared = db.Prepare(kManyOpQuery);
   CLEANM_CHECK(prepared.ok());
@@ -226,13 +200,11 @@ PreparedAb RunPreparedAb() {
 }
 
 // ---- UDF / repair A/B: the function-registry subsystem must not tax the
-// engine. Three measurements on the customer table, pure compute:
+// engine. Two measurements on the customer table, pure compute:
 //   1. a GROUP BY with a *registered* monoid-annotated aggregate (usum, a
 //      user-written clone of sum) vs. the equivalent built-in aggregate —
 //      CI-gated at ≤ 1.3× (the registry dispatch must stay in the noise);
-//   2. the same UDF GROUP BY pooled vs. use_worker_pool=false (the
-//      registry path must ride the substrate wins of PR 2);
-//   3. a registered repair function driving the detect→repair loop vs. a
+//   2. a registered repair function driving the detect→repair loop vs. a
 //      hand-rolled driver-side traversal computing the identical repairs.
 
 std::string BenchPhonePrefix(const std::string& phone) {
@@ -295,7 +267,6 @@ struct UdfAb {
   double builtin_agg_s = 0;
   double udf_agg_s = 0;
   double agg_ratio = 0;          ///< udf / builtin (≤ 1.3 gated)
-  double udf_agg_legacy_s = 0;   ///< UDF GROUP BY, spawn-per-call + batch 1
   double repair_registered_s = 0;
   double repair_manual_s = 0;
   size_t repairs_applied = 0;
@@ -306,10 +277,9 @@ struct UdfAb {
 /// Executes on purpose: a transient plan keeps its Nest output out of the
 /// session cache, so every rep really re-runs the aggregation (scans stay
 /// cached — the A/B isolates aggregate compute, not partitioning).
-double TimeGroupByQuery(const Dataset& data, const char* query, bool legacy,
+double TimeGroupByQuery(const Dataset& data, const char* query,
                         size_t* violations = nullptr) {
-  CleanDBOptions opts = ManyOpOptions(legacy);
-  CleanDB db(opts);
+  CleanDB db(ManyOpOptions());
   RegisterBenchFunctions(db);
   db.RegisterTable("customer", data);
   (void)db.Execute(query).ValueOrDie();  // warm the scan cache
@@ -335,14 +305,13 @@ UdfAb RunUdfAb() {
   const Dataset data = datagen::MakeCustomer(copts);
 
   UdfAb ab;
-  ab.builtin_agg_s = TimeGroupByQuery(data, kBuiltinAggQuery, /*legacy=*/false);
-  ab.udf_agg_s = TimeGroupByQuery(data, kUdfAggQuery, /*legacy=*/false);
+  ab.builtin_agg_s = TimeGroupByQuery(data, kBuiltinAggQuery);
+  ab.udf_agg_s = TimeGroupByQuery(data, kUdfAggQuery);
   ab.agg_ratio = ab.builtin_agg_s > 0 ? ab.udf_agg_s / ab.builtin_agg_s : 0;
-  ab.udf_agg_legacy_s = TimeGroupByQuery(data, kUdfAggQuery, /*legacy=*/true);
 
   // Registered repair loop: detect on the engine, apply + re-register.
   {
-    CleanDB db(ManyOpOptions(/*legacy=*/false));
+    CleanDB db(ManyOpOptions());
     RegisterBenchFunctions(db);
     db.RegisterTable("customer", data);
     auto prepared = db.Prepare(kRepairQuery);
@@ -431,7 +400,7 @@ PipelineRun RunPipelineGate() {
 
   PipelineRun run;
   run.footprint_bytes = data.ByteSize();
-  CleanDB db(ManyOpOptions(/*legacy=*/false));
+  CleanDB db(ManyOpOptions());
   db.RegisterTable("customer", data);
   auto prepared = db.Prepare(kManyOpQuery);
   CLEANM_CHECK(prepared.ok());
@@ -486,7 +455,7 @@ OutOfCoreAb RunOutOfCoreAb() {
   ab.budget_bytes = ab.footprint_bytes / 8;
   std::vector<std::string> rendered[2];
   for (int ooc = 0; ooc <= 1; ooc++) {
-    CleanDBOptions options = ManyOpOptions(/*legacy=*/false);
+    CleanDBOptions options = ManyOpOptions();
     if (ooc != 0) {
       options.buffer_pool_bytes = ab.budget_bytes;
       options.page_bytes = kPageBytes;
@@ -532,9 +501,12 @@ OutOfCoreAb RunOutOfCoreAb() {
 // from the partition cache — the prepared_reexec gate above proves
 // re-executions do zero re-partitioning — leaving nothing to overlap.)
 // The session layer's claim: concurrent executions overlap those network
-// waits (each shuffle hop sleeps on its own driver/worker/spawned thread)
-// while staying bit-identical to the serial baseline — snapshot visibility
-// and per-execution metrics make the interleaving invisible in the results.
+// waits (each driver leases a worker pool of its own, so each shuffle hop
+// sleeps on that pool's worker) while staying bit-identical to the serial
+// baseline — snapshot visibility and per-execution metrics make the
+// interleaving invisible in the results. The cluster creates a pool only
+// when every existing one is leased, so it ends the A/B with at most one
+// pool per session (worker_pools ≤ sessions, gated).
 // The workload is deliberately sleep-dominated (tiny table, steep ns/byte):
 // on a single-core runner compute cannot overlap, so the A/B isolates
 // exactly what the session layer controls — whether one session's network
@@ -550,6 +522,7 @@ struct ConcurrencyAb {
   double speedup = 0;      ///< serial / concurrent (≥ 2 gated)
   size_t violations = 0;   ///< per-execution violation tuples (baseline)
   bool identical = false;  ///< all 16 executions bit-identical to baseline
+  size_t worker_pools = 0;  ///< pools the cluster created (≤ sessions gated)
 };
 
 ConcurrencyAb RunConcurrencyAb() {
@@ -627,6 +600,7 @@ ConcurrencyAb RunConcurrencyAb() {
   }
   ab.identical = all_identical;
   ab.speedup = ab.concurrent_s > 0 ? ab.serial_s / ab.concurrent_s : 0;
+  ab.worker_pools = db.cluster().worker_pools();
   return ab;
 }
 
@@ -677,7 +651,7 @@ FaultAb RunFaultAb() {
   // Arm 1: clean vs 5% injected task failures on the 8-FD unified plan.
   std::vector<std::string> rendered[2];
   for (int faulty = 0; faulty <= 1; faulty++) {
-    CleanDBOptions opts = ManyOpOptions(/*legacy=*/false);
+    CleanDBOptions opts = ManyOpOptions();
     if (faulty != 0) {
       opts.fault.failure_probability = 0.05;
       opts.fault.seed = 1234;  // fixed: the failure schedule is part of the A/B
@@ -778,7 +752,7 @@ ObservabilityAb RunObservabilityAb(double pipelined_baseline_s,
     const uint64_t spans_before = TraceRecorder::TotalSpansRecorded();
     double best = -1;
     for (int rep = 0; rep < 3; rep++) {
-      CleanDB db(ManyOpOptions(/*legacy=*/false));
+      CleanDB db(ManyOpOptions());
       db.RegisterTable("customer", data);
       auto prepared = db.Prepare(kManyOpQuery);
       CLEANM_CHECK(prepared.ok());
@@ -946,7 +920,7 @@ DeltaIncrementalAb RunDeltaIncrementalAb() {
 
   QueryResult last_incremental;
   for (int incremental = 0; incremental <= 1; incremental++) {
-    CleanDB db(ManyOpOptions(/*legacy=*/false));
+    CleanDB db(ManyOpOptions());
     db.RegisterTable("customer", base);
     auto prepared = db.Prepare(kManyOpQuery);
     CLEANM_CHECK(prepared.ok());
@@ -984,7 +958,7 @@ DeltaIncrementalAb RunDeltaIncrementalAb() {
   for (size_t r = 0; r < ab.rounds; r++) {
     for (auto& row : chunk(r)) post.Append(std::move(row));
   }
-  CleanDB cold_db(ManyOpOptions(/*legacy=*/false));
+  CleanDB cold_db(ManyOpOptions());
   cold_db.RegisterTable("customer", std::move(post));
   auto cold = cold_db.Execute(kManyOpQuery).ValueOrDie();
   auto canon = [](const QueryResult& r) {
@@ -1081,7 +1055,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") g_base_rows = 400;
     if (arg == "--nonet") g_nonet = true;
-    if (arg == "--legacy") g_legacy = true;
     if (arg == "--check") check = true;
     if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
     if (arg == "--trace-out" && i + 1 < argc) trace_out = argv[++i];
@@ -1112,14 +1085,6 @@ int main(int argc, char** argv) {
   std::printf("\n[measured] CleanDB unified shares one grouping pass across all three "
               "operations; verify unified(CleanDB) < separate-total(CleanDB) and "
               "unified(SparkSQL) > separate-total(SparkSQL).\n");
-
-  std::printf("\n=== substrate A/B: many-operator unified plan (8 FDs), pure compute ===\n");
-  const double many_op_legacy = RunManyOpPlan(/*legacy=*/true);
-  const double many_op_pool = RunManyOpPlan(/*legacy=*/false);
-  std::printf("legacy (spawn-per-call, unbatched) %8.3f s\n", many_op_legacy);
-  std::printf("worker pool + batched shuffle      %8.3f s\n", many_op_pool);
-  std::printf("[measured] substrate speedup %.2fx on the many-operator plan\n",
-              many_op_legacy / many_op_pool);
 
   std::printf("\n=== prepared-query A/B: cold Execute vs prepared re-execute "
               "(8 FDs, pure compute) ===\n");
@@ -1165,9 +1130,9 @@ int main(int argc, char** argv) {
   std::printf("8 executions serialized               %8.4f s\n", cab.serial_s);
   std::printf("8 executions on concurrent drivers    %8.4f s\n", cab.concurrent_s);
   std::printf("[measured] concurrent-session throughput %.2fx; %zu violations "
-              "per execution, all runs %s\n",
+              "per execution, all runs %s; %zu worker pools\n",
               cab.speedup, cab.violations,
-              cab.identical ? "bit-identical" : "DIFFER");
+              cab.identical ? "bit-identical" : "DIFFER", cab.worker_pools);
 
   std::printf("\n=== UDF / repair A/B: registered functions vs built-ins "
               "(pure compute) ===\n");
@@ -1175,9 +1140,6 @@ int main(int argc, char** argv) {
   std::printf("builtin aggregate GROUP BY             %8.4f s\n", udf.builtin_agg_s);
   std::printf("registered (usum) aggregate GROUP BY   %8.4f s  (%.2fx)\n",
               udf.udf_agg_s, udf.agg_ratio);
-  std::printf("registered aggregate, legacy dispatch  %8.4f s  (pool %.2fx)\n",
-              udf.udf_agg_legacy_s,
-              udf.udf_agg_s > 0 ? udf.udf_agg_legacy_s / udf.udf_agg_s : 0);
   std::printf("repair loop, registered fn + sink      %8.4f s  (%zu cells)\n",
               udf.repair_registered_s, udf.repairs_applied);
   std::printf("repair loop, hand-rolled traversal     %8.4f s  (%zu cells)\n",
@@ -1258,12 +1220,12 @@ int main(int argc, char** argv) {
     char udf_object[384];
     std::snprintf(udf_object, sizeof(udf_object),
                   "{\"builtin_agg_s\": %.6f, \"udf_agg_s\": %.6f, "
-                  "\"udf_vs_builtin_ratio\": %.3f, \"udf_agg_legacy_s\": %.6f, "
+                  "\"udf_vs_builtin_ratio\": %.3f, "
                   "\"repair_registered_s\": %.6f, \"repair_manual_s\": %.6f, "
                   "\"repairs_applied\": %zu}",
                   udf.builtin_agg_s, udf.udf_agg_s, udf.agg_ratio,
-                  udf.udf_agg_legacy_s, udf.repair_registered_s,
-                  udf.repair_manual_s, udf.repairs_applied);
+                  udf.repair_registered_s, udf.repair_manual_s,
+                  udf.repairs_applied);
     MergeJsonSection(out_path, "udf_repair", udf_object);
     char pipe_object[256];
     std::snprintf(pipe_object, sizeof(pipe_object),
@@ -1294,9 +1256,9 @@ int main(int argc, char** argv) {
     std::snprintf(conc_object, sizeof(conc_object),
                   "{\"sessions\": %zu, \"serial_s\": %.6f, "
                   "\"concurrent_s\": %.6f, \"speedup\": %.3f, "
-                  "\"violations_identical\": %d}",
+                  "\"violations_identical\": %d, \"worker_pools\": %zu}",
                   cab.sessions, cab.serial_s, cab.concurrent_s, cab.speedup,
-                  cab.identical ? 1 : 0);
+                  cab.identical ? 1 : 0, cab.worker_pools);
     MergeJsonSection(out_path, "concurrency", conc_object);
     char fault_object[384];
     std::snprintf(fault_object, sizeof(fault_object),
@@ -1464,7 +1426,9 @@ int main(int argc, char** argv) {
     // serialized throughput in the network-simulated regime (the waits
     // overlap), with every execution bit-identical to the serial baseline —
     // otherwise the session layer has re-serialized (a stray exclusive
-    // lock) or, worse, races are corrupting results.
+    // lock) or, worse, races are corrupting results. The cluster must also
+    // have created no more worker pools than there were sessions: a pool
+    // per dispatch (a leaked or never-returned lease) shows up here.
     const double kMinConcurrentSpeedup = 2.0;
     if (!cab.identical || cab.violations == 0) {
       std::fprintf(stderr,
@@ -1481,9 +1445,17 @@ int main(int argc, char** argv) {
                    cab.concurrent_s);
       return 1;
     }
+    if (cab.worker_pools > cab.sessions) {
+      std::fprintf(stderr,
+                   "[check] FAILED: %zu worker pools for %zu concurrent "
+                   "sessions (expected at most one per session)\n",
+                   cab.worker_pools, cab.sessions);
+      return 1;
+    }
     std::printf("[check] concurrency gate passed (%.2fx ≥ %.1fx, %zu "
-                "bit-identical violations per execution)\n",
-                cab.speedup, kMinConcurrentSpeedup, cab.violations);
+                "bit-identical violations per execution, %zu worker pools)\n",
+                cab.speedup, kMinConcurrentSpeedup, cab.violations,
+                cab.worker_pools);
 
     // Fault-tolerance gates: retried executions must stay exact (same
     // violations in the same order — a retry is a per-partition

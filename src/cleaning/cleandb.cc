@@ -55,7 +55,6 @@ CleanDB::CleanDB(CleanDBOptions options)
   copts.shuffle_ns_per_byte = options_.shuffle_ns_per_byte;
   copts.shuffle_batch_rows = options_.shuffle_batch_rows;
   copts.shuffle_ns_per_batch = options_.shuffle_ns_per_batch;
-  copts.use_worker_pool = options_.use_worker_pool;
   copts.fault = options_.fault;
   cluster_ = std::make_unique<engine::Cluster>(copts);
   if (options_.buffer_pool_bytes > 0) {

@@ -63,7 +63,6 @@ struct CleanDBOptions {
 #undef CLEANM_X
 
   size_t num_nodes = 4;
-  bool use_worker_pool = true;
   PhysicalOptions physical;
   /// Defaults for token filtering / k-means parameters (q, k, delta, seed).
   FilteringOptions filtering;

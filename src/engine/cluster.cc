@@ -30,10 +30,42 @@ Cluster::Cluster(ClusterOptions options)
     : options_(options), active_nodes_(options.num_nodes) {
   CLEANM_CHECK(options_.num_nodes > 0);
   CLEANM_CHECK(options_.shuffle_batch_rows > 0);
-  if (options_.use_worker_pool) {
-    pool_ = std::make_unique<WorkerPool>(options_.num_nodes);
-  }
+  pools_.push_back(std::make_unique<WorkerPool>(options_.num_nodes));
+  idle_pools_.push_back(pools_.back().get());
   fault_ = std::make_unique<FaultInjector>(options_.num_nodes, options_.fault);
+}
+
+size_t Cluster::worker_pools() const {
+  std::lock_guard<std::mutex> lock(pools_mu_);
+  return pools_.size();
+}
+
+Cluster::PoolLease::PoolLease(const Cluster& cluster) : cluster_(cluster) {
+  std::lock_guard<std::mutex> lock(cluster.pools_mu_);
+  for (const auto& pool : cluster.pools_) {
+    if (pool->OnWorkerThread()) {
+      pool_ = pool.get();
+      nested_ = true;
+      return;
+    }
+  }
+  if (!cluster.idle_pools_.empty()) {
+    pool_ = cluster.idle_pools_.back();
+    cluster.idle_pools_.pop_back();
+    return;
+  }
+  // Every pool is leased: this driver gets a pool of its own rather than
+  // queueing behind another driver's epoch (DESIGN.md, "Worker pools &
+  // leases").
+  cluster.pools_.push_back(std::make_unique<WorkerPool>(cluster.options_.num_nodes));
+  cluster.idle_pools_.reserve(cluster.pools_.size());
+  pool_ = cluster.pools_.back().get();
+}
+
+Cluster::PoolLease::~PoolLease() {
+  if (nested_) return;
+  std::lock_guard<std::mutex> lock(cluster_.pools_mu_);
+  cluster_.idle_pools_.push_back(pool_);
 }
 
 void Cluster::SetFaultOptions(const FaultOptions& options) {
@@ -110,10 +142,9 @@ void Cluster::SetShuffleBatchRows(size_t rows) {
 
 void Cluster::RunOnNodes(const std::function<void(size_t)>& fn) const {
   const size_t active = active_nodes_;
-  // Workers (and legacy spawned threads) run the dispatching driver's
-  // closures, so they must charge that driver's per-execution metrics (and
-  // observe its cancellation sources), not whatever the worker thread last
-  // saw.
+  // Workers run the dispatching driver's closures, so they must charge that
+  // driver's per-execution metrics (and observe its cancellation sources),
+  // not whatever the worker thread last saw.
   QueryMetrics* driver_metrics = MetricsScope::Current();
   const ExecControl* driver_control = ExecControlScope::Current();
   // Like the metrics/control scopes, tracing context propagates explicitly:
@@ -130,39 +161,8 @@ void Cluster::RunOnNodes(const std::function<void(size_t)>& fn) const {
     TraceScope task_span("cluster", "task", nullptr, static_cast<int>(n));
     if (n < active) RunWithFaults(n, fn);
   };
-  if (pool_ && (pool_->OnWorkerThread() || pool_->TryAcquireDriver())) {
-    // On a worker thread this is a nested dispatch (runs inline inside
-    // Run); otherwise this session just became the pool's driver.
-    pool_->Run(task);
-    return;
-  }
-  // Spawn-per-call: one fresh thread per node per operator call. Two users:
-  //  * the legacy execution model (use_worker_pool = false), kept as the
-  //    A/B baseline for the dispatch-latency microbenchmark and CI gate;
-  //  * a driver session that lost the pool to another session. Spawning
-  //    (instead of queueing behind the owner, or running the node loop
-  //    sequentially inline) keeps concurrent sessions independent AND keeps
-  //    their per-node work parallel — without it, each non-owner execution
-  //    serializes its own simulated-network sleeps and the sessions gain
-  //    nothing from overlapping. Engine operators are deterministic under
-  //    any node scheduling, so results are identical on either substrate.
-  // Exceptions propagate to the caller, matching the pool's contract.
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  std::vector<std::thread> workers;
-  workers.reserve(active);
-  for (size_t n = 0; n < active; n++) {
-    workers.emplace_back([&task, &error_mu, &first_error, n] {
-      try {
-        task(n);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  if (first_error) std::rethrow_exception(first_error);
+  PoolLease lease(*this);
+  lease.pool().Run(task);
 }
 
 uint64_t PartitionLogicalBytes(const Partition& rows) {

@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/metrics.h"
@@ -89,10 +90,6 @@ struct ClusterOptions {
   /// Fixed simulated latency charged per flushed remote batch (on top of
   /// the per-byte cost) — the "per-message" term of a real interconnect.
   double shuffle_ns_per_batch = 0.0;
-  /// When true (default), operator calls dispatch onto a persistent worker
-  /// pool owned by the Cluster. When false, every call spawns and joins
-  /// fresh threads — the pre-pool behavior, kept for A/B benchmarking.
-  bool use_worker_pool = true;
   /// Deterministic fault injection + retry/blacklist knobs (off by
   /// default). See engine/fault.h.
   FaultOptions fault;
@@ -100,11 +97,17 @@ struct ClusterOptions {
 
 /// \brief N-node virtual cluster. All engine operators run through it.
 ///
-/// Thread model: the cluster owns one persistent worker thread per node
-/// (see WorkerPool); every operator call dispatches one task epoch and
-/// blocks on its completion latch. Shuffles accumulate outgoing rows into
-/// per-destination batches, charge the simulated network cost per flushed
-/// batch, and destinations splice whole batches via std::move.
+/// Thread model: the cluster owns persistent worker pools of one thread per
+/// node (see WorkerPool). Every operator call leases an idle pool,
+/// dispatches one task epoch on it, blocks on its completion latch, and
+/// returns the pool once the epoch has drained. The constructor builds the
+/// first pool, so a single driver never creates another; a driver that
+/// finds every pool leased creates one more, so N concurrent drivers run on
+/// at most N pools and never wait for each other's epochs. A call made on a
+/// worker thread (an operator nested in a task) runs inline on that worker.
+/// Shuffles accumulate outgoing rows into per-destination batches, charge
+/// the simulated network cost per flushed batch, and destinations splice
+/// whole batches via std::move.
 class Cluster {
  public:
   explicit Cluster(ClusterOptions options = {});
@@ -153,6 +156,10 @@ class Cluster {
   /// True when `node` was blacklisted after node_blacklist_threshold
   /// consecutive failures. New partitionings route around such nodes.
   bool NodeBlacklisted(size_t node) const { return fault_->blacklisted(node); }
+
+  /// Worker pools created so far: the most drivers that ever held a pool
+  /// lease at the same time (at least 1). For tests and bench gates.
+  size_t worker_pools() const;
 
   /// Runs fn(node_id) on every node concurrently and waits for all.
   /// Worker exceptions propagate to the caller (first one wins). Each
@@ -228,10 +235,40 @@ class Cluster {
   /// Nodes participating in execution (≤ options_.num_nodes).
   size_t active_nodes_;
   mutable QueryMetrics metrics_;
-  /// Lives for the Cluster's lifetime; null when use_worker_pool is false.
-  mutable std::unique_ptr<WorkerPool> pool_;
+  /// Guards pools_ and idle_pools_.
+  mutable std::mutex pools_mu_;
+  /// Every pool created so far; each lives for the Cluster's lifetime.
+  mutable std::vector<std::unique_ptr<WorkerPool>> pools_;
+  /// The pools no driver holds a lease on (capacity ≥ pools_.size(), so
+  /// returning a lease never allocates).
+  mutable std::vector<WorkerPool*> idle_pools_;
   /// Seeded fault state; always constructed (injection disabled by default).
   mutable std::unique_ptr<FaultInjector> fault_;
+
+  /// \brief RAII lease of one worker pool for a dispatching driver.
+  ///
+  /// Takes an idle pool from the free list, or creates one when every pool
+  /// is leased. On a worker thread of this cluster (an operator nested in a
+  /// task) it borrows that worker's own pool instead, whose Dispatch runs
+  /// inline on the calling thread. The destructor returns a taken pool to
+  /// the free list, so the lease must outlive the epoch it dispatched: Run,
+  /// or Dispatch paired with Wait, on the error paths too.
+  class PoolLease {
+   public:
+    explicit PoolLease(const Cluster& cluster);
+    ~PoolLease();
+    PoolLease(const PoolLease&) = delete;
+    PoolLease& operator=(const PoolLease&) = delete;
+
+    WorkerPool& pool() const { return *pool_; }
+    /// True when the calling thread is one of this cluster's workers.
+    bool nested() const { return nested_; }
+
+   private:
+    const Cluster& cluster_;
+    WorkerPool* pool_ = nullptr;
+    bool nested_ = false;
+  };
 
   /// One node's task attempt loop: ExecControl check, fault injection,
   /// retry with capped exponential backoff, blacklist bookkeeping. Runs

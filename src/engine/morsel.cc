@@ -1,4 +1,4 @@
-// Morsel-driven pipelining over the persistent worker pool.
+// Morsel-driven pipelining over the persistent worker pools.
 //
 // The pumps move fixed-size row batches ("morsels") from a resident source
 // Partitioned through a per-row expansion to a consumer, instead of
@@ -22,7 +22,6 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <thread>
 
 #include "common/trace.h"
 #include "engine/cluster.h"
@@ -119,12 +118,12 @@ Status Cluster::PumpToDriver(
 
   // Nested invocation (an operator running inside a worker task): drive the
   // pipeline inline on the calling thread, interleaving produce and consume
-  // per morsel — same order, no concurrency. Only the truly-nested case runs
-  // inline; a driver that merely lost the pool to another session falls
-  // through to spawned producer threads below, so its pipeline stays
-  // parallel instead of serializing every node on the calling thread.
+  // per morsel — same order, no concurrency. The worker's own pool is busy
+  // with the enclosing epoch, so its producers could not run beside this
+  // drain loop.
   const ExecControl* exec_control = ExecControlScope::Current();
-  if (pool_ && pool_->OnWorkerThread()) {
+  PoolLease lease(*this);
+  if (lease.nested()) {
     Status status = Status::OK();
     for (size_t n = 0; n < n_nodes && n < source.size() && status.ok(); n++) {
       if (exec_control && !(status = exec_control->Check()).ok()) break;
@@ -147,9 +146,9 @@ Status Cluster::PumpToDriver(
   // the producers' row loops.
   std::atomic<bool> abort{false};
 
-  // Producers run on pool workers (or legacy threads) but charge the
-  // dispatching driver's per-execution metrics and observe its cancellation
-  // sources. Each node's produce loop is one task attempt through the fault
+  // Producers run on the leased pool's workers but charge the dispatching
+  // driver's per-execution metrics and observe its cancellation sources.
+  // Each node's produce loop is one task attempt through the fault
   // injector: an injected failure fires before any morsel is flushed, so
   // the retry re-produces that node's stream from the start with the queue
   // still empty — delivery stays bit-identical.
@@ -190,50 +189,22 @@ Status Cluster::PumpToDriver(
       mark_done();
     } catch (...) {
       mark_done();  // never leave the driver waiting on a dead producer
-      throw;        // captured by the pool / the legacy thread wrapper
+      throw;        // captured by the pool, rethrown by Wait()
     }
   };
-
-  // Launch the producers: one epoch on the pool when this session owns the
-  // driver slot, otherwise (legacy model, or the pool is busy with another
-  // session) one fresh thread per node with the same exception contract.
-  const bool own_pool = pool_ && pool_->TryAcquireDriver();
-  std::vector<std::thread> legacy_threads;
-  std::mutex legacy_error_mu;
-  std::exception_ptr legacy_error;
-  if (own_pool) {
-    pool_->Dispatch(produce);
-  } else {
-    legacy_threads.reserve(n_nodes);
-    for (size_t n = 0; n < n_nodes; n++) {
-      legacy_threads.emplace_back([&, n] {
-        try {
-          produce(n);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(legacy_error_mu);
-          if (!legacy_error) legacy_error = std::current_exception();
-        }
-      });
-    }
-  }
 
   auto abort_producers = [&] {
     std::lock_guard<std::mutex> lock(mu);
     abort = true;
     cv_space.notify_all();
   };
-  auto join_producers = [&] {
-    if (own_pool) {
-      pool_->Wait();
-    } else {
-      for (auto& t : legacy_threads) t.join();
-    }
-  };
 
   // Drain node-major on this thread; stop producing on the first sink
   // error. A *throwing* consume must not unwind past the stack-local
   // queues while producers still touch them: abort and join first, then
-  // rethrow (the driver's exception outranks any worker error).
+  // rethrow (the driver's exception outranks any worker error). Joining
+  // first also keeps the lease until the epoch has drained.
+  lease.pool().Dispatch(produce);
   Status status = Status::OK();
   try {
     for (size_t n = 0; n < n_nodes && status.ok(); n++) {
@@ -262,15 +233,14 @@ Status Cluster::PumpToDriver(
   } catch (...) {
     abort_producers();
     try {
-      join_producers();
+      lease.pool().Wait();
     } catch (...) {
     }
     throw;
   }
 
   // Wait out the producers (on abort they observe the flag and exit).
-  join_producers();
-  if (legacy_error) std::rethrow_exception(legacy_error);
+  lease.pool().Wait();
   // Worst case in flight: every node's largest morsel at every slot — the
   // queue window plus the one being built — plus the one crossing to the
   // driver.

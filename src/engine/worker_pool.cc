@@ -59,33 +59,6 @@ void WorkerPool::WorkerLoop(size_t id) {
   }
 }
 
-void WorkerPool::AcquireDriver() {
-  const auto me = std::this_thread::get_id();
-  std::unique_lock<std::mutex> lock(driver_mu_);
-  if (driver_held_ && driver_owner_ == me) return;
-  driver_cv_.wait(lock, [&] { return !driver_held_; });
-  driver_held_ = true;
-  driver_owner_ = me;
-}
-
-bool WorkerPool::TryAcquireDriver() {
-  const auto me = std::this_thread::get_id();
-  std::lock_guard<std::mutex> lock(driver_mu_);
-  if (driver_held_) return driver_owner_ == me;
-  driver_held_ = true;
-  driver_owner_ = me;
-  return true;
-}
-
-void WorkerPool::ReleaseDriver() {
-  {
-    std::lock_guard<std::mutex> lock(driver_mu_);
-    if (!driver_held_ || driver_owner_ != std::this_thread::get_id()) return;
-    driver_held_ = false;
-  }
-  driver_cv_.notify_one();
-}
-
 void WorkerPool::Dispatch(std::function<void(size_t)> fn) {
   CLEANM_CHECK(fn != nullptr);
   if (OnWorkerThread()) {
@@ -106,7 +79,6 @@ void WorkerPool::Dispatch(std::function<void(size_t)> fn) {
     }
     return;
   }
-  AcquireDriver();
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return pending_ == 0; });  // serialize epochs
@@ -134,7 +106,6 @@ void WorkerPool::Wait() {
     error = first_error_;
     first_error_ = nullptr;
   }
-  ReleaseDriver();
   if (error) std::rethrow_exception(error);
 }
 

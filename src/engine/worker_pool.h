@@ -24,12 +24,12 @@ namespace cleanm::engine {
 /// waits for it to drain. Exceptions thrown by workers are captured and the
 /// first one is rethrown on the driver in Wait()/Run().
 ///
-/// Multi-driver safety: the pool serves one driver thread at a time. A
-/// Dispatch from a thread that does not hold driver ownership first acquires
-/// it (blocking until the current owner's Wait() releases), so two sessions
-/// can never adopt each other's epoch, completion latch, or captured error.
-/// TryAcquireDriver() lets callers probe for ownership without blocking and
-/// fall back to running the closure inline on their own thread.
+/// One driver at a time: the latch and the captured error belong to the
+/// single epoch in flight, so two threads publishing epochs concurrently
+/// would adopt each other's completion and errors. The pool does not
+/// arbitrate between drivers; its owner does. Cluster leases each pool to
+/// one dispatching driver and creates another pool when every existing one
+/// is leased (see Cluster, "Thread model").
 ///
 /// Re-entrancy: Dispatch()/Run() called from inside one of this pool's own
 /// workers (an operator nested in a task) executes the closure inline on the
@@ -55,26 +55,18 @@ class WorkerPool {
   void Run(const std::function<void(size_t)>& fn);
 
   /// Publishes fn as the next epoch without waiting for completion (blocks
-  /// only until any *previous* epoch drains). Acquires driver ownership if
-  /// the calling thread does not hold it. Pair with Wait().
+  /// only until any *previous* epoch drains). Pair with Wait().
   void Dispatch(std::function<void(size_t)> fn);
 
   /// Blocks until the in-flight epoch (if any) completes; rethrows the
-  /// first captured worker exception and releases driver ownership.
+  /// first captured worker exception.
   void Wait();
-
-  /// Non-blocking probe for driver ownership: true when the calling thread
-  /// now owns (or already owned) the driver slot. On success the caller
-  /// must reach a Wait() (e.g. via Dispatch+Wait or Run) to release it.
-  bool TryAcquireDriver();
 
   /// True when the calling thread is one of this pool's workers.
   bool OnWorkerThread() const;
 
  private:
   void WorkerLoop(size_t id);
-  void AcquireDriver();
-  void ReleaseDriver();
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers: a new epoch is published
@@ -85,12 +77,6 @@ class WorkerPool {
   bool stop_ = false;
   std::exception_ptr first_error_;
   std::vector<std::thread> workers_;
-
-  /// Driver-ownership lock: which external thread may publish epochs.
-  mutable std::mutex driver_mu_;
-  std::condition_variable driver_cv_;
-  bool driver_held_ = false;
-  std::thread::id driver_owner_;
 };
 
 }  // namespace cleanm::engine

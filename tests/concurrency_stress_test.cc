@@ -2,9 +2,9 @@
 // ThreadSanitizer; the plain presets run them as functional races).
 //
 // One CleanDB, many driver threads: prepared FD / dedup / SELECT queries
-// execute concurrently over the shared worker pool while other threads
-// re-register tables and commit repairs. The contracts under test are the
-// ones DESIGN.md ("Threading & session concurrency") documents:
+// execute concurrently over the shared cluster's worker pools while other
+// threads re-register tables and commit repairs. The contracts under test
+// are the ones DESIGN.md ("Threading & session concurrency") documents:
 //
 //  * every concurrent execution of a prepared query over a *stable* table
 //    returns a violation set bit-identical to the serial baseline — no

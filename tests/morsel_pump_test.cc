@@ -2,14 +2,20 @@
 // test: the consumer (sink) fails while producers sit blocked on full
 // per-node queues — the abort flag and both condition variables must
 // interact so every producer wakes, drains, and joins instead of
-// deadlocking. Both producer substrates are covered: the persistent worker
-// pool and the legacy spawn-per-call path (use_worker_pool=false), with the
-// queue window clamped to one morsel so producers block as early as
-// possible.
+// deadlocking. The queue window is clamped to one morsel so producers block
+// as early as possible. Most cases run the pump on a second worker pool
+// while another thread holds the first, so they also check that the pump's
+// pool lease goes back only after its epoch drains, on every exit path: a
+// lease kept (or returned early) would show as a third pool on the next
+// dispatch.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "engine/cluster.h"
@@ -35,31 +41,54 @@ MorselSpec TightSpec() {
   return spec;
 }
 
-ClusterOptions LegacyOptions(size_t nodes) {
-  ClusterOptions opts = FastClusterOptions(nodes);
-  opts.use_worker_pool = false;
-  return opts;
-}
+/// Holds the cluster's first worker pool inside a blocked RunOnNodes task
+/// on another thread for its lifetime, so dispatches from the test thread
+/// run on a second, freshly leased pool.
+class FirstPoolHolder {
+ public:
+  explicit FirstPoolHolder(Cluster& cluster)
+      : nodes_(cluster.num_nodes()), thread_([this, &cluster] {
+          cluster.RunOnNodes([this](size_t) {
+            std::unique_lock<std::mutex> lock(mu_);
+            entered_++;
+            cv_.notify_all();
+            cv_.wait(lock, [&] { return released_; });
+          });
+        }) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ == nodes_; });
+  }
 
-TEST(MorselPumpTest, LegacySinkErrorWithFullQueuesDoesNotDeadlock) {
-  Cluster cluster(LegacyOptions(4));
-  auto source = cluster.Parallelize(IntRows(400));  // ~100 morsels per node
-  std::atomic<int> consumed{0};
-  Status status = cluster.PumpToDriver(
-      source, TightSpec(), Identity(), [&](size_t, Partition&&) -> Status {
-        consumed++;
-        // Fail immediately: every other producer is (or soon will be)
-        // blocked on its full one-morsel queue and must be woken by the
-        // abort, not by queue space that will never appear.
-        return Status::Internal("sink failed");
-      });
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(consumed.load(), 1);
-  // Reaching this line is the regression assertion: PumpToDriver joined
-  // all legacy producer threads after the abort. The cluster stays usable.
-  std::atomic<int> nodes_ran{0};
+  ~FirstPoolHolder() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  FirstPoolHolder(const FirstPoolHolder&) = delete;
+  FirstPoolHolder& operator=(const FirstPoolHolder&) = delete;
+
+ private:
+  const size_t nodes_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t entered_ = 0;
+  bool released_ = false;
+  std::thread thread_;
+};
+
+/// The pump returned its lease: with the first pool still held, the next
+/// dispatch reuses the second pool instead of creating a third, and every
+/// node runs.
+void ExpectNextDispatchReusesAPool(Cluster& cluster, size_t pools) {
+  EXPECT_EQ(cluster.worker_pools(), pools);
+  std::atomic<size_t> nodes_ran{0};
   cluster.RunOnNodes([&](size_t) { nodes_ran++; });
-  EXPECT_EQ(nodes_ran.load(), 4);
+  EXPECT_EQ(nodes_ran.load(), cluster.num_nodes());
+  EXPECT_EQ(cluster.worker_pools(), pools);
 }
 
 TEST(MorselPumpTest, PoolSinkErrorWithFullQueuesDoesNotDeadlock) {
@@ -73,17 +102,36 @@ TEST(MorselPumpTest, PoolSinkErrorWithFullQueuesDoesNotDeadlock) {
       });
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(consumed.load(), 1);
-  std::atomic<int> nodes_ran{0};
-  cluster.RunOnNodes([&](size_t) { nodes_ran++; });
-  EXPECT_EQ(nodes_ran.load(), 4);
+  ExpectNextDispatchReusesAPool(cluster, 1);
 }
 
-TEST(MorselPumpTest, LegacyThrowingConsumerJoinsProducersBeforeUnwinding) {
+TEST(MorselPumpTest, SecondPoolSinkErrorWithFullQueuesDoesNotDeadlock) {
+  Cluster cluster(FastClusterOptions(4));
+  auto source = cluster.Parallelize(IntRows(400));  // ~100 morsels per node
+  FirstPoolHolder hold(cluster);
+  std::atomic<int> consumed{0};
+  Status status = cluster.PumpToDriver(
+      source, TightSpec(), Identity(), [&](size_t, Partition&&) -> Status {
+        consumed++;
+        // Fail immediately: every other producer is (or soon will be)
+        // blocked on its full one-morsel queue and must be woken by the
+        // abort, not by queue space that will never appear.
+        return Status::Internal("sink failed");
+      });
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(consumed.load(), 1);
+  // Reaching this line is the regression assertion: PumpToDriver joined
+  // every producer after the abort.
+  ExpectNextDispatchReusesAPool(cluster, 2);
+}
+
+TEST(MorselPumpTest, SecondPoolThrowingConsumerJoinsProducersBeforeUnwinding) {
   // A *throwing* consumer must not unwind past the pump's stack-local
-  // queues while legacy producer threads still reference them (that is a
-  // use-after-scope, not just a leak).
-  Cluster cluster(LegacyOptions(4));
+  // queues while producers still reference them (that is a use-after-scope,
+  // not just a leak), nor return the lease with the epoch in flight.
+  Cluster cluster(FastClusterOptions(4));
   auto source = cluster.Parallelize(IntRows(400));
+  FirstPoolHolder hold(cluster);
   EXPECT_THROW(
       (void)cluster.PumpToDriver(
           source, TightSpec(), Identity(),
@@ -91,17 +139,16 @@ TEST(MorselPumpTest, LegacyThrowingConsumerJoinsProducersBeforeUnwinding) {
             throw std::runtime_error("consumer threw");
           }),
       std::runtime_error);
-  std::atomic<int> nodes_ran{0};
-  cluster.RunOnNodes([&](size_t) { nodes_ran++; });
-  EXPECT_EQ(nodes_ran.load(), 4);
+  ExpectNextDispatchReusesAPool(cluster, 2);
 }
 
-TEST(MorselPumpTest, LegacyProducerErrorSurfacesAfterPartialConsumption) {
-  // An expand failure on one legacy producer thread must mark the node done
-  // (so the driver never waits on a dead producer) and rethrow at the call
-  // site after all threads joined.
-  Cluster cluster(LegacyOptions(2));
+TEST(MorselPumpTest, SecondPoolProducerErrorSurfacesAfterPartialConsumption) {
+  // An expand failure on one producer must mark the node done (so the
+  // driver never waits on a dead producer) and rethrow at the call site
+  // after every producer joined.
+  Cluster cluster(FastClusterOptions(2));
   auto source = cluster.Parallelize(IntRows(100));
+  FirstPoolHolder hold(cluster);
   EXPECT_THROW(
       (void)cluster.PumpToDriver(
           source, TightSpec(),
@@ -111,23 +158,28 @@ TEST(MorselPumpTest, LegacyProducerErrorSurfacesAfterPartialConsumption) {
           },
           [&](size_t, Partition&&) -> Status { return Status::OK(); }),
       std::runtime_error);
+  ExpectNextDispatchReusesAPool(cluster, 2);
 }
 
 TEST(MorselPumpTest, SinkErrorWhileRetryInFlightJoinsAllProducers) {
   // The sink fails on its first morsel while node 2 is still inside its
   // fault-retry loop (two scripted failures with a visible backoff). The
   // abort must reach the retrying producer too: its eventual clean attempt
-  // observes the stop flag, produces nothing, and joins — on both
-  // substrates.
-  for (const bool use_pool : {true, false}) {
-    ClusterOptions opts = FastClusterOptions(4);
-    opts.use_worker_pool = use_pool;
-    opts.fault.target_node = 2;
-    opts.fault.fail_first_attempts = 2;
-    opts.fault.max_task_retries = 3;
-    opts.fault.retry_backoff_ns = 5'000'000;  // keep the retry in flight
-    Cluster cluster(opts);
+  // observes the stop flag, produces nothing, and joins — on the first pool
+  // and on a second one.
+  FaultOptions fault;
+  fault.target_node = 2;
+  fault.fail_first_attempts = 2;
+  fault.max_task_retries = 3;
+  fault.retry_backoff_ns = 5'000'000;  // keep the retry in flight
+  for (const bool second_pool : {false, true}) {
+    Cluster cluster(FastClusterOptions(4));
     auto source = cluster.Parallelize(IntRows(400));
+    std::unique_ptr<FirstPoolHolder> hold;
+    if (second_pool) hold = std::make_unique<FirstPoolHolder>(cluster);
+    // Injection starts after the holder's tasks passed their attempt
+    // check, so node 2's scripted failures land in the pump.
+    cluster.SetFaultOptions(fault);
     std::atomic<int> consumed{0};
     Status status = cluster.PumpToDriver(
         source, TightSpec(), Identity(), [&](size_t, Partition&&) -> Status {
@@ -141,10 +193,8 @@ TEST(MorselPumpTest, SinkErrorWhileRetryInFlightJoinsAllProducers) {
     EXPECT_EQ(cluster.metrics().tasks_failed.load(), 2u);
     EXPECT_EQ(cluster.metrics().tasks_retried.load(), 2u);
     // Reaching this line is the regression assertion: PumpToDriver joined
-    // the retrying producer as well. The cluster stays usable.
-    std::atomic<int> nodes_ran{0};
-    cluster.RunOnNodes([&](size_t) { nodes_ran++; });
-    EXPECT_EQ(nodes_ran.load(), 4);
+    // the retrying producer as well.
+    ExpectNextDispatchReusesAPool(cluster, second_pool ? 2 : 1);
   }
 }
 
@@ -180,19 +230,19 @@ TEST(MorselPumpTest, ProducerRetryDeliversIdenticalNodeMajorStream) {
   }
 }
 
-TEST(MorselPumpTest, TightWindowDeliversNodeMajorRowOrderInBothModes) {
+TEST(MorselPumpTest, TightWindowDeliversNodeMajorRowOrderOnEitherPool) {
   // The abort machinery must not perturb the happy path: with the tightest
-  // window both substrates deliver every row in deterministic node-major
-  // order, identical to Collect().
-  for (const bool use_pool : {true, false}) {
-    ClusterOptions opts = FastClusterOptions(3);
-    opts.use_worker_pool = use_pool;
-    Cluster cluster(opts);
+  // window the pump delivers every row in deterministic node-major order,
+  // identical to Collect(), on the first pool and on a second one.
+  for (const bool second_pool : {false, true}) {
+    Cluster cluster(FastClusterOptions(3));
     auto source = cluster.Parallelize(IntRows(91));
     std::vector<Row> expected;
     for (const auto& part : source) {
       expected.insert(expected.end(), part.begin(), part.end());
     }
+    std::unique_ptr<FirstPoolHolder> hold;
+    if (second_pool) hold = std::make_unique<FirstPoolHolder>(cluster);
     std::vector<Row> got;
     size_t last_node = 0;
     Status status = cluster.PumpToDriver(
@@ -208,6 +258,7 @@ TEST(MorselPumpTest, TightWindowDeliversNodeMajorRowOrderInBothModes) {
     for (size_t i = 0; i < got.size(); i++) {
       EXPECT_TRUE(got[i][0].Equals(expected[i][0])) << "row " << i;
     }
+    ExpectNextDispatchReusesAPool(cluster, second_pool ? 2 : 1);
   }
 }
 

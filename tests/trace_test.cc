@@ -1,6 +1,6 @@
 // Span-recorder correctness under concurrency (the tsan preset runs this):
 // per-thread buffers, scope install/restore, recorder isolation across
-// concurrent drivers sharing one worker pool, and the profiling-off
+// concurrent drivers sharing one cluster, and the profiling-off
 // guarantee of literally zero recorded spans.
 #include <gtest/gtest.h>
 
@@ -95,7 +95,7 @@ TEST(TraceTest, InactiveScopeRecordsNothing) {
   EXPECT_EQ(TraceRecorder::TotalSpansRecorded(), before);
 }
 
-// Concurrent drivers sharing one CleanDB (and its worker pool), each
+// Concurrent drivers sharing one CleanDB (and its worker pools), each
 // profiling its own execution: every driver's spans must land in its own
 // recorder only. tsan checks the buffer handoff; the assertions check the
 // isolation.

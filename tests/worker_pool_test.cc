@@ -1,15 +1,19 @@
 // Tests for the persistent worker pool: thread reuse across operator
 // dispatches, concurrent metrics accumulation, exception propagation to the
-// driver, destruction with an unwaited epoch in flight, and the nested-Run
-// inline fallback. The asan preset exercises the same binary for races and
-// lifetime bugs.
+// driver, destruction with an unwaited epoch in flight, the nested-Run
+// inline fallback, and the Cluster's pool leases under concurrent drivers.
+// The asan and tsan presets exercise the same binary for lifetime bugs and
+// races.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "engine/cluster.h"
@@ -183,27 +187,6 @@ TEST(WorkerPoolTest, AbandonedNestedErrorDoesNotLeakIntoLaterDispatch) {
   });
 }
 
-TEST(WorkerPoolTest, ConcurrentDriversShareThePoolSafely) {
-  // Multiple session threads race Run() on one pool: the driver lock
-  // serializes epochs, TryAcquireDriver lets whoever wins drive, and every
-  // epoch still runs each worker exactly once.
-  constexpr int kDrivers = 4;
-  constexpr int kEpochsPerDriver = 50;
-  WorkerPool pool(3);
-  std::atomic<int> total{0};
-  std::vector<std::thread> drivers;
-  drivers.reserve(kDrivers);
-  for (int d = 0; d < kDrivers; d++) {
-    drivers.emplace_back([&] {
-      for (int e = 0; e < kEpochsPerDriver; e++) {
-        pool.Run([&](size_t) { total++; });
-      }
-    });
-  }
-  for (auto& t : drivers) t.join();
-  EXPECT_EQ(total.load(), kDrivers * kEpochsPerDriver * 3);
-}
-
 TEST(WorkerPoolTest, ClusterRunOnNodesPropagatesWorkerErrors) {
   Cluster cluster(testsupport::FastClusterOptions(4));
   EXPECT_THROW(cluster.RunOnNodes([](size_t n) {
@@ -252,25 +235,86 @@ TEST(WorkerPoolTest, FailedInjectedAttemptsNeverRunTheTaskBody) {
   EXPECT_EQ(cluster.metrics().tasks_retried.load(), 2u);
 }
 
-TEST(WorkerPoolTest, SpawnPerCallModeStillWorks) {
-  ClusterOptions opts = testsupport::FastClusterOptions(4);
-  opts.use_worker_pool = false;  // legacy A/B path
-  Cluster cluster(opts);
-  std::atomic<int> total{0};
-  cluster.RunOnNodes([&](size_t) { total++; });
-  EXPECT_EQ(total.load(), 4);
-}
+TEST(WorkerPoolTest, ConcurrentDriversEachLeaseTheirOwnPool) {
+  // Eight drivers each run RunOnNodes and PumpToDriver 50 times. A barrier
+  // inside every driver's first task keeps all eight epochs in flight at
+  // once, so the cluster must serve them from eight pools; a per-node FIFO
+  // of epochs would deadlock on the barrier. One driver's epochs throw on
+  // alternate iterations, and only that driver may see the error.
+  constexpr size_t kDrivers = 8;
+  constexpr int kEpochs = 50;
+  constexpr size_t kNodes = 4;
+  constexpr size_t kThrower = 5;
+  Cluster cluster(testsupport::FastClusterOptions(kNodes));
+  const Partitioned source = cluster.Parallelize(IntRows(64));
+  const std::vector<Row> expected = cluster.Collect(source);
+  MorselSpec spec;
+  spec.morsel_rows = 4;
+  spec.queue_window = 2;
+  const MorselExpand identity = [](size_t, const Row& row, Partition* out) {
+    out->push_back(row);
+  };
 
-TEST(WorkerPoolTest, SpawnPerCallModePropagatesExceptions) {
-  // Both substrates share the error contract: a throwing operator closure
-  // surfaces at the call site instead of std::terminate-ing the process.
-  ClusterOptions opts = testsupport::FastClusterOptions(4);
-  opts.use_worker_pool = false;
-  Cluster cluster(opts);
-  EXPECT_THROW(cluster.RunOnNodes([](size_t n) {
-    if (n == 3) throw std::runtime_error("legacy node failure");
-  }),
-               std::runtime_error);
+  auto burst = [&] {
+    std::mutex barrier_mu;
+    std::condition_variable barrier_cv;
+    size_t arrived = 0;
+    std::atomic<int> bad_epochs{0};
+    std::atomic<int> foreign_errors{0};
+    std::vector<int> caught(kDrivers, 0);  // element d written by driver d
+    std::vector<std::thread> drivers;
+    for (size_t d = 0; d < kDrivers; d++) {
+      drivers.emplace_back([&, d] {
+        const std::string own_error = "driver " + std::to_string(d);
+        for (int e = 0; e < kEpochs; e++) {
+          const bool throws = d == kThrower && e % 2 == 1;
+          std::vector<std::atomic<int>> hits(kNodes);
+          try {
+            cluster.RunOnNodes([&](size_t n) {
+              hits[n]++;
+              if (e == 0 && n == 0) {
+                std::unique_lock<std::mutex> lock(barrier_mu);
+                if (++arrived == kDrivers) barrier_cv.notify_all();
+                barrier_cv.wait(lock, [&] { return arrived == kDrivers; });
+              }
+              if (throws && n == 1) throw std::runtime_error(own_error);
+            });
+            if (throws) bad_epochs++;
+          } catch (const std::runtime_error& err) {
+            if (err.what() == own_error) {
+              caught[d]++;
+            } else {
+              foreign_errors++;
+            }
+          }
+          for (const auto& h : hits) {
+            if (h.load() != 1) bad_epochs++;
+          }
+          std::vector<Row> got;
+          Status status = cluster.PumpToDriver(
+              source, spec, identity, [&](size_t, Partition&& morsel) -> Status {
+                for (auto& row : morsel) got.push_back(std::move(row));
+                return Status::OK();
+              });
+          bool same = status.ok() && got.size() == expected.size();
+          for (size_t i = 0; same && i < got.size(); i++) {
+            same = got[i][0].Equals(expected[i][0]);
+          }
+          if (!same) bad_epochs++;
+        }
+      });
+    }
+    for (auto& t : drivers) t.join();
+    EXPECT_EQ(bad_epochs.load(), 0);
+    EXPECT_EQ(foreign_errors.load(), 0);
+    for (size_t d = 0; d < kDrivers; d++) {
+      EXPECT_EQ(caught[d], d == kThrower ? kEpochs / 2 : 0) << "driver " << d;
+    }
+  };
+  burst();
+  EXPECT_EQ(cluster.worker_pools(), kDrivers);
+  burst();  // every pool is idle again and reused
+  EXPECT_EQ(cluster.worker_pools(), kDrivers);
 }
 
 }  // namespace

@@ -77,6 +77,7 @@ SCHEMA = {
         "concurrent_s": None,
         "speedup": ("higher", "timing"),
         "violations_identical": ("higher", "exact"),
+        "worker_pools": None,  # <= sessions enforced by the bench's own --check
     },
     "fault_tolerance": {
         "clean_s": None,

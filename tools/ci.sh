@@ -42,9 +42,11 @@ done
 # invocation to reproduce locally.
 set -x
 
-# Perf regression gate: the worker-pool dispatch path must stay clearly
-# faster than spawn-per-call (--check exits non-zero past a generous
-# threshold), so the pool can't silently regress back to thread-per-operator.
+# Perf regression gate: RunOnNodes dispatch on a leased worker pool must
+# stay clearly faster than the bench's own spawn-per-call reference (one
+# fresh thread per node around the same closure; --check exits non-zero
+# past a generous threshold), so dispatch can't silently regress to
+# creating threads or pools per operator.
 # Full (non-smoke) scale: the checked-in BENCH_cluster.json baseline is
 # measured at full scale, so the regression diff below compares like with
 # like.
@@ -71,8 +73,11 @@ set -x
 # mutation, incremental re-validation must beat full re-execution ≥10x in
 # wall-clock and in the deterministic delta-scaling row ratio, with zero
 # re-partitions and the merged (violations − retractions + new) set
-# canonically identical to a cold post-delta run. Measured numbers merge
-# into BENCH_cluster.json next to the dispatch gate's.
+# canonically identical to a cold post-delta run. So does the concurrency
+# gate: 8 concurrent prepared sessions must clear ≥2× the serialized
+# throughput with bit-identical violations, on no more worker pools than
+# sessions. Measured numbers merge into BENCH_cluster.json next to the
+# dispatch gate's.
 ./build-release/bench_unified_cleaning --nonet --check \
   --out build-release/BENCH_cluster.json \
   --trace-out build-release/trace_unified.json

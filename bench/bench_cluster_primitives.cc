@@ -1,24 +1,31 @@
-// Microbenchmark for the virtual-cluster primitives underneath every
-// operator: RunOnNodes dispatch latency on the persistent worker pool
-// against a spawn-per-call reference (spawning and joining one thread per
-// node around the same closure), and shuffle throughput as a function of
-// the batch size. Emits a machine-readable BENCH_cluster.json so the perf
-// trajectory of the substrate is tracked across PRs.
+// Microbenchmark for the primitives underneath every operator: RunOnNodes
+// dispatch latency on the persistent worker pool against a spawn-per-call
+// reference (spawning and joining one thread per node around the same
+// closure), shuffle throughput as a function of the batch size, and the
+// Levenshtein kernel behind similar() (bit-parallel against the two-row
+// DP). Emits a machine-readable BENCH_cluster.json so the perf trajectory
+// of the substrate is tracked across PRs.
 //
 // Flags:
 //   --smoke        tiny sizes (CTest smoke run)
 //   --check        exit non-zero if pool dispatch latency regresses to
-//                  within 0.9× of spawn-per-call (the CI regression gate)
+//                  within 0.9× of spawn-per-call, or if the bit-parallel
+//                  kernel disagrees with the DP on any pair or is not
+//                  faster than it (the CI regression gates)
 //   --out <path>   JSON output path (default: BENCH_cluster.json in CWD)
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/timer.h"
+#include "datagen/generators.h"
 #include "engine/cluster.h"
+#include "text/similarity.h"
 
 namespace cleanm::engine {
 namespace {
@@ -81,6 +88,88 @@ double MeasureShuffleRowsPerSec(size_t batch_rows, size_t n_rows, int repeats) {
   return static_cast<double>(n_rows) * repeats / seconds;
 }
 
+/// The distinct author names of a fixed DBLP-style dataset: a pool of 180
+/// clean names plus the noisy copies of some of their occurrences.
+std::vector<std::string> KernelNamePool() {
+  datagen::DblpOptions options;
+  options.rows = 450;
+  options.author_pool = 180;
+  options.duplicate_fraction = 0;
+  options.seed = 1;
+  const Dataset dblp = datagen::MakeDblp(options);
+  const size_t column = dblp.schema().IndexOf("author").ValueOrDie();
+  std::set<std::string> names;
+  for (const auto& row : dblp.rows()) {
+    for (const auto& name : row[column].AsList()) names.insert(name.AsString());
+  }
+  return {names.begin(), names.end()};
+}
+
+/// The early-exit bound similar() uses at threshold 0.8.
+size_t SimilarityBound(const std::string& a, const std::string& b) {
+  return static_cast<size_t>(0.2 * static_cast<double>(std::max(a.size(), b.size())) +
+                             1e-9);
+}
+
+struct KernelResult {
+  size_t names = 0;
+  size_t pairs = 0;
+  double dp_ns = 0;
+  double bit_parallel_ns = 0;
+  uint64_t mismatches = 0;
+};
+
+/// Best-of-`repeats` ns per pair of `distance` over all pairs of `names`,
+/// each with similar()'s bound at threshold 0.8.
+template <typename Distance>
+double MeasureKernelNs(const std::vector<std::string>& names, int repeats,
+                       Distance&& distance) {
+  double best = 0;
+  size_t pairs = 0;
+  uint64_t sink = 0;
+  for (int r = 0; r < repeats; r++) {
+    pairs = 0;
+    Timer timer;
+    for (size_t i = 0; i < names.size(); i++) {
+      for (size_t j = i + 1; j < names.size(); j++, pairs++) {
+        sink += distance(names[i], names[j], SimilarityBound(names[i], names[j]));
+      }
+    }
+    const double ns = timer.ElapsedSeconds() * 1e9;
+    if (r == 0 || ns < best) best = ns;
+  }
+  if (sink == ~uint64_t{0}) std::printf("unreachable\n");
+  return pairs == 0 ? 0 : best / static_cast<double>(pairs);
+}
+
+KernelResult MeasureSimilarityKernel(int repeats) {
+  KernelResult out;
+  const std::vector<std::string> names = KernelNamePool();
+  out.names = names.size();
+  out.pairs = names.size() * (names.size() - 1) / 2;
+  // Agreement: the exact distance, and the bounded form similar() calls
+  // (both kernels return the exact distance or bound + 1).
+  for (size_t i = 0; i < names.size(); i++) {
+    for (size_t j = i + 1; j < names.size(); j++) {
+      const std::string& a = names[i];
+      const std::string& b = names[j];
+      const size_t bound = SimilarityBound(a, b);
+      if (LevenshteinDistance(a, b) != LevenshteinDistanceDp(a, b) ||
+          std::min(LevenshteinDistance(a, b, bound), bound + 1) !=
+              std::min(LevenshteinDistanceDp(a, b, bound), bound + 1)) {
+        out.mismatches++;
+      }
+    }
+  }
+  out.dp_ns = MeasureKernelNs(names, repeats, [](const auto& a, const auto& b, size_t k) {
+    return LevenshteinDistanceDp(a, b, k);
+  });
+  out.bit_parallel_ns = MeasureKernelNs(
+      names, repeats,
+      [](const auto& a, const auto& b, size_t k) { return LevenshteinDistance(a, b, k); });
+  return out;
+}
+
 }  // namespace
 }  // namespace cleanm::engine
 
@@ -121,6 +210,14 @@ int main(int argc, char** argv) {
     std::printf("  batch %5zu rows: %12.0f rows/sec\n", batch, rps);
   }
 
+  const KernelResult kernel = MeasureSimilarityKernel(smoke ? 1 : 7);
+  const double kernel_speedup =
+      kernel.bit_parallel_ns > 0 ? kernel.dp_ns / kernel.bit_parallel_ns : 0;
+  std::printf("Levenshtein kernel (%zu names, %zu pairs): DP %7.1f ns/pair   "
+              "bit-parallel %7.1f ns/pair   speedup %.2fx   mismatches %llu\n",
+              kernel.names, kernel.pairs, kernel.dp_ns, kernel.bit_parallel_ns,
+              kernel_speedup, static_cast<unsigned long long>(kernel.mismatches));
+
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
@@ -140,7 +237,12 @@ int main(int argc, char** argv) {
                  shuffle_results[i].first, shuffle_results[i].second,
                  i + 1 < shuffle_results.size() ? "," : "");
   }
-  std::fprintf(out, "  ]\n}\n");
+  std::fprintf(out, "  ],\n");
+  std::fprintf(out, "  \"similarity_kernel\": {\"names\": %zu, \"pairs\": %zu, "
+                    "\"dp_ns\": %.1f, \"bit_parallel_ns\": %.1f, \"speedup\": %.3f, "
+                    "\"mismatches\": %llu}\n}\n",
+               kernel.names, kernel.pairs, kernel.dp_ns, kernel.bit_parallel_ns,
+               kernel_speedup, static_cast<unsigned long long>(kernel.mismatches));
   std::fclose(out);
   std::printf("[written] %s\n", out_path.c_str());
 
@@ -156,6 +258,22 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("[check] dispatch latency gate passed (%.2fx)\n", dispatch_speedup);
+    if (kernel.mismatches > 0) {
+      std::fprintf(stderr,
+                   "REGRESSION: the bit-parallel Levenshtein kernel disagrees with "
+                   "the DP on %llu pair(s)\n",
+                   static_cast<unsigned long long>(kernel.mismatches));
+      return 1;
+    }
+    if (kernel.bit_parallel_ns >= kernel.dp_ns) {
+      std::fprintf(stderr,
+                   "REGRESSION: the bit-parallel Levenshtein kernel (%.1f ns/pair) is "
+                   "not faster than the DP (%.1f ns/pair)\n",
+                   kernel.bit_parallel_ns, kernel.dp_ns);
+      return 1;
+    }
+    std::printf("[check] similarity kernel gate passed (%.2fx, 0 mismatches)\n",
+                kernel_speedup);
   }
   return 0;
 }

@@ -183,7 +183,7 @@ Status RejectStrayAggregates(const ExprPtr& e, const FunctionRegistry* functions
     const bool aggregate_only =
         ((functions && functions->FindAggregate(e->name)) ||
          LookupMonoid(e->name).ok()) &&
-        !IsBuiltinFunction(e->name);
+        FindBuiltin(e->name) == nullptr;
     if (aggregate_only) {
       return Status::TypeError("aggregate '" + e->name + "' in " + position +
                                " requires a GROUP BY clause");

@@ -28,7 +28,9 @@ namespace cleanm {
 //     and BroadcastAll.
 //   shuffle_batches — network messages: one per flushed remote
 //     (source, destination) batch.
-//   comparisons — pairwise similarity checks.
+//   comparisons — pairwise predicate evaluations: theta-join pairs, plus
+//     each (tuple, element) pair a Select tests inside the Unnest below it
+//     (the DEDUP and CLUSTER BY candidate pairs).
 //   rows_scanned — rows pushed through Cluster::Parallelize.
 //   groups_built — Nest/aggregate hash groups finalized per node.
 //   udf_calls — registered user-function invocations (scalar, repair, and

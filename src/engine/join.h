@@ -72,7 +72,9 @@ struct ThetaJoinOptions {
 };
 
 /// General theta join: emits `emit(l, r)` for every pair satisfying `pred`.
-/// Every pairwise predicate evaluation increments metrics().comparisons.
+/// Every pairwise predicate evaluation increments metrics().comparisons
+/// (the pipeline's Select-inside-Unnest pair tests count there too; see
+/// common/metrics.h).
 Partitioned ThetaJoin(Cluster& cluster, const Partitioned& left,
                       const Partitioned& right,
                       const std::function<bool(const Row&, const Row&)>& pred,

@@ -8,7 +8,7 @@ namespace cleanm {
 
 Status FunctionRegistry::CheckName(const std::string& name) const {
   if (name.empty()) return Status::InvalidArgument("function name is empty");
-  if (IsBuiltinFunction(name)) {
+  if (FindBuiltin(name) != nullptr) {
     return Status::InvalidArgument("function '" + name +
                                    "' shadows a builtin function");
   }
@@ -93,9 +93,9 @@ Status FunctionRegistry::ValidateCall(const std::string& name,
   bool known = false;
   const auto n = static_cast<int>(num_args);
 
-  if (auto arity = BuiltinFunctionArity(name); arity.ok()) {
+  if (const Builtin* builtin = FindBuiltin(name)) {
     known = true;
-    if (arity.value() < 0 || arity.value() == n) return Status::OK();
+    if (CheckBuiltinArity(*builtin, num_args).ok()) return Status::OK();
   }
   if (const ScalarFunction* s = FindScalar(name)) {
     known = true;

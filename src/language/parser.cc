@@ -274,6 +274,20 @@ class Parser {
     return metric;
   }
 
+  /// A DEDUP / CLUSTER BY similarity threshold: a number in [0, 1].
+  Result<double> ParseThreshold() {
+    if (IsPunct("-")) return lex_.Error("similarity threshold must lie in [0, 1]");
+    if (lex_.Peek().kind != TokKind::kNumber) {
+      return lex_.Error("expected similarity threshold");
+    }
+    const double theta = lex_.Peek().number;
+    if (!(theta >= 0.0 && theta <= 1.0)) {
+      return lex_.Error("similarity threshold must lie in [0, 1]");
+    }
+    lex_.Take();
+    return theta;
+  }
+
   Status ParseFd(CleanMQuery* q) {
     CLEANM_RETURN_NOT_OK(ExpectPunct("("));
     FdClause fd;
@@ -317,10 +331,7 @@ class Parser {
           lex_.Take();
           dedup.metric = metric;
           CLEANM_RETURN_NOT_OK(ExpectPunct(","));
-          if (lex_.Peek().kind != TokKind::kNumber) {
-            return lex_.Error("expected similarity threshold");
-          }
-          dedup.theta = lex_.Take().number;
+          CLEANM_ASSIGN_OR_RETURN(dedup.theta, ParseThreshold());
           if (IsPunct(",")) {
             lex_.Take();
           } else {
@@ -355,10 +366,7 @@ class Parser {
         lex_.Take();
         cb.metric = metric;
         CLEANM_RETURN_NOT_OK(ExpectPunct(","));
-        if (lex_.Peek().kind != TokKind::kNumber) {
-          return lex_.Error("expected similarity threshold");
-        }
-        cb.theta = lex_.Take().number;
+        CLEANM_ASSIGN_OR_RETURN(cb.theta, ParseThreshold());
         CLEANM_RETURN_NOT_OK(ExpectPunct(","));
       }
     }

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <string_view>
 
 #include "text/similarity.h"
 
@@ -193,288 +194,311 @@ Result<Value> EvalExpr(const ExprPtr& e, const Env& env, const EvalContext& ctx)
 
 namespace {
 
-Status Arity(const std::string& name, const std::vector<Value>& args, size_t n) {
-  if (args.size() != n) {
-    return Status::InvalidArgument(name + " expects " + std::to_string(n) +
-                                   " argument(s), got " + std::to_string(args.size()));
+Result<std::string_view> StringArg(const char* fn, const Value& v) {
+  if (v.is_null()) return std::string_view();
+  if (v.type() != ValueType::kString) {
+    return Status::TypeError(std::string(fn) + ": expected string, got " +
+                             ValueTypeName(v.type()));
+  }
+  return std::string_view(v.AsString());
+}
+
+Result<SimilarityMetric> MetricArg(const char* fn, const Value& v) {
+  CLEANM_ASSIGN_OR_RETURN(std::string_view name, StringArg(fn, v));
+  SimilarityMetric metric = SimilarityMetric::kLevenshtein;
+  if (!ParseSimilarityMetric(name, &metric)) {
+    return Status::InvalidArgument("unknown similarity metric '" + std::string(name) +
+                                   "'");
+  }
+  return metric;
+}
+
+Result<Value> Prefix(BuiltinArgs args) {
+  // prefix(phone): the region prefix — everything before the first '-',
+  // or the first three characters when there is no separator.
+  CLEANM_ASSIGN_OR_RETURN(std::string_view s, StringArg("prefix", args[0]));
+  const size_t dash = s.find('-');
+  return Value(std::string(dash != std::string_view::npos ? s.substr(0, dash)
+                                                          : s.substr(0, 3)));
+}
+
+Result<Value> MapChars(const char* fn, const Value& arg, int (*map)(int)) {
+  CLEANM_ASSIGN_OR_RETURN(std::string_view in, StringArg(fn, arg));
+  std::string s(in);
+  for (char& c : s) c = static_cast<char>(map(static_cast<unsigned char>(c)));
+  return Value(std::move(s));
+}
+
+Result<Value> Lower(BuiltinArgs args) {
+  return MapChars("lower", args[0], [](int c) { return std::tolower(c); });
+}
+
+Result<Value> Upper(BuiltinArgs args) {
+  return MapChars("upper", args[0], [](int c) { return std::toupper(c); });
+}
+
+Result<Value> Trim(BuiltinArgs args) {
+  CLEANM_ASSIGN_OR_RETURN(std::string_view s, StringArg("trim", args[0]));
+  const size_t b = s.find_first_not_of(" \t\r\n");
+  if (b == std::string_view::npos) return Value(std::string());
+  const size_t e = s.find_last_not_of(" \t\r\n");
+  return Value(std::string(s.substr(b, e - b + 1)));
+}
+
+Result<Value> Substr(BuiltinArgs args) {
+  CLEANM_ASSIGN_OR_RETURN(std::string_view s, StringArg("substr", args[0]));
+  const auto start = static_cast<size_t>(std::max<int64_t>(0, args[1].AsInt()));
+  const auto len = static_cast<size_t>(std::max<int64_t>(0, args[2].AsInt()));
+  if (start >= s.size()) return Value(std::string());
+  return Value(std::string(s.substr(start, len)));
+}
+
+Result<Value> Length(BuiltinArgs args) {
+  if (args[0].type() == ValueType::kList) {
+    return Value(static_cast<int64_t>(args[0].AsList().size()));
+  }
+  CLEANM_ASSIGN_OR_RETURN(std::string_view s, StringArg("length", args[0]));
+  return Value(static_cast<int64_t>(s.size()));
+}
+
+Result<Value> Contains(BuiltinArgs args) {
+  CLEANM_ASSIGN_OR_RETURN(std::string_view s, StringArg("contains", args[0]));
+  CLEANM_ASSIGN_OR_RETURN(std::string_view sub, StringArg("contains", args[1]));
+  return Value(s.find(sub) != std::string_view::npos);
+}
+
+Result<Value> Concat(BuiltinArgs args) {
+  std::string out;
+  for (size_t i = 0; i < args.size(); i++) {
+    const Value& a = args[i];
+    if (a.type() == ValueType::kString) {
+      out += a.AsString();
+    } else if (!a.is_null()) {
+      out += a.ToString();
+    }
+  }
+  return Value(std::move(out));
+}
+
+Result<Value> Split(BuiltinArgs args) {
+  CLEANM_ASSIGN_OR_RETURN(std::string_view s, StringArg("split", args[0]));
+  CLEANM_ASSIGN_OR_RETURN(std::string_view delim, StringArg("split", args[1]));
+  if (delim.empty()) return Status::InvalidArgument("split: empty delimiter");
+  ValueList parts;
+  size_t pos = 0;
+  while (true) {
+    const size_t next = s.find(delim, pos);
+    if (next == std::string_view::npos) {
+      parts.push_back(Value(std::string(s.substr(pos))));
+      break;
+    }
+    parts.push_back(Value(std::string(s.substr(pos, next - pos))));
+    pos = next + delim.size();
+  }
+  return Value(std::move(parts));
+}
+
+Result<Value> Tokens(BuiltinArgs args) {
+  CLEANM_ASSIGN_OR_RETURN(std::string_view s, StringArg("tokens", args[0]));
+  const auto q = static_cast<size_t>(args[1].AsInt());
+  ValueList grams;
+  for (auto& g : QGrams(s, q)) grams.push_back(Value(std::move(g)));
+  return Value(std::move(grams));
+}
+
+Result<Value> Levenshtein(BuiltinArgs args) {
+  CLEANM_ASSIGN_OR_RETURN(std::string_view a, StringArg("levenshtein", args[0]));
+  CLEANM_ASSIGN_OR_RETURN(std::string_view b, StringArg("levenshtein", args[1]));
+  return Value(static_cast<int64_t>(LevenshteinDistance(a, b)));
+}
+
+Result<Value> Similarity(BuiltinArgs args) {
+  CLEANM_ASSIGN_OR_RETURN(SimilarityMetric metric, MetricArg("similarity", args[0]));
+  CLEANM_ASSIGN_OR_RETURN(std::string_view a, StringArg("similarity", args[1]));
+  CLEANM_ASSIGN_OR_RETURN(std::string_view b, StringArg("similarity", args[2]));
+  return Value(StringSimilarity(metric, a, b));
+}
+
+Result<Value> Similar(BuiltinArgs args) {
+  CLEANM_ASSIGN_OR_RETURN(SimilarityMetric metric, MetricArg("similar", args[0]));
+  CLEANM_ASSIGN_OR_RETURN(std::string_view a, StringArg("similar", args[1]));
+  CLEANM_ASSIGN_OR_RETURN(std::string_view b, StringArg("similar", args[2]));
+  const double theta = args[3].ToDouble();
+  if (metric == SimilarityMetric::kLevenshtein) {
+    return Value(LevenshteinSimilarAtLeast(a, b, theta));  // early-exit path
+  }
+  return Value(StringSimilarity(metric, a, b) >= theta);
+}
+
+/// Extracts the date component at `index` from "YYYY-MM-DD".
+Result<Value> DatePart(const char* fn, const Value& arg, int index) {
+  CLEANM_ASSIGN_OR_RETURN(std::string_view s, StringArg(fn, arg));
+  auto bad_date = [&] {
+    return Status::InvalidArgument(std::string(fn) + ": bad date '" + std::string(s) +
+                                   "'");
+  };
+  size_t pos = 0;
+  for (int i = 0; i < index; i++) {
+    const size_t dash = s.find('-', pos);
+    if (dash == std::string_view::npos || dash == pos) return bad_date();
+    pos = dash + 1;
+  }
+  const std::string piece(s.substr(pos, s.find('-', pos) - pos));
+  if (piece.empty()) return bad_date();
+  return Value(static_cast<int64_t>(std::atoi(piece.c_str())));
+}
+
+Result<Value> Year(BuiltinArgs args) { return DatePart("year", args[0], 0); }
+Result<Value> Month(BuiltinArgs args) { return DatePart("month", args[0], 1); }
+Result<Value> Day(BuiltinArgs args) { return DatePart("day", args[0], 2); }
+
+Result<Value> Abs(BuiltinArgs args) {
+  if (args[0].type() == ValueType::kInt) return Value(std::abs(args[0].AsInt()));
+  if (args[0].type() == ValueType::kDouble) return Value(std::fabs(args[0].AsDouble()));
+  return Status::TypeError("abs: non-numeric argument");
+}
+
+Result<Value> Stringify(BuiltinArgs args) { return Value(args[0].ToString()); }
+
+Result<Value> ToInt(BuiltinArgs args) {
+  if (args[0].type() == ValueType::kInt) return args[0];
+  if (args[0].type() == ValueType::kDouble) {
+    return Value(static_cast<int64_t>(args[0].AsDouble()));
+  }
+  CLEANM_ASSIGN_OR_RETURN(std::string_view s, StringArg("to_int", args[0]));
+  return Value(static_cast<int64_t>(std::strtoll(std::string(s).c_str(), nullptr, 10)));
+}
+
+Result<const ValueList*> ListArg(const char* fn, const Value& v) {
+  if (v.type() != ValueType::kList) {
+    return Status::TypeError(std::string(fn) + ": not a list");
+  }
+  return &v.AsList();
+}
+
+/// Appends the elements of `from` not already in `out` (structural
+/// equality; first occurrence wins).
+void AppendDistinct(const ValueList& from, ValueList* out) {
+  for (const auto& v : from) {
+    bool found = false;
+    for (const auto& existing : *out) {
+      if (existing.Equals(v)) {
+        found = true;
+        break;
+      }
+    }
+    if (!found) out->push_back(v);
+  }
+}
+
+Result<Value> Distinct(BuiltinArgs args) {
+  CLEANM_ASSIGN_OR_RETURN(const ValueList* list, ListArg("distinct", args[0]));
+  ValueList out;
+  AppendDistinct(*list, &out);
+  return Value(std::move(out));
+}
+
+Result<Value> Count(BuiltinArgs args) {
+  CLEANM_ASSIGN_OR_RETURN(const ValueList* list, ListArg("count", args[0]));
+  return Value(static_cast<int64_t>(list->size()));
+}
+
+Result<Value> Avg(BuiltinArgs args) {
+  CLEANM_ASSIGN_OR_RETURN(const ValueList* list, ListArg("avg", args[0]));
+  double sum = 0;
+  size_t n = 0;
+  for (const auto& v : *list) {
+    if (v.is_null()) continue;
+    if (!v.is_numeric()) return Status::TypeError("avg: non-numeric element");
+    sum += v.ToDouble();
+    n++;
+  }
+  if (n == 0) return Value::Null();
+  return Value(sum / static_cast<double>(n));
+}
+
+Status CollectionPair(const char* fn, BuiltinArgs args) {
+  if (args[0].type() != ValueType::kList || args[1].type() != ValueType::kList) {
+    return Status::TypeError(std::string(fn) +
+                             ": both arguments must be collections");
   }
   return Status::OK();
 }
 
-Result<std::string> StringArg(const std::string& fn, const Value& v) {
-  if (v.is_null()) return std::string();
-  if (v.type() != ValueType::kString) {
-    return Status::TypeError(fn + ": expected string, got " +
-                             std::string(ValueTypeName(v.type())));
-  }
-  return v.AsString();
+Result<Value> BagConcat(BuiltinArgs args) {
+  // ⊕ of the bag/list monoids in expression form (used by if-splitting).
+  CLEANM_RETURN_NOT_OK(CollectionPair("bag_concat", args));
+  ValueList out = args[0].AsList();
+  const auto& other = args[1].AsList();
+  out.insert(out.end(), other.begin(), other.end());
+  return Value(std::move(out));
 }
 
-/// Extracts the date component at `index` from "YYYY-MM-DD".
-Result<Value> DatePart(const std::string& fn, const std::vector<Value>& args,
-                       int index) {
-  CLEANM_RETURN_NOT_OK(Arity(fn, args, 1));
-  CLEANM_ASSIGN_OR_RETURN(std::string s, StringArg(fn, args[0]));
-  int part = 0;
-  size_t pos = 0;
-  for (int i = 0; i <= index; i++) {
-    const size_t dash = s.find('-', pos);
-    const std::string piece =
-        (dash == std::string::npos) ? s.substr(pos) : s.substr(pos, dash - pos);
-    if (piece.empty()) return Status::InvalidArgument(fn + ": bad date '" + s + "'");
-    if (i == index) {
-      part = std::atoi(piece.c_str());
-      break;
-    }
-    if (dash == std::string::npos) {
-      return Status::InvalidArgument(fn + ": bad date '" + s + "'");
-    }
-    pos = dash + 1;
-  }
-  return Value(static_cast<int64_t>(part));
+Result<Value> SetUnion(BuiltinArgs args) {
+  CLEANM_RETURN_NOT_OK(CollectionPair("set_union", args));
+  ValueList out = args[0].AsList();
+  AppendDistinct(args[1].AsList(), &out);
+  return Value(std::move(out));
 }
+
+Result<Value> IsNull(BuiltinArgs args) { return Value(args[0].is_null()); }
+
+constexpr Builtin kBuiltins[] = {
+    {"prefix", 1, Prefix},
+    {"lower", 1, Lower},
+    {"upper", 1, Upper},
+    {"trim", 1, Trim},
+    {"substr", 3, Substr},
+    {"length", 1, Length},
+    {"contains", 2, Contains},
+    {"concat", -1, Concat},
+    {"split", 2, Split},
+    {"tokens", 2, Tokens},
+    {"levenshtein", 2, Levenshtein},
+    {"similarity", 3, Similarity},
+    {"similar", 4, Similar},
+    {"year", 1, Year},
+    {"month", 1, Month},
+    {"day", 1, Day},
+    {"abs", 1, Abs},
+    {"to_string", 1, Stringify},
+    {"to_int", 1, ToInt},
+    {"distinct", 1, Distinct},
+    {"count", 1, Count},
+    {"avg", 1, Avg},
+    {"bag_concat", 2, BagConcat},
+    {"set_union", 2, SetUnion},
+    {"is_null", 1, IsNull},
+};
 
 }  // namespace
+
+const Builtin* FindBuiltin(std::string_view name) {
+  for (const Builtin& b : kBuiltins) {
+    if (name == b.name) return &b;
+  }
+  return nullptr;
+}
+
+Status CheckBuiltinArity(const Builtin& builtin, size_t num_args) {
+  if (builtin.arity < 0 || static_cast<size_t>(builtin.arity) == num_args) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(std::string(builtin.name) + " expects " +
+                                 std::to_string(builtin.arity) + " argument(s), got " +
+                                 std::to_string(num_args));
+}
 
 Result<Value> EvalBuiltin(const std::string& name, const std::vector<Value>& args) {
-  if (name == "prefix") {
-    // prefix(phone): the region prefix — everything before the first '-',
-    // or the first three characters when there is no separator.
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 1));
-    CLEANM_ASSIGN_OR_RETURN(std::string s, StringArg(name, args[0]));
-    const size_t dash = s.find('-');
-    return Value(dash != std::string::npos ? s.substr(0, dash) : s.substr(0, 3));
+  const Builtin* builtin = FindBuiltin(name);
+  if (builtin == nullptr) {
+    return Status::KeyError("unknown builtin function '" + name + "'");
   }
-  if (name == "lower" || name == "upper") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 1));
-    CLEANM_ASSIGN_OR_RETURN(std::string s, StringArg(name, args[0]));
-    std::transform(s.begin(), s.end(), s.begin(), [&](unsigned char c) {
-      return name == "lower" ? std::tolower(c) : std::toupper(c);
-    });
-    return Value(std::move(s));
-  }
-  if (name == "trim") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 1));
-    CLEANM_ASSIGN_OR_RETURN(std::string s, StringArg(name, args[0]));
-    const size_t b = s.find_first_not_of(" \t\r\n");
-    if (b == std::string::npos) return Value(std::string());
-    const size_t e = s.find_last_not_of(" \t\r\n");
-    return Value(s.substr(b, e - b + 1));
-  }
-  if (name == "substr") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 3));
-    CLEANM_ASSIGN_OR_RETURN(std::string s, StringArg(name, args[0]));
-    const auto start = static_cast<size_t>(std::max<int64_t>(0, args[1].AsInt()));
-    const auto len = static_cast<size_t>(std::max<int64_t>(0, args[2].AsInt()));
-    if (start >= s.size()) return Value(std::string());
-    return Value(s.substr(start, len));
-  }
-  if (name == "length") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 1));
-    if (args[0].type() == ValueType::kList) {
-      return Value(static_cast<int64_t>(args[0].AsList().size()));
-    }
-    CLEANM_ASSIGN_OR_RETURN(std::string s, StringArg(name, args[0]));
-    return Value(static_cast<int64_t>(s.size()));
-  }
-  if (name == "contains") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 2));
-    CLEANM_ASSIGN_OR_RETURN(std::string s, StringArg(name, args[0]));
-    CLEANM_ASSIGN_OR_RETURN(std::string sub, StringArg(name, args[1]));
-    return Value(s.find(sub) != std::string::npos);
-  }
-  if (name == "concat") {
-    std::string out;
-    for (const auto& a : args) {
-      out += a.is_null() ? "" : (a.type() == ValueType::kString ? a.AsString() : a.ToString());
-    }
-    return Value(std::move(out));
-  }
-  if (name == "split") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 2));
-    CLEANM_ASSIGN_OR_RETURN(std::string s, StringArg(name, args[0]));
-    CLEANM_ASSIGN_OR_RETURN(std::string delim, StringArg(name, args[1]));
-    ValueList parts;
-    if (delim.empty()) return Status::InvalidArgument("split: empty delimiter");
-    size_t pos = 0;
-    while (true) {
-      const size_t next = s.find(delim, pos);
-      if (next == std::string::npos) {
-        parts.push_back(Value(s.substr(pos)));
-        break;
-      }
-      parts.push_back(Value(s.substr(pos, next - pos)));
-      pos = next + delim.size();
-    }
-    return Value(std::move(parts));
-  }
-  if (name == "tokens") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 2));
-    CLEANM_ASSIGN_OR_RETURN(std::string s, StringArg(name, args[0]));
-    const auto q = static_cast<size_t>(args[1].AsInt());
-    ValueList grams;
-    for (auto& g : QGrams(s, q)) grams.push_back(Value(std::move(g)));
-    return Value(std::move(grams));
-  }
-  if (name == "levenshtein") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 2));
-    CLEANM_ASSIGN_OR_RETURN(std::string a, StringArg(name, args[0]));
-    CLEANM_ASSIGN_OR_RETURN(std::string b, StringArg(name, args[1]));
-    return Value(static_cast<int64_t>(LevenshteinDistance(a, b)));
-  }
-  if (name == "similarity") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 3));
-    CLEANM_ASSIGN_OR_RETURN(std::string metric_name, StringArg(name, args[0]));
-    SimilarityMetric metric;
-    if (!ParseSimilarityMetric(metric_name, &metric)) {
-      return Status::InvalidArgument("unknown similarity metric '" + metric_name + "'");
-    }
-    CLEANM_ASSIGN_OR_RETURN(std::string a, StringArg(name, args[1]));
-    CLEANM_ASSIGN_OR_RETURN(std::string b, StringArg(name, args[2]));
-    return Value(StringSimilarity(metric, a, b));
-  }
-  if (name == "similar") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 4));
-    CLEANM_ASSIGN_OR_RETURN(std::string metric_name, StringArg(name, args[0]));
-    SimilarityMetric metric;
-    if (!ParseSimilarityMetric(metric_name, &metric)) {
-      return Status::InvalidArgument("unknown similarity metric '" + metric_name + "'");
-    }
-    CLEANM_ASSIGN_OR_RETURN(std::string a, StringArg(name, args[1]));
-    CLEANM_ASSIGN_OR_RETURN(std::string b, StringArg(name, args[2]));
-    const double theta = args[3].ToDouble();
-    if (metric == SimilarityMetric::kLevenshtein) {
-      return Value(LevenshteinSimilarAtLeast(a, b, theta));  // early-exit path
-    }
-    return Value(StringSimilarity(metric, a, b) >= theta);
-  }
-  if (name == "year") return DatePart(name, args, 0);
-  if (name == "month") return DatePart(name, args, 1);
-  if (name == "day") return DatePart(name, args, 2);
-  if (name == "abs") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 1));
-    if (args[0].type() == ValueType::kInt) return Value(std::abs(args[0].AsInt()));
-    if (args[0].type() == ValueType::kDouble) return Value(std::fabs(args[0].AsDouble()));
-    return Status::TypeError("abs: non-numeric argument");
-  }
-  if (name == "to_string") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 1));
-    return Value(args[0].ToString());
-  }
-  if (name == "to_int") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 1));
-    if (args[0].type() == ValueType::kInt) return args[0];
-    if (args[0].type() == ValueType::kDouble) {
-      return Value(static_cast<int64_t>(args[0].AsDouble()));
-    }
-    CLEANM_ASSIGN_OR_RETURN(std::string s, StringArg(name, args[0]));
-    return Value(static_cast<int64_t>(std::strtoll(s.c_str(), nullptr, 10)));
-  }
-  if (name == "distinct") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 1));
-    if (args[0].type() != ValueType::kList) return Status::TypeError("distinct: not a list");
-    ValueList out;
-    for (const auto& v : args[0].AsList()) {
-      bool found = false;
-      for (const auto& existing : out) {
-        if (existing.Equals(v)) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) out.push_back(v);
-    }
-    return Value(std::move(out));
-  }
-  if (name == "count") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 1));
-    if (args[0].type() != ValueType::kList) return Status::TypeError("count: not a list");
-    return Value(static_cast<int64_t>(args[0].AsList().size()));
-  }
-  if (name == "avg") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 1));
-    if (args[0].type() != ValueType::kList) return Status::TypeError("avg: not a list");
-    const auto& list = args[0].AsList();
-    if (list.empty()) return Value::Null();
-    double sum = 0;
-    size_t n = 0;
-    for (const auto& v : list) {
-      if (v.is_null()) continue;
-      if (!v.is_numeric()) return Status::TypeError("avg: non-numeric element");
-      sum += v.ToDouble();
-      n++;
-    }
-    if (n == 0) return Value::Null();
-    return Value(sum / static_cast<double>(n));
-  }
-  if (name == "bag_concat") {
-    // ⊕ of the bag/list monoids in expression form (used by if-splitting).
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 2));
-    if (args[0].type() != ValueType::kList || args[1].type() != ValueType::kList) {
-      return Status::TypeError("bag_concat: both arguments must be collections");
-    }
-    ValueList out = args[0].AsList();
-    const auto& other = args[1].AsList();
-    out.insert(out.end(), other.begin(), other.end());
-    return Value(std::move(out));
-  }
-  if (name == "set_union") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 2));
-    if (args[0].type() != ValueType::kList || args[1].type() != ValueType::kList) {
-      return Status::TypeError("set_union: both arguments must be collections");
-    }
-    ValueList out = args[0].AsList();
-    for (const auto& v : args[1].AsList()) {
-      bool found = false;
-      for (const auto& existing : out) {
-        if (existing.Equals(v)) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) out.push_back(v);
-    }
-    return Value(std::move(out));
-  }
-  if (name == "is_null") {
-    CLEANM_RETURN_NOT_OK(Arity(name, args, 1));
-    return Value(args[0].is_null());
-  }
-  return Status::KeyError("unknown builtin function '" + name + "'");
-}
-
-namespace {
-
-/// (name, arity) of every builtin; -1 = variadic. Must stay in sync with
-/// EvalBuiltin above (the registry test probes each entry through both).
-struct BuiltinSig {
-  const char* name;
-  int arity;
-};
-constexpr BuiltinSig kBuiltins[] = {
-    {"prefix", 1},     {"lower", 1},      {"upper", 1},      {"trim", 1},
-    {"substr", 3},     {"length", 1},     {"contains", 2},   {"concat", -1},
-    {"split", 2},      {"tokens", 2},     {"levenshtein", 2}, {"similarity", 3},
-    {"similar", 4},    {"year", 1},       {"month", 1},      {"day", 1},
-    {"abs", 1},        {"to_string", 1},  {"to_int", 1},     {"distinct", 1},
-    {"count", 1},      {"avg", 1},        {"bag_concat", 2}, {"set_union", 2},
-    {"is_null", 1},
-};
-
-}  // namespace
-
-bool IsBuiltinFunction(const std::string& name) {
-  for (const auto& sig : kBuiltins) {
-    if (name == sig.name) return true;
-  }
-  return false;
-}
-
-Result<int> BuiltinFunctionArity(const std::string& name) {
-  for (const auto& sig : kBuiltins) {
-    if (name == sig.name) return sig.arity;
-  }
-  return Status::KeyError("unknown builtin function '" + name + "'");
+  CLEANM_RETURN_NOT_OK(CheckBuiltinArity(*builtin, args.size()));
+  std::vector<const Value*> values;
+  values.reserve(args.size());
+  for (const Value& a : args) values.push_back(&a);
+  return builtin->fn(BuiltinArgs{values.data(), values.size()});
 }
 
 }  // namespace cleanm

@@ -62,6 +62,83 @@ Value ApplyBinary(BinaryOp op, const Value& l, const Value& r) {
   }
 }
 
+/// The tuple slot of variable `name`: positional access per the plan
+/// layout, with a name scan if the tuple shape diverges (defensive, not
+/// expected). A variable the tuple lacks reads as null.
+const Value& SlotOf(const Value& tuple, size_t index, const std::string& name) {
+  static const Value kNull;
+  const auto& fields = tuple.AsStruct();
+  if (index < fields.size() && fields[index].first == name) {
+    return fields[index].second;
+  }
+  for (const auto& [fname, fval] : fields) {
+    if (fname == name) return fval;
+  }
+  return kNull;
+}
+
+/// An operand of a call, comparison or field access. Variables and
+/// literals are read in place, without copying the value; any other
+/// expression is evaluated into the caller's scratch value.
+struct Operand {
+  static constexpr size_t kLiteral = static_cast<size_t>(-1);
+
+  CompiledExpr computed;  ///< set for a computed operand
+  Value literal;          ///< kConst
+  size_t slot = kLiteral; ///< kVar: position in the tuple layout
+  std::string name;       ///< kVar
+
+  const Value* Read(const Value& tuple, Value* scratch) const {
+    if (computed) {
+      *scratch = computed(tuple);
+      return scratch;
+    }
+    if (slot == kLiteral) return &literal;
+    return &SlotOf(tuple, slot, name);
+  }
+};
+
+Result<Operand> CompileOperand(const ExprPtr& e, const TupleLayout& layout,
+                               const CompileEnv& env) {
+  Operand op;
+  if (e && e->kind == ExprKind::kConst) {
+    op.literal = e->literal;
+  } else if (e && e->kind == ExprKind::kVar) {
+    const auto it = std::find(layout.begin(), layout.end(), e->name);
+    if (it == layout.end()) {
+      return Status::KeyError("variable '" + e->name + "' not in tuple layout");
+    }
+    op.slot = static_cast<size_t>(it - layout.begin());
+    op.name = e->name;
+  } else {
+    CLEANM_ASSIGN_OR_RETURN(op.computed, CompileExpr(e, layout, env));
+  }
+  return op;
+}
+
+/// Calls a builtin body with its operands read in place. Results and
+/// errors null-propagate: a failing call yields null.
+Value CallBuiltin(Result<Value> (*body)(BuiltinArgs), const std::vector<Operand>& args,
+                  const Value& tuple) {
+  constexpr size_t kInline = 4;
+  const size_t n = args.size();
+  Value inline_scratch[kInline];
+  const Value* inline_values[kInline] = {};
+  std::vector<Value> heap_scratch;
+  std::vector<const Value*> heap_values;
+  Value* scratch = inline_scratch;
+  const Value** values = inline_values;
+  if (n > kInline) {
+    heap_scratch.resize(n);
+    heap_values.resize(n);
+    scratch = heap_scratch.data();
+    values = heap_values.data();
+  }
+  for (size_t i = 0; i < n; i++) values[i] = args[i].Read(tuple, &scratch[i]);
+  auto r = body(BuiltinArgs{values, n});
+  return r.ok() ? r.MoveValue() : Value::Null();
+}
+
 }  // namespace
 
 Result<CompiledExpr> CompileExpr(const ExprPtr& e, const TupleLayout& layout,
@@ -73,43 +150,30 @@ Result<CompiledExpr> CompileExpr(const ExprPtr& e, const TupleLayout& layout,
       return CompiledExpr([v](const Value&) { return v; });
     }
     case ExprKind::kVar: {
-      const auto it = std::find(layout.begin(), layout.end(), e->name);
-      if (it == layout.end()) {
-        return Status::KeyError("variable '" + e->name + "' not in tuple layout");
-      }
-      const size_t index = static_cast<size_t>(it - layout.begin());
-      const std::string name = e->name;
-      return CompiledExpr([index, name](const Value& tuple) {
-        const auto& fields = tuple.AsStruct();
-        // Fast path: positional access per the plan layout; fall back to a
-        // name scan if the tuple shape diverges (defensive, not expected).
-        if (index < fields.size() && fields[index].first == name) {
-          return fields[index].second;
-        }
-        for (const auto& [fname, fval] : fields) {
-          if (fname == name) return fval;
-        }
-        return Value::Null();
+      CLEANM_ASSIGN_OR_RETURN(Operand var, CompileOperand(e, layout, env));
+      return CompiledExpr([var](const Value& tuple) {
+        return SlotOf(tuple, var.slot, var.name);
       });
     }
     case ExprKind::kField: {
-      CLEANM_ASSIGN_OR_RETURN(CompiledExpr child, CompileExpr(e->child, layout, env));
+      CLEANM_ASSIGN_OR_RETURN(Operand base, CompileOperand(e->child, layout, env));
       std::string field = e->name;
-      return CompiledExpr([child, field](const Value& tuple) {
-        const Value base = child(tuple);
-        if (base.type() != ValueType::kStruct) return Value::Null();
-        for (const auto& [name, v] : base.AsStruct()) {
+      return CompiledExpr([base, field](const Value& tuple) {
+        Value scratch;
+        const Value& record = *base.Read(tuple, &scratch);
+        if (record.type() != ValueType::kStruct) return Value::Null();
+        for (const auto& [name, v] : record.AsStruct()) {
           if (name == field) return v;
         }
         return Value::Null();
       });
     }
     case ExprKind::kBinary: {
-      CLEANM_ASSIGN_OR_RETURN(CompiledExpr lhs, CompileExpr(e->lhs, layout, env));
-      CLEANM_ASSIGN_OR_RETURN(CompiledExpr rhs, CompileExpr(e->rhs, layout, env));
       const BinaryOp op = e->bin_op;
       if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
         // Short-circuit.
+        CLEANM_ASSIGN_OR_RETURN(CompiledExpr lhs, CompileExpr(e->lhs, layout, env));
+        CLEANM_ASSIGN_OR_RETURN(CompiledExpr rhs, CompileExpr(e->rhs, layout, env));
         const bool is_and = op == BinaryOp::kAnd;
         return CompiledExpr([lhs, rhs, is_and](const Value& tuple) {
           const Value l = lhs(tuple);
@@ -119,8 +183,11 @@ Result<CompiledExpr> CompileExpr(const ExprPtr& e, const TupleLayout& layout,
           return rhs(tuple);
         });
       }
+      CLEANM_ASSIGN_OR_RETURN(Operand lhs, CompileOperand(e->lhs, layout, env));
+      CLEANM_ASSIGN_OR_RETURN(Operand rhs, CompileOperand(e->rhs, layout, env));
       return CompiledExpr([lhs, rhs, op](const Value& tuple) {
-        return ApplyBinary(op, lhs(tuple), rhs(tuple));
+        Value l, r;
+        return ApplyBinary(op, *lhs.Read(tuple, &l), *rhs.Read(tuple, &r));
       });
     }
     case ExprKind::kUnary: {
@@ -148,45 +215,43 @@ Result<CompiledExpr> CompileExpr(const ExprPtr& e, const TupleLayout& layout,
       });
     }
     case ExprKind::kCall: {
-      std::vector<CompiledExpr> args;
+      std::vector<Operand> args;
       for (const auto& a : e->args) {
-        CLEANM_ASSIGN_OR_RETURN(CompiledExpr c, CompileExpr(a, layout, env));
-        args.push_back(std::move(c));
+        CLEANM_ASSIGN_OR_RETURN(Operand op, CompileOperand(a, layout, env));
+        args.push_back(std::move(op));
       }
-      const std::string fn = e->name;
       // Registered user functions (scalar + repair) resolve here; builtin
       // names can never collide with them (registration rejects shadows).
       // Registered-function errors null-propagate like builtin errors, and
       // each invocation charges one udf_calls tick.
       if (env.functions != nullptr) {
-        if (const ScalarFunction* user = env.functions->FindScalar(fn)) {
+        if (const ScalarFunction* user = env.functions->FindScalar(e->name)) {
           const UserFn body = user->fn;
           QueryMetrics* metrics = env.metrics;
           return CompiledExpr([body, args, metrics](const Value& tuple) {
             std::vector<Value> vals;
             vals.reserve(args.size());
-            for (const auto& a : args) vals.push_back(a(tuple));
+            for (const auto& a : args) {
+              Value scratch;
+              const Value* v = a.Read(tuple, &scratch);
+              vals.push_back(v == &scratch ? std::move(scratch) : *v);
+            }
             if (metrics) metrics->udf_calls++;
             auto r = body(vals);
             return r.ok() ? r.MoveValue() : Value::Null();
           });
         }
       }
-      // Validate the function name at compile time with a dummy invocation
-      // guard: unknown builtins must fail at plan time, not per row.
-      {
-        std::vector<Value> probe;  // arity checks happen at runtime
-        auto r = EvalBuiltin(fn, probe);
-        if (!r.ok() && r.status().code() == StatusCode::kKeyError) {
-          return Status::KeyError("unknown builtin function '" + fn + "'");
-        }
+      // A builtin resolves to its table entry once, here: unknown names and
+      // arity mismatches fail at plan time, not per row.
+      const Builtin* builtin = FindBuiltin(e->name);
+      if (builtin == nullptr) {
+        return Status::KeyError("unknown builtin function '" + e->name + "'");
       }
-      return CompiledExpr([fn, args](const Value& tuple) {
-        std::vector<Value> vals;
-        vals.reserve(args.size());
-        for (const auto& a : args) vals.push_back(a(tuple));
-        auto r = EvalBuiltin(fn, vals);
-        return r.ok() ? r.MoveValue() : Value::Null();
+      CLEANM_RETURN_NOT_OK(CheckBuiltinArity(*builtin, args.size()));
+      const auto body = builtin->fn;
+      return CompiledExpr([body, args](const Value& tuple) {
+        return CallBuiltin(body, args, tuple);
       });
     }
     case ExprKind::kRecord: {

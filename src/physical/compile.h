@@ -5,7 +5,10 @@
 //
 // Physical tuples are single-Value rows holding the algebra-level tuple
 // struct {var → record}. The compiler resolves variable references to
-// positional indexes against the plan's deterministic layout.
+// positional indexes against the plan's deterministic layout, and each
+// builtin call to its entry in the builtin table (monoid/eval.h), arity
+// checked, once. Operands of calls, comparisons and field accesses that
+// are variables or literals are read in place, not copied per row.
 //
 // Error semantics: compiled expressions *null-propagate* (type mismatches
 // and unknown fields yield null, and predicates treat null as false), the

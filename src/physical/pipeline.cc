@@ -41,12 +41,62 @@ using engine::PartitionedLogicalBytes;
 /// Continuation consuming one tuple of a transform stage.
 using TupleCont = Executor::TupleSink;
 
+/// One Unnest stage: pads each collection element onto the tuple (a null or
+/// empty collection drops the tuple, or pads Null under OuterUnnest; a
+/// scalar is a singleton). The padded tuple is built once per input row,
+/// with room for the extra slot, and its last slot is overwritten in place
+/// for each element. With `pred` set, the stage is a Select fused into the
+/// Unnest below it: each element is tested on that one padded tuple, and
+/// only passing tuples are copied downstream. The tests count in
+/// `comparisons`, added once per input row.
+TupleCont UnnestStage(CompiledExpr path, std::string var, bool outer,
+                      std::function<bool(const Value&)> pred, TupleCont inner,
+                      QueryMetrics* metrics) {
+  return [path, var, outer, pred, inner, metrics](Value t, Partition* out) {
+    const Value coll = path(t);
+    const bool empty = coll.is_null() ||
+                       (coll.type() == ValueType::kList && coll.AsList().empty());
+    if (empty && !outer) return;
+    const ValueStruct& fields = t.AsStruct();
+    ValueStruct padded;
+    padded.reserve(fields.size() + 1);
+    padded.insert(padded.end(), fields.begin(), fields.end());
+    padded.emplace_back(var, Value());
+    Value scratch(std::move(padded));
+    Value& slot = scratch.MutableStruct().back().second;
+    uint64_t tests = 0;
+    auto emit = [&](const Value& element, bool last) {
+      slot = element;
+      if (pred) {
+        tests++;
+        if (!pred(scratch)) return;
+      }
+      // Downstream gets its own tuple: the scratch is overwritten by the
+      // next element, so only the last one may hand it over.
+      if (last) {
+        inner(std::move(scratch), out);
+      } else {
+        inner(Value(ValueStruct(scratch.AsStruct())), out);
+      }
+    };
+    if (empty) {
+      emit(Value::Null(), true);
+    } else if (coll.type() != ValueType::kList) {
+      emit(coll, true);  // scalar behaves as singleton (XML-style nesting)
+    } else {
+      const ValueList& elements = coll.AsList();
+      for (size_t i = 0; i < elements.size(); i++) {
+        emit(elements[i], i + 1 == elements.size());
+      }
+    }
+    if (metrics != nullptr && tests > 0) metrics->comparisons += tests;
+  };
+}
+
 /// Composes the root-first transform chain into a single per-row expansion:
 /// data flows source → chain.back() → ... → chain.front() → terminal, so
-/// the continuation is built from the top down. Select filters; Unnest
-/// pads each collection element onto the tuple (a null or empty collection
-/// drops the tuple, or pads Null under OuterUnnest; a scalar is a
-/// singleton).
+/// the continuation is built from the top down. A Select filters; a Select
+/// directly on an Unnest fuses into it (see UnnestStage).
 Result<engine::MorselExpand> CompileChain(const std::vector<const AlgOp*>& chain,
                                           const std::vector<AlgOpPtr>& chain_inputs,
                                           const CompileEnv& env, TupleCont terminal) {
@@ -58,36 +108,23 @@ Result<engine::MorselExpand> CompileChain(const std::vector<const AlgOp*>& chain
   }
   for (size_t i = 0; i < chain.size(); i++) {  // i = 0 is the root stage
     const AlgOp* op = chain[i];
-    const TupleLayout layout = CollectVars(chain_inputs[i]);
     TupleCont inner = std::move(k);
+    std::function<bool(const Value&)> pred;
     if (op->kind == AlgKind::kSelect) {
-      CLEANM_ASSIGN_OR_RETURN(auto pred, CompilePredicate(op->pred, layout, env));
-      k = [pred, inner](Value t, Partition* out) {
-        if (pred(t)) inner(std::move(t), out);
-      };
-    } else {  // kUnnest / kOuterUnnest
-      CLEANM_ASSIGN_OR_RETURN(CompiledExpr path, CompileExpr(op->path, layout, env));
-      const std::string var = op->path_var;
-      const bool outer = op->kind == AlgKind::kOuterUnnest;
-      k = [path, var, outer, inner](Value t, Partition* out) {
-        const Value coll = path(t);
-        auto pad = [&](Value element) {
-          ValueStruct padded = t.AsStruct();
-          padded.emplace_back(var, std::move(element));
-          inner(Value(std::move(padded)), out);
+      CLEANM_ASSIGN_OR_RETURN(pred,
+                              CompilePredicate(op->pred, CollectVars(chain_inputs[i]), env));
+      if (i + 1 == chain.size() || chain[i + 1]->kind == AlgKind::kSelect) {
+        k = [pred, inner](Value t, Partition* out) {
+          if (pred(t)) inner(std::move(t), out);
         };
-        if (coll.is_null() ||
-            (coll.type() == ValueType::kList && coll.AsList().empty())) {
-          if (outer) pad(Value::Null());
-          return;
-        }
-        if (coll.type() != ValueType::kList) {
-          pad(coll);  // scalar behaves as singleton (XML-style nesting)
-          return;
-        }
-        for (const auto& element : coll.AsList()) pad(element);
-      };
+        continue;
+      }
+      op = chain[++i];  // the Unnest the Select sits on
     }
+    CLEANM_ASSIGN_OR_RETURN(CompiledExpr path,
+                            CompileExpr(op->path, CollectVars(chain_inputs[i]), env));
+    k = UnnestStage(std::move(path), op->path_var, op->kind == AlgKind::kOuterUnnest,
+                    std::move(pred), std::move(inner), env.metrics);
   }
   TupleCont final_k = std::move(k);
   return engine::MorselExpand([final_k](size_t, const Row& r, Partition* out) {

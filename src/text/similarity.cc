@@ -9,9 +9,59 @@
 
 namespace cleanm {
 
+namespace {
+
+/// Bit-parallel Levenshtein (Myers 1999; Hyyrö 2001). Column j of the DP
+/// matrix over the pattern `a` is held as vertical-delta bit vectors: bit i
+/// of `pv` / `mv` is set when D[i+1][j] - D[i][j] is +1 / -1. `score`
+/// tracks the last row, D[|a|][j]. Requires 1 <= |a| <= 64 and |a| <= |b|.
+size_t LevenshteinBitParallel(std::string_view a, std::string_view b,
+                              size_t max_bound) {
+  // peq[c]: the positions of byte c in `a`.
+  uint64_t peq[256] = {};
+  for (size_t i = 0; i < a.size(); i++) {
+    peq[static_cast<unsigned char>(a[i])] |= uint64_t{1} << i;
+  }
+  const uint64_t last = uint64_t{1} << (a.size() - 1);
+  uint64_t pv = ~uint64_t{0};
+  uint64_t mv = 0;
+  size_t score = a.size();
+  for (size_t j = 0; j < b.size(); j++) {
+    const uint64_t eq = peq[static_cast<unsigned char>(b[j])];
+    const uint64_t xv = eq | mv;
+    const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
+    uint64_t ph = mv | ~(xh | pv);
+    uint64_t mh = pv & xh;
+    if (ph & last) {
+      score++;
+    } else if (mh & last) {
+      score--;
+    }
+    // The last row falls by at most one per remaining column.
+    const size_t remaining = b.size() - j - 1;
+    if (score > remaining && score - remaining > max_bound) return max_bound + 1;
+    // Row 0 of the DP is D[0][j] = j: its horizontal delta is always +1.
+    ph = (ph << 1) | 1;
+    mh <<= 1;
+    pv = mh | ~(xv | ph);
+    mv = ph & xv;
+  }
+  return score;
+}
+
+}  // namespace
+
 size_t LevenshteinDistance(std::string_view a, std::string_view b, size_t max_bound) {
   if (a.size() > b.size()) std::swap(a, b);
   // |len(a) - len(b)| is a lower bound on the distance.
+  if (b.size() - a.size() > max_bound) return max_bound + 1;
+  if (a.empty()) return b.size();
+  if (a.size() <= 64) return LevenshteinBitParallel(a, b, max_bound);
+  return LevenshteinDistanceDp(a, b, max_bound);
+}
+
+size_t LevenshteinDistanceDp(std::string_view a, std::string_view b, size_t max_bound) {
+  if (a.size() > b.size()) std::swap(a, b);
   if (b.size() - a.size() > max_bound) return max_bound + 1;
   std::vector<size_t> prev(a.size() + 1), cur(a.size() + 1);
   for (size_t i = 0; i <= a.size(); i++) prev[i] = i;
@@ -37,6 +87,10 @@ double LevenshteinSimilarity(std::string_view a, std::string_view b) {
 }
 
 bool LevenshteinSimilarAtLeast(std::string_view a, std::string_view b, double theta) {
+  // Similarity lies in [0, 1]; outside (0, 1] the answer needs no distance
+  // (and the bound below would be negative).
+  if (!(theta <= 1.0)) return false;
+  if (theta <= 0.0) return true;
   const size_t longest = std::max(a.size(), b.size());
   if (longest == 0) return true;
   // similarity >= theta  <=>  distance <= (1 - theta) * longest.
@@ -105,19 +159,32 @@ double EuclideanDistance(const std::vector<double>& a, const std::vector<double>
   return std::sqrt(sum);
 }
 
+namespace {
+
+/// ASCII case-insensitive equality; `lower` is already lower case.
+bool EqualsIgnoreCase(std::string_view s, std::string_view lower) {
+  if (s.size() != lower.size()) return false;
+  for (size_t i = 0; i < s.size(); i++) {
+    const char c = s[i];
+    if ((c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c) != lower[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 bool ParseSimilarityMetric(std::string_view name, SimilarityMetric* out) {
-  std::string lower(name);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "ld" || lower == "levenshtein") {
+  if (EqualsIgnoreCase(name, "ld") || EqualsIgnoreCase(name, "levenshtein")) {
     *out = SimilarityMetric::kLevenshtein;
     return true;
   }
-  if (lower == "jaccard") {
+  if (EqualsIgnoreCase(name, "jaccard")) {
     *out = SimilarityMetric::kJaccard;
     return true;
   }
-  if (lower == "euclidean") {
+  if (EqualsIgnoreCase(name, "euclidean")) {
     *out = SimilarityMetric::kEuclidean;
     return true;
   }

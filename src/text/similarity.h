@@ -3,8 +3,14 @@
 // Section 3.1: denial constraints, deduplication, and term validation all
 // reduce to similarity joins, so the cost of a cleaning task is dominated by
 // (a) how many pairs are compared and (b) how fast one comparison is.
-// This module provides the comparison kernels; src/cluster provides the
-// pair-pruning (token filtering / k-means).
+// This module provides the comparison kernels; src/cluster and the planner's
+// Nest expansion provide the pair pruning (token filtering / k-means).
+//
+// Levenshtein runs bit-parallel (Myers 1999, in Hyyrö's 2001 edit-distance
+// form) when the shorter string has at most 64 chars: one 64-bit word holds
+// a whole DP column, so a text character costs a few word operations, with
+// no heap allocation per call. Longer strings fall back to the two-row DP,
+// which also serves as the tests' oracle.
 #pragma once
 
 #include <cstdint>
@@ -14,11 +20,18 @@
 
 namespace cleanm {
 
-/// Levenshtein edit distance with the standard two-row DP and an optional
-/// early-exit bound: if the distance provably exceeds `max_bound` the
-/// function returns max_bound + 1 without finishing the DP.
+/// Levenshtein edit distance with an optional early-exit bound: if the
+/// distance provably exceeds `max_bound` the function returns
+/// max_bound + 1 without finishing; otherwise it returns the exact
+/// distance. Bit-parallel when min(|a|, |b|) <= 64, else the DP below.
 size_t LevenshteinDistance(std::string_view a, std::string_view b,
                            size_t max_bound = SIZE_MAX);
+
+/// The standard two-row DP with the same early-exit contract: the fallback
+/// for strings longer than a machine word, and the oracle the bit-parallel
+/// kernel is tested against.
+size_t LevenshteinDistanceDp(std::string_view a, std::string_view b,
+                             size_t max_bound = SIZE_MAX);
 
 /// Normalized Levenshtein similarity in [0, 1]:
 /// 1 - distance / max(|a|, |b|). Two empty strings are 100% similar.
@@ -26,7 +39,8 @@ double LevenshteinSimilarity(std::string_view a, std::string_view b);
 
 /// Thresholded check: true iff LevenshteinSimilarity(a, b) >= theta.
 /// Uses the distance bound for an early exit, so it is cheaper than
-/// computing the full similarity when the strings are far apart.
+/// computing the full similarity when the strings are far apart. Defined
+/// for every theta: false above 1 (and for NaN), true at or below 0.
 bool LevenshteinSimilarAtLeast(std::string_view a, std::string_view b, double theta);
 
 /// Jaccard similarity of the q-gram sets of the two strings.
@@ -53,8 +67,8 @@ enum class SimilarityMetric {
   kEuclidean,
 };
 
-/// Parses "LD" / "levenshtein" / "jaccard" / "euclidean" (case-insensitive).
-/// Returns false on unknown names.
+/// Parses "LD" / "levenshtein" / "jaccard" / "euclidean" (case-insensitive,
+/// without allocating). Returns false on unknown names.
 bool ParseSimilarityMetric(std::string_view name, SimilarityMetric* out);
 
 /// Dispatches to the chosen string metric; Euclidean is not valid here.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,12 +20,14 @@
 #include "cleaning/cleandb.h"
 #include "cleaning/plan_builder.h"
 #include "cleaning/prepared_query.h"
+#include "cleaning/query_profile.h"
 #include "cleaning/select_builder.h"
 #include "common/random.h"
 #include "datagen/generators.h"
 #include "monoid/eval.h"
 #include "monoid/normalize.h"
 #include "support/fixtures.h"
+#include "text/similarity.h"
 
 namespace cleanm {
 namespace {
@@ -646,21 +649,63 @@ TEST(E2EMorselPipelineTest, TermValidationBitIdenticalAcrossMorselSizes) {
   for (const auto& row : dict.rows()) named_dict.Append(row);
 
   const char* query = "SELECT * FROM data c, dict d CLUSTER BY(tf, LD, 0.8, c.name)";
-  auto run = [&](size_t morsel_rows) {
-    CleanDB db(FastCleanDBOptions());
+  auto run = [&](size_t morsel_rows, size_t nodes) {
+    CleanDB db(FastCleanDBOptions(nodes));
     db.RegisterTable("data", data);
     db.RegisterTable("dict", named_dict);
     auto prepared = db.Prepare(query);
     EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
     ExecOptions opts;
     opts.morsel_rows = morsel_rows;
+    opts.profile = true;
     return prepared.value().Execute(opts).ValueOrDie();
   };
-  const auto baseline = RenderedViolations(run(4096));
-  ASSERT_GT(baseline.size(), 0u);  // the noised variants are flagged
-  for (size_t morsel_rows : {size_t{1}, size_t{7}}) {
-    EXPECT_EQ(RenderedViolations(run(morsel_rows)), baseline)
-        << "term validation diverged at morsel_rows=" << morsel_rows;
+  // `comparisons` counts the (term, suggestion) pairs the Select tests
+  // inside its Unnest: Σ over shared q-grams of |data terms| × |dictionary
+  // terms|, whatever the width and morsel size.
+  std::map<std::string, std::set<std::string>> data_grams, dict_grams;
+  for (const auto& row : data.rows()) {
+    for (const auto& g : QGrams(row[0].AsString(), 2)) data_grams[g].insert(row[0].AsString());
+  }
+  for (const auto& row : named_dict.rows()) {
+    for (const auto& g : QGrams(row[0].AsString(), 2)) dict_grams[g].insert(row[0].AsString());
+  }
+  uint64_t pairs = 0;
+  for (const auto& [gram, terms] : data_grams) {
+    auto it = dict_grams.find(gram);
+    if (it != dict_grams.end()) pairs += terms.size() * it->second.size();
+  }
+  // The (term, suggestion) pairs: a violation's group key and the order of
+  // its term sets follow the width, the pairs do not.
+  auto repairs = [](const QueryResult& result) {
+    std::set<std::string> out;
+    for (const auto& op : result.ops) {
+      for (const auto& v : op.violations) {
+        out.insert(v.GetField("term").ValueOrDie().AsString() + " -> " +
+                   v.GetField("suggestion").ValueOrDie().AsString());
+      }
+    }
+    return out;
+  };
+  const auto repair_set = repairs(run(4096, 3));
+  ASSERT_GT(repair_set.size(), 0u);  // the noised variants are flagged
+  for (size_t nodes : {size_t{1}, size_t{3}, size_t{8}}) {
+    // Bit-identical across morsel sizes at one width; the same repairs at
+    // every width.
+    const QueryResult reference = run(4096, nodes);
+    const auto baseline = RenderedViolations(reference);
+    EXPECT_EQ(repairs(reference), repair_set) << "nodes=" << nodes;
+    for (size_t morsel_rows : {size_t{1}, size_t{7}, size_t{4096}}) {
+      const QueryResult result = run(morsel_rows, nodes);
+      EXPECT_EQ(RenderedViolations(result), baseline)
+          << "term validation diverged at nodes=" << nodes
+          << " morsel_rows=" << morsel_rows;
+      EXPECT_EQ(result.metrics.comparisons, pairs)
+          << "nodes=" << nodes << " morsel_rows=" << morsel_rows;
+      // The profile attributes every comparison to an operator.
+      ASSERT_NE(result.profile, nullptr);
+      EXPECT_EQ(result.profile->totals().comparisons, result.metrics.comparisons);
+    }
   }
 }
 

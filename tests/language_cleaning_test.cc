@@ -3,6 +3,9 @@
 // baseline simulators' documented restrictions.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "baselines/baselines.h"
 #include "cleaning/cleandb.h"
 #include "datagen/generators.h"
@@ -79,6 +82,24 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseCleanM("SELECT * FROM t FD(a.b)").ok());          // missing RHS
   EXPECT_FALSE(ParseCleanM("SELECT * FROM t DEDUP(bogus_algo, x)").ok());
   EXPECT_FALSE(ParseCleanM("SELECT * FROM t trailing garbage ,").ok());
+}
+
+TEST(ParserTest, SimilarityThresholdOutsideUnitIntervalIsPositionedError) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"SELECT * FROM t c DEDUP(tf, LD, 1.5, c.name)", "column 33"},
+      {"SELECT * FROM a x, d y CLUSTER BY(tf, LD, -0.5, x.name)", "column 43"}};
+  for (const auto& [query, column] : cases) {
+    auto q = ParseCleanM(query);
+    ASSERT_FALSE(q.ok()) << query;
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+    EXPECT_NE(q.status().message().find("[0, 1]"), std::string::npos)
+        << q.status().ToString();
+    EXPECT_NE(q.status().message().find(column), std::string::npos)
+        << q.status().ToString();
+  }
+  // The bounds themselves are thresholds.
+  EXPECT_TRUE(ParseCleanM("SELECT * FROM t c DEDUP(tf, LD, 1, c.name)").ok());
+  EXPECT_TRUE(ParseCleanM("SELECT * FROM t c DEDUP(tf, LD, 0, c.name)").ok());
 }
 
 TEST(ParserTest, StandaloneExpressions) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "algebra/algebra_eval.h"
 #include "datagen/generators.h"
@@ -181,6 +183,75 @@ TEST_P(PhysicalTest, UnnestAndOuterUnnest) {
   auto outer = exec.RunToValue(outer_plan, GetParam()).ValueOrDie();
   EXPECT_EQ(outer.AsInt(), 3);
   EXPECT_EQ(outer.AsInt(), EvalPlan(outer_plan, catalog).ValueOrDie().AsInt());
+
+  // A Select directly on an Unnest tests each element inside the Unnest,
+  // on one padded tuple per input row.
+  Dataset lists(Schema{{"id", ValueType::kInt}, {"xs", ValueType::kList}});
+  lists.Append({Value(int64_t{1}), Value(ValueList{Value("x"), Value("y"), Value("z")})});
+  lists.Append({Value(int64_t{2}), Value(ValueList{})});
+  lists.Append({Value(int64_t{3}), Value(ValueList{Value(int64_t{4})})});
+  Catalog lists_catalog{{{"lists", &lists}}};
+  PartitionCache lists_cache;
+  Executor lists_exec{&cluster, &lists_catalog, {}, &lists_cache};
+  auto rendered = [](const Value& tuples) {
+    std::vector<std::string> out;
+    for (const auto& t : tuples.AsList()) out.push_back(t.ToString());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  auto pairs_over = [](ExprPtr pred) {
+    return SelectOp(UnnestOp(UnnestOp(Scan("lists", "l"), FieldAccess(Var("l"), "xs"), "a"),
+                             FieldAccess(Var("l"), "xs"), "b"),
+                    std::move(pred));
+  };
+
+  // Several elements of one list pass (a = "x" pairs with "y" and "z"), and
+  // each emitted tuple keeps its own element: a padded tuple leaked
+  // downstream would repeat the list's last element. Every (tuple, element)
+  // test counts in `comparisons`: 3 × 3 + 1 × 1.
+  auto ordered = pairs_over(Binary(BinaryOp::kLt, Var("a"), Var("b")));
+  const uint64_t comparisons_before = cluster.metrics().comparisons.load();
+  auto ordered_out = lists_exec.RunToValue(ordered, GetParam()).ValueOrDie();
+  EXPECT_EQ(ordered_out.AsList().size(), 3u);
+  EXPECT_EQ(rendered(ordered_out),
+            rendered(EvalPlan(ordered, lists_catalog).ValueOrDie()));
+  EXPECT_EQ(cluster.metrics().comparisons.load() - comparisons_before, 10u);
+
+  // A Select over an OuterUnnest of an empty list tests the Null pad.
+  auto null_pad = SelectOp(
+      UnnestOp(Scan("lists", "l"), FieldAccess(Var("l"), "xs"), "b", true),
+      Call("is_null", {Var("b")}));
+  auto null_pad_out = lists_exec.RunToValue(null_pad, GetParam()).ValueOrDie();
+  EXPECT_EQ(null_pad_out.AsList().size(), 1u);
+  EXPECT_EQ(rendered(null_pad_out),
+            rendered(EvalPlan(null_pad, lists_catalog).ValueOrDie()));
+
+  // A predicate that throws on one pair quarantines exactly that pair: the
+  // poison row's single pair reads a string as substr's start, and every
+  // other pair still matches the reference over the rows without it.
+  Dataset ints(lists.schema());
+  ints.Append({Value(int64_t{1}),
+               Value(ValueList{Value(int64_t{1}), Value(int64_t{2}), Value(int64_t{3})})});
+  ints.Append({Value(int64_t{2}), Value(ValueList{Value(int64_t{4})})});
+  Catalog ints_catalog{{{"lists", &ints}}};
+  Dataset poisoned = ints;
+  poisoned.Append({Value(int64_t{3}), Value(ValueList{Value("poison")})});
+  Catalog poisoned_catalog{{{"lists", &poisoned}}};
+  PartitionCache poisoned_cache;
+  engine::QuarantineSink quarantine(10);
+  Executor poisoned_exec{&cluster, &poisoned_catalog, {}, &poisoned_cache};
+  poisoned_exec.quarantine = &quarantine;
+  auto throwing = pairs_over(Binary(
+      BinaryOp::kAnd, Binary(BinaryOp::kLe, Var("a"), Var("b")),
+      Binary(BinaryOp::kNe, Call("substr", {ConstString("abcdef"), Var("b"), ConstInt(1)}),
+             ConstString(""))));
+  auto throwing_out = poisoned_exec.RunToValue(throwing, GetParam()).ValueOrDie();
+  EXPECT_EQ(throwing_out.AsList().size(), 7u);
+  EXPECT_EQ(rendered(throwing_out),
+            rendered(EvalPlan(throwing, ints_catalog).ValueOrDie()));
+  const auto quarantined = quarantine.TakeRows();
+  ASSERT_EQ(quarantined.size(), 1u);
+  EXPECT_EQ(quarantined[0].table, "lists");
 }
 
 TEST_P(PhysicalTest, ScanCacheSharesTablesAcrossPlans) {

@@ -2,7 +2,11 @@
 // building blocks (token filtering, single-pass k-means, reservoir sampling).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cluster/filtering.h"
 #include "common/random.h"
@@ -37,13 +41,66 @@ TEST(LevenshteinTest, SimilarityRange) {
 }
 
 TEST(LevenshteinTest, ThresholdedAgreesWithExact) {
-  const char* words[] = {"smith", "smyth", "smithe", "jones", "jonse", "x"};
+  // Thresholds outside (0, 1] included: similarity lies in [0, 1], so the
+  // answer is all-true at or below 0 and all-false above 1.
+  const char* words[] = {"smith", "smyth", "smithe", "jones", "jonse", "x", "abc", "xyz", ""};
   for (const char* a : words) {
     for (const char* b : words) {
-      for (double theta : {0.5, 0.8, 0.9}) {
+      for (double theta : {-0.5, 0.0, 0.5, 0.8, 0.9, 1.0, 1.5}) {
         EXPECT_EQ(LevenshteinSimilarAtLeast(a, b, theta),
                   LevenshteinSimilarity(a, b) >= theta)
             << a << " vs " << b << " @ " << theta;
+      }
+    }
+  }
+}
+
+// The bit-parallel kernel (behind LevenshteinDistance for strings of up to
+// 64 chars) against the two-row DP over seeded random strings: lengths
+// 0-130 with 63/64/65 on either side, bytes >= 0x80, near and far pairs,
+// and every bound from 0 to 20 plus SIZE_MAX. Results compare as
+// min(d, bound + 1): both kernels may stop early once d > bound.
+TEST(LevenshteinTest, BitParallelMatchesDp) {
+  Rng rng(20260117);
+  const char alphabet[] = {'a', 'b', 'c', 'e', ' ', '\x80', '\xc3', '\xff'};
+  auto random_string = [&](size_t len) {
+    std::string s;
+    for (size_t i = 0; i < len; i++) s += alphabet[rng.Uniform(sizeof(alphabet))];
+    return s;
+  };
+  auto random_length = [&]() -> size_t {
+    const size_t edges[] = {0, 1, 2, 63, 64, 65};
+    return rng.Uniform(3) == 0 ? edges[rng.Uniform(6)] : rng.Uniform(131);
+  };
+  auto edit = [&](std::string s) {  // up to 11 random inserts/deletes/substitutions
+    const size_t edits = rng.Uniform(12);
+    for (size_t e = 0; e < edits; e++) {
+      const char c = alphabet[rng.Uniform(sizeof(alphabet))];
+      const uint64_t kind = rng.Uniform(3);
+      if (s.empty() || kind == 0) {
+        s.insert(s.begin() + (s.empty() ? 0 : rng.Uniform(s.size())), c);
+      } else if (kind == 1) {
+        s.erase(rng.Uniform(s.size()), 1);
+      } else {
+        s[rng.Uniform(s.size())] = c;
+      }
+    }
+    return s;
+  };
+  auto capped = [](size_t d, size_t bound) {
+    return bound == SIZE_MAX ? d : std::min(d, bound + 1);
+  };
+  std::vector<size_t> bounds;
+  for (size_t bound = 0; bound <= 20; bound++) bounds.push_back(bound);
+  bounds.push_back(SIZE_MAX);
+  for (int trial = 0; trial < 2500; trial++) {
+    const std::string a = random_string(random_length());
+    const std::string b = trial % 2 == 0 ? edit(a) : random_string(random_length());
+    for (size_t bound : bounds) {
+      for (const auto& [x, y] : {std::make_pair(a, b), std::make_pair(b, a)}) {
+        ASSERT_EQ(capped(LevenshteinDistance(x, y, bound), bound),
+                  capped(LevenshteinDistanceDp(x, y, bound), bound))
+            << "|a|=" << x.size() << " |b|=" << y.size() << " bound=" << bound;
       }
     }
   }

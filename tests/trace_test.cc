@@ -46,7 +46,9 @@ TEST(TraceTest, RecorderMergesPerThreadBuffersAfterJoin) {
   for (size_t i = 0; i < spans.size(); i++) {
     EXPECT_TRUE(ids.insert(spans[i].id).second) << "duplicate span id";
     threads_seen.insert(spans[i].thread);
-    if (i > 0) EXPECT_GE(spans[i].start_ns, spans[i - 1].start_ns);
+    if (i > 0) {
+      EXPECT_GE(spans[i].start_ns, spans[i - 1].start_ns);
+    }
   }
   EXPECT_EQ(threads_seen.size(), static_cast<size_t>(kThreads));
   std::map<uint64_t, const TraceSpan*> by_id;

@@ -18,6 +18,9 @@ Stdlib-only. Two jobs:
    shared runners — a hard wall-clock band flakes there, while the benches'
    own --check flags still enforce the machine-local thresholds at measure
    time. Improvements print a note so the baseline can be refreshed.
+   A "zero" gate (similarity_kernel.mismatches: pairs on which the
+   bit-parallel Levenshtein kernel disagrees with the DP) is absolute: any
+   non-zero measured value fails, whatever the baseline says.
 
 Usage:
     check_bench_json.py <measured.json> [--baseline BENCH_cluster.json]
@@ -29,14 +32,22 @@ import json
 import sys
 
 # section -> field -> None (informational) or (direction, kind):
-# direction "higher"/"lower" = which way is better; kind "timing" metrics
-# derive from wall-clock ratios (loose tolerance), "exact" metrics from
-# deterministic byte/row counts (strict tolerance).
+# direction "higher"/"lower" = which way is better, "zero" = must be 0;
+# kind "timing" metrics derive from wall-clock ratios (loose tolerance),
+# "exact" metrics from deterministic byte/row counts (strict tolerance).
 SCHEMA = {
     "dispatch": {
         "spawn_per_call_ns": None,  # informational, no direction gated
         "worker_pool_ns": None,
         "speedup": ("higher", "timing"),
+    },
+    "similarity_kernel": {
+        "names": None,
+        "pairs": None,
+        "dp_ns": None,
+        "bit_parallel_ns": None,
+        "speedup": ("higher", "timing"),  # > 1 enforced by the bench's own --check
+        "mismatches": ("zero", "exact"),
     },
     "prepared_reexec": {
         "cold_execute_s": None,
@@ -168,6 +179,12 @@ def check_regressions(measured, baseline, tolerance, timing_tolerance):
             # here (e.g. schema and bench disagree) still fails by name.
             failures.append(f"{section}: section missing from measured file")
             continue
+        for field, gate in fields.items():
+            # Absolute gates need no baseline.
+            new = measured_section.get(field)
+            if gate is not None and gate[0] == "zero" and new != 0:
+                failures.append(f"{section}.{field} regressed: {new!r} "
+                                "(must be 0)")
         base_section = baseline.get(section)
         if not isinstance(base_section, dict):
             # Baseline predates this section (first run after a new gate
@@ -179,6 +196,8 @@ def check_regressions(measured, baseline, tolerance, timing_tolerance):
             if gate is None:
                 continue
             direction, kind = gate
+            if direction == "zero":
+                continue  # checked above
             field_tolerance = timing_tolerance if kind == "timing" else tolerance
             new = measured_section.get(field)
             if not isinstance(new, (int, float)) or isinstance(new, bool):

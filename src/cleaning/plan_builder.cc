@@ -41,6 +41,14 @@ const char* MetricName(SimilarityMetric metric) {
 
 namespace {
 
+/// Token filtering splits each term into q-grams, so it needs q >= 1.
+Status CheckFilteringOptions(FilteringAlgo algo, const FilteringOptions& options) {
+  if (algo == FilteringAlgo::kTokenFiltering && options.q == 0) {
+    return Status::InvalidArgument("token filtering needs a q-gram length of at least 1");
+  }
+  return Status::OK();
+}
+
 GroupSpec MakeGroupSpec(FilteringAlgo algo, ExprPtr term,
                         const FilteringOptions& options,
                         std::vector<std::string> centers) {
@@ -86,6 +94,7 @@ Result<CleaningPlan> BuildDedupPlan(const std::string& table, const std::string&
   if (dedup.attributes.empty()) {
     return Status::InvalidArgument("DEDUP requires at least one attribute");
   }
+  CLEANM_RETURN_NOT_OK(CheckFilteringOptions(dedup.op, options));
   ExprPtr term = CombineAttrs(dedup.attributes);
   GroupSpec group = MakeGroupSpec(dedup.op, term, options, std::move(centers));
 
@@ -119,6 +128,7 @@ Result<CleaningPlan> BuildTermValidationPlan(
     const std::string& dict_attr, const ClusterByClause& cb,
     const FilteringOptions& options, std::vector<std::string> centers) {
   if (!cb.term) return Status::InvalidArgument("CLUSTER BY requires a term");
+  CLEANM_RETURN_NOT_OK(CheckFilteringOptions(cb.op, options));
 
   // dataGroup := for(c <- data) yield filter(c.term, algo)
   GroupSpec data_group = MakeGroupSpec(cb.op, cb.term, options, centers);

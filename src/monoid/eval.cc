@@ -300,9 +300,13 @@ Result<Value> Split(BuiltinArgs args) {
 
 Result<Value> Tokens(BuiltinArgs args) {
   CLEANM_ASSIGN_OR_RETURN(std::string_view s, StringArg("tokens", args[0]));
-  const auto q = static_cast<size_t>(args[1].AsInt());
+  const int64_t q = args[1].AsInt();
+  if (q < 1) {
+    return Status::InvalidArgument("tokens: q-gram length must be at least 1, got " +
+                                   std::to_string(q));
+  }
   ValueList grams;
-  for (auto& g : QGrams(s, q)) grams.push_back(Value(std::move(g)));
+  for (auto& g : QGrams(s, static_cast<size_t>(q))) grams.push_back(Value(std::move(g)));
   return Value(std::move(grams));
 }
 

@@ -1,8 +1,10 @@
 #include "storage/value.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 namespace cleanm {
 
@@ -188,62 +190,67 @@ size_t Value::ByteSize() const {
 }
 
 namespace {
-void Render(const Value& v, bool quote_strings, std::ostringstream& os) {
+void Render(const Value& v, bool quote_strings, std::string* out) {
   switch (v.type()) {
-    case ValueType::kNull: os << "null"; break;
-    case ValueType::kBool: os << (v.AsBool() ? "true" : "false"); break;
-    case ValueType::kInt: os << v.AsInt(); break;
+    case ValueType::kNull: *out += "null"; break;
+    case ValueType::kBool: *out += v.AsBool() ? "true" : "false"; break;
+    case ValueType::kInt: {
+      char buf[24];
+      const auto res = std::to_chars(buf, buf + sizeof(buf), v.AsInt());
+      out->append(buf, res.ptr);
+      break;
+    }
     case ValueType::kDouble: {
-      // Keep enough digits to round-trip, and keep whole values visibly
-      // doubles ("60.0", not "60") so readers re-infer the right type.
+      // The shortest %g form that round-trips exactly, else 17 digits; whole
+      // values stay visibly doubles ("5.0" or "6e+01", never "5" or "60") so
+      // readers re-infer the right type.
       const double d = v.AsDouble();
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", d);
-      std::string s(buf);
-      // Trim excess digits when a short form round-trips exactly.
-      for (int prec = 1; prec < 17; prec++) {
-        char shorter[32];
-        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, d);
-        if (std::strtod(shorter, nullptr) == d) {
-          s = shorter;
-          break;
-        }
+      int prec = 1;
+      for (; prec < 17; prec++) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
+        if (std::strtod(buf, nullptr) == d) break;
       }
-      if (s.find_first_of(".eE") == std::string::npos &&
-          s.find_first_of("0123456789") != std::string::npos) {
-        s += ".0";
+      if (prec == 17) std::snprintf(buf, sizeof(buf), "%.17g", d);
+      *out += buf;
+      if (std::strpbrk(buf, ".eE") == nullptr &&
+          std::strpbrk(buf, "0123456789") != nullptr) {
+        *out += ".0";
       }
-      os << s;
       break;
     }
     case ValueType::kString:
       if (quote_strings) {
-        os << '"' << v.AsString() << '"';
+        *out += '"';
+        *out += v.AsString();
+        *out += '"';
       } else {
-        os << v.AsString();
+        *out += v.AsString();
       }
       break;
     case ValueType::kList: {
-      os << '[';
+      *out += '[';
       bool first = true;
       for (const auto& e : v.AsList()) {
-        if (!first) os << ',';
+        if (!first) *out += ',';
         first = false;
-        Render(e, /*quote_strings=*/true, os);
+        Render(e, /*quote_strings=*/true, out);
       }
-      os << ']';
+      *out += ']';
       break;
     }
     case ValueType::kStruct: {
-      os << '{';
+      *out += '{';
       bool first = true;
       for (const auto& [name, e] : v.AsStruct()) {
-        if (!first) os << ',';
+        if (!first) *out += ',';
         first = false;
-        os << '"' << name << "\":";
-        Render(e, /*quote_strings=*/true, os);
+        *out += '"';
+        *out += name;
+        *out += "\":";
+        Render(e, /*quote_strings=*/true, out);
       }
-      os << '}';
+      *out += '}';
       break;
     }
   }
@@ -251,9 +258,9 @@ void Render(const Value& v, bool quote_strings, std::ostringstream& os) {
 }  // namespace
 
 std::string Value::ToString() const {
-  std::ostringstream os;
-  Render(*this, /*quote_strings=*/false, os);
-  return os.str();
+  std::string out;
+  Render(*this, /*quote_strings=*/false, &out);
+  return out;
 }
 
 uint64_t HashRow(const Row& row) {

@@ -49,6 +49,68 @@ size_t LevenshteinBitParallel(std::string_view a, std::string_view b,
   return score;
 }
 
+/// Patterns of up to this many words keep their state on the stack.
+constexpr size_t kStackWords = 4;
+
+/// The same recurrence for |a| > 64 (Myers 1999, Section 4): the pattern
+/// spans ceil(|a| / 64) words, and each text character advances them top
+/// down. The horizontal delta leaving a word's top bit enters the next word
+/// as bit 0 of `ph` (+1) or `mh` (-1), where row 0's +1 enters the
+/// single-word loop; a -1 also counts as a match at bit 0 in `xh`.
+/// Requires |a| <= |b|.
+size_t LevenshteinBlocked(std::string_view a, std::string_view b, size_t max_bound) {
+  const size_t words = (a.size() + 63) / 64;
+  // One buffer: peq[c * words + w], then pv[w], then mv[w].
+  uint64_t stack[(256 + 2) * kStackWords];
+  std::vector<uint64_t> heap;
+  uint64_t* peq = stack;
+  if (words > kStackWords) {
+    heap.resize((256 + 2) * words);
+    peq = heap.data();
+  }
+  uint64_t* pv = peq + 256 * words;
+  uint64_t* mv = pv + words;
+  std::fill(peq, peq + 256 * words, uint64_t{0});
+  for (size_t i = 0; i < a.size(); i++) {
+    peq[static_cast<unsigned char>(a[i]) * words + i / 64] |= uint64_t{1} << (i % 64);
+  }
+  std::fill(pv, pv + words, ~uint64_t{0});
+  std::fill(mv, mv + words, uint64_t{0});
+  const unsigned last_bit = (a.size() - 1) % 64;
+  size_t score = a.size();
+  for (size_t j = 0; j < b.size(); j++) {
+    const uint64_t* eqs = peq + static_cast<unsigned char>(b[j]) * words;
+    // The horizontal delta entering the next word, as a +1 bit and a -1
+    // bit; row 0 of the DP is D[0][j] = j, so it starts at +1.
+    uint64_t hp = 1;
+    uint64_t hm = 0;
+    for (size_t w = 0; w < words; w++) {
+      const uint64_t p = pv[w];
+      const uint64_t m = mv[w];
+      const uint64_t xv = eqs[w] | m;
+      const uint64_t eq = eqs[w] | hm;
+      const uint64_t xh = (((eq & p) + p) ^ p) | eq;
+      uint64_t ph = m | ~(xh | p);
+      uint64_t mh = p & xh;
+      const unsigned top = w + 1 < words ? 63 : last_bit;
+      const uint64_t hp_out = (ph >> top) & 1;
+      const uint64_t hm_out = (mh >> top) & 1;
+      ph = (ph << 1) | hp;
+      mh = (mh << 1) | hm;
+      pv[w] = mh | ~(xv | ph);
+      mv[w] = ph & xv;
+      hp = hp_out;
+      hm = hm_out;
+    }
+    score = score + hp - hm;
+    // As in the single-word loop: the last row falls by at most one per
+    // remaining column.
+    const size_t remaining = b.size() - j - 1;
+    if (score > remaining && score - remaining > max_bound) return max_bound + 1;
+  }
+  return score;
+}
+
 }  // namespace
 
 size_t LevenshteinDistance(std::string_view a, std::string_view b, size_t max_bound) {
@@ -57,7 +119,7 @@ size_t LevenshteinDistance(std::string_view a, std::string_view b, size_t max_bo
   if (b.size() - a.size() > max_bound) return max_bound + 1;
   if (a.empty()) return b.size();
   if (a.size() <= 64) return LevenshteinBitParallel(a, b, max_bound);
-  return LevenshteinDistanceDp(a, b, max_bound);
+  return LevenshteinBlocked(a, b, max_bound);
 }
 
 size_t LevenshteinDistanceDp(std::string_view a, std::string_view b, size_t max_bound) {

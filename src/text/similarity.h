@@ -7,10 +7,11 @@
 // Nest expansion provide the pair pruning (token filtering / k-means).
 //
 // Levenshtein runs bit-parallel (Myers 1999, in Hyyrö's 2001 edit-distance
-// form) when the shorter string has at most 64 chars: one 64-bit word holds
-// a whole DP column, so a text character costs a few word operations, with
-// no heap allocation per call. Longer strings fall back to the two-row DP,
-// which also serves as the tests' oracle.
+// form) at every length. When the shorter string has at most 64 chars, one
+// 64-bit word holds a whole DP column, so a text character costs a few word
+// operations. Above 64 chars the column spans ceil(n / 64) words that each
+// text character advances in turn (Myers' blocks). Neither allocates up to
+// 256 chars. The two-row DP is kept only as the tests' oracle.
 #pragma once
 
 #include <cstdint>
@@ -23,13 +24,13 @@ namespace cleanm {
 /// Levenshtein edit distance with an optional early-exit bound: if the
 /// distance provably exceeds `max_bound` the function returns
 /// max_bound + 1 without finishing; otherwise it returns the exact
-/// distance. Bit-parallel when min(|a|, |b|) <= 64, else the DP below.
+/// distance. Bit-parallel: one word when min(|a|, |b|) <= 64, else blocked.
 size_t LevenshteinDistance(std::string_view a, std::string_view b,
                            size_t max_bound = SIZE_MAX);
 
-/// The standard two-row DP with the same early-exit contract: the fallback
-/// for strings longer than a machine word, and the oracle the bit-parallel
-/// kernel is tested against.
+/// The standard two-row DP with the same early-exit contract. Only the
+/// oracle the bit-parallel kernel is tested and benchmarked against; no
+/// query path calls it.
 size_t LevenshteinDistanceDp(std::string_view a, std::string_view b,
                              size_t max_bound = SIZE_MAX);
 

@@ -213,6 +213,32 @@ TEST(CleanDBTest, TermValidationSuggestsCorrectRepairs) {
             "jonathan smith");
 }
 
+TEST(CleanDBTest, TokenFilteringWithQZeroFailsWithAStatus) {
+  CleanDBOptions options = FastOptions();
+  options.filtering.q = 0;
+  CleanDB db(options);
+  Dataset names(Schema{{"name", ValueType::kString}});
+  names.Append({Value("jonathan smith")});
+  names.Append({Value("jonathan smyth")});
+  db.RegisterTable("t", names);
+  db.RegisterTable("dict", names);
+  EXPECT_EQ(db.Execute("SELECT * FROM t c DEDUP(tf, LD, 0.8, c.name)").status().code(),
+            StatusCode::kInvalidArgument);
+  DedupClause dedup;
+  dedup.op = FilteringAlgo::kTokenFiltering;
+  dedup.attributes = {ParseCleanMExpr("c.name").ValueOrDie()};
+  EXPECT_EQ(db.Deduplicate("t", "c", dedup).status().code(),
+            StatusCode::kInvalidArgument);
+  ClusterByClause cb;
+  cb.op = FilteringAlgo::kTokenFiltering;
+  cb.term = ParseCleanMExpr("c.name").ValueOrDie();
+  EXPECT_EQ(db.ValidateTerms("t", "c", "dict", "name", cb).status().code(),
+            StatusCode::kInvalidArgument);
+  // Exact blocking forms no q-grams, so q does not matter to it.
+  dedup.op = FilteringAlgo::kExactKey;
+  EXPECT_TRUE(db.Deduplicate("t", "c", dedup).ok());
+}
+
 TEST(CleanDBTest, UnifiedQueryCoalescesSharedGroupings) {
   // Figure 5's query: FD1 address→prefix(phone), FD2 address→nationkey,
   // DEDUP on address. All three group by address → two coalescings.

@@ -223,6 +223,14 @@ TEST(BuiltinTest, StringFunctions) {
   EXPECT_EQ(EvalBuiltin("length", {Value("hello")}).ValueOrDie().AsInt(), 5);
   EXPECT_TRUE(EvalBuiltin("contains", {Value("hello"), Value("ell")}).ValueOrDie().AsBool());
   EXPECT_EQ(EvalBuiltin("concat", {Value("a"), Value(int64_t{1})}).ValueOrDie().AsString(), "a1");
+  for (const int64_t q : {0, -1, 2}) {
+    auto grams = EvalBuiltin("tokens", {Value("abc"), Value(q)});
+    if (q < 1) {
+      EXPECT_EQ(grams.status().code(), StatusCode::kInvalidArgument) << "q=" << q;
+    } else {
+      EXPECT_EQ(grams.ValueOrDie().ToString(), "[\"ab\",\"bc\"]");
+    }
+  }
 }
 
 TEST(BuiltinTest, SplitAndDateParts) {

@@ -91,6 +91,27 @@ TEST(ValueTest, StructFieldLookup) {
 TEST(ValueTest, ToStringRendersNestedJson) {
   Value v(ValueStruct{{"xs", Value(ValueList{Value(int64_t{1}), Value("a")})}});
   EXPECT_EQ(v.ToString(), "{\"xs\":[1,\"a\"]}");
+  const std::pair<Value, const char*> goldens[] = {
+      {Value::Null(), "null"},
+      {Value(true), "true"},
+      {Value(false), "false"},
+      {Value(int64_t{INT64_MIN}), "-9223372036854775808"},
+      {Value(int64_t{-42}), "-42"},
+      // The shortest %g form that round-trips, marked as a double.
+      {Value(60.0), "6e+01"},
+      {Value(0.1), "0.1"},
+      {Value(-0.0), "-0.0"},
+      {Value(1e300), "1e+300"},
+      {Value(1e-7), "1e-07"},
+      {Value("plain"), "plain"},
+      {Value(ValueList{Value("plain")}), "[\"plain\"]"},
+      {Value(ValueList{}), "[]"},
+      {Value(ValueStruct{}), "{}"},
+      {Value(ValueList{Value(ValueStruct{{"a", Value(int64_t{1})}}),
+                       Value(ValueStruct{{"a", Value(2.5)}, {"b", Value("x")}})}),
+       "[{\"a\":1},{\"a\":2.5,\"b\":\"x\"}]"},
+  };
+  for (const auto& [value, expected] : goldens) EXPECT_EQ(value.ToString(), expected);
 }
 
 TEST(ValueTest, ListCompareIsLexicographic) {

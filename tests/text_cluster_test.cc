@@ -69,8 +69,11 @@ TEST(LevenshteinTest, BitParallelMatchesDp) {
     return s;
   };
   auto random_length = [&]() -> size_t {
-    const size_t edges[] = {0, 1, 2, 63, 64, 65};
-    return rng.Uniform(3) == 0 ? edges[rng.Uniform(6)] : rng.Uniform(131);
+    // Both sides of every word edge of the one-word and blocked kernels.
+    const size_t edges[] = {0,   1,   2,   63,  64,  65,  127, 128,
+                            129, 191, 192, 193, 255, 256, 257};
+    constexpr size_t kEdges = sizeof(edges) / sizeof(edges[0]);
+    return rng.Uniform(3) == 0 ? edges[rng.Uniform(kEdges)] : rng.Uniform(301);
   };
   auto edit = [&](std::string s) {  // up to 11 random inserts/deletes/substitutions
     const size_t edits = rng.Uniform(12);
@@ -96,10 +99,10 @@ TEST(LevenshteinTest, BitParallelMatchesDp) {
   for (int trial = 0; trial < 2500; trial++) {
     const std::string a = random_string(random_length());
     const std::string b = trial % 2 == 0 ? edit(a) : random_string(random_length());
+    const size_t d = LevenshteinDistanceDp(a, b);
     for (size_t bound : bounds) {
       for (const auto& [x, y] : {std::make_pair(a, b), std::make_pair(b, a)}) {
-        ASSERT_EQ(capped(LevenshteinDistance(x, y, bound), bound),
-                  capped(LevenshteinDistanceDp(x, y, bound), bound))
+        ASSERT_EQ(capped(LevenshteinDistance(x, y, bound), bound), capped(d, bound))
             << "|a|=" << x.size() << " |b|=" << y.size() << " bound=" << bound;
       }
     }

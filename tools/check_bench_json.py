@@ -18,9 +18,10 @@ Stdlib-only. Two jobs:
    shared runners — a hard wall-clock band flakes there, while the benches'
    own --check flags still enforce the machine-local thresholds at measure
    time. Improvements print a note so the baseline can be refreshed.
-   A "zero" gate (similarity_kernel.mismatches: pairs on which the
-   bit-parallel Levenshtein kernel disagrees with the DP) is absolute: any
-   non-zero measured value fails, whatever the baseline says.
+   A "zero" gate (similarity_kernel.mismatches and .record_mismatches: pairs
+   of author names or of rendered records on which the bit-parallel
+   Levenshtein kernel disagrees with the DP) is absolute: any non-zero
+   measured value fails, whatever the baseline says.
 
 Usage:
     check_bench_json.py <measured.json> [--baseline BENCH_cluster.json]
@@ -48,6 +49,13 @@ SCHEMA = {
         "bit_parallel_ns": None,
         "speedup": ("higher", "timing"),  # > 1 enforced by the bench's own --check
         "mismatches": ("zero", "exact"),
+        # The rendered-record pool (> 64 chars: the blocked kernel).
+        "records": None,
+        "record_pairs": None,
+        "record_dp_ns": None,
+        "record_bit_parallel_ns": None,
+        "record_speedup": ("higher", "timing"),  # > 1 enforced by --check
+        "record_mismatches": ("zero", "exact"),
     },
     "prepared_reexec": {
         "cold_execute_s": None,

@@ -172,8 +172,8 @@ bool AlgEquals(const AlgOpPtr& a, const AlgOpPtr& b) {
   if (!ExprEquals(a->path, b->path) || a->path_var != b->path_var) return false;
   if (a->monoid != b->monoid || !ExprEquals(a->head, b->head)) return false;
   if (a->group.algo != b->group.algo || !ExprEquals(a->group.term, b->group.term) ||
-      a->group.q != b->group.q || a->group.k != b->group.k ||
-      a->group.delta != b->group.delta || a->group.centers != b->group.centers) {
+      a->group.q != b->group.q || a->group.delta != b->group.delta ||
+      a->group.centers != b->group.centers) {
     return false;
   }
   if (a->aggs.size() != b->aggs.size()) return false;

@@ -14,10 +14,11 @@
 //   Reduce   Δ⊕/e   folds e over the input with monoid ⊕ (the final output)
 //   Nest     Γ⊕/e/f groups by f and folds one or more aggregations per
 //                   group; `having` filters groups. The grouping key can be
-//                   an exact expression or a *grouping monoid* (token
-//                   filtering / k-means), in which case one tuple may join
-//                   several groups — the algebra-level form of the pruning
-//                   monoids of Section 4.3.
+//                   an exact expression or the token-filtering / k-means
+//                   keys of FilterKeys, in which case one tuple may join
+//                   several groups (none for a non-string term) — the
+//                   algebra-level form of the pruning monoids of
+//                   Section 4.3.
 //
 // Tuples at this level are variable environments: a Value struct mapping
 // each bound variable to its record. tests/algebra_test.cc checks the
@@ -49,15 +50,14 @@ const char* AlgKindName(AlgKind kind);
 
 /// How a Nest derives group keys from a tuple.
 struct GroupSpec {
-  /// Key derivation: exact expression value, or a grouping monoid.
+  /// Key derivation: the exact term value, or its FilterKeys keys.
   FilteringAlgo algo = FilteringAlgo::kExactKey;
   /// The term the key derives from (e.g. c.address).
   ExprPtr term;
   /// Token filtering parameter.
   size_t q = 2;
-  /// K-means parameters; `centers` is filled by the planner (sampled from a
-  /// dictionary or the data) before evaluation.
-  size_t k = 10;
+  /// K-means parameters; `centers` are sampled at Prepare (from the
+  /// dictionary or the data) before evaluation. See FilterKeys.
   double delta = 1.0;
   std::vector<std::string> centers;
 };

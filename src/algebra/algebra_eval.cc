@@ -1,6 +1,5 @@
 #include "algebra/algebra_eval.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "monoid/eval.h"
@@ -70,42 +69,22 @@ struct ValueEq {
 };
 
 /// Computes the group keys of a tuple under a GroupSpec. Exact grouping
-/// yields one key; grouping monoids may yield several.
+/// yields the term itself; token filtering and k-means yield FilterKeys
+/// (none for a non-string term), the same function the engine calls.
 Result<std::vector<Value>> GroupKeys(const GroupSpec& group, const Env& env,
                                      const EvalContext& ctx) {
   CLEANM_ASSIGN_OR_RETURN(Value term, EvalExpr(group.term, env, ctx));
-  switch (group.algo) {
-    case FilteringAlgo::kExactKey:
-      return std::vector<Value>{term};
-    case FilteringAlgo::kTokenFiltering: {
-      if (term.type() != ValueType::kString) {
-        return Status::TypeError("token filtering requires a string term");
-      }
-      auto grams = QGrams(term.AsString(), group.q);
-      std::sort(grams.begin(), grams.end());
-      grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
-      std::vector<Value> keys;
-      keys.reserve(grams.size());
-      for (auto& g : grams) keys.push_back(Value(std::move(g)));
-      return keys;
-    }
-    case FilteringAlgo::kKMeans: {
-      if (term.type() != ValueType::kString) {
-        return Status::TypeError("k-means grouping requires a string term");
-      }
-      if (group.centers.empty()) {
-        return Status::InvalidArgument(
-            "k-means Nest evaluated without sampled centers; the planner "
-            "must fill GroupSpec::centers first");
-      }
-      SinglePassKMeans km(group.centers.size(), group.delta, /*seed=*/0);
-      auto assignments = km.Assign({term.AsString()}, group.centers);
-      std::vector<Value> keys;
-      for (const auto& a : assignments) keys.push_back(Value(a.key));
-      return keys;
-    }
+  if (group.algo == FilteringAlgo::kExactKey) return std::vector<Value>{term};
+  if (group.algo == FilteringAlgo::kKMeans && group.centers.empty()) {
+    return Status::InvalidArgument(
+        "k-means Nest evaluated without sampled centers; Prepare must fill "
+        "GroupSpec::centers first");
   }
-  return Status::Internal("unhandled grouping algo");
+  std::vector<Value> keys;
+  for (auto& key : FilterKeys(group.algo, term, group.q, group.delta, group.centers)) {
+    keys.push_back(Value(std::move(key)));
+  }
+  return keys;
 }
 
 /// Builds the expression-evaluation context from the catalog: registered

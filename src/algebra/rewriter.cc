@@ -114,7 +114,7 @@ AlgOpPtr Rewrite(const AlgOpPtr& plan, RewriteStats* stats, bool* changed) {
 }
 
 bool SameGroup(const GroupSpec& a, const GroupSpec& b) {
-  return a.algo == b.algo && ExprEquals(a.term, b.term) && a.q == b.q && a.k == b.k &&
+  return a.algo == b.algo && ExprEquals(a.term, b.term) && a.q == b.q &&
          a.delta == b.delta && a.centers == b.centers;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
-#include <unordered_set>
 
 #include "cleaning/prepared_query.h"
 #include "cluster/filtering.h"
@@ -468,51 +467,23 @@ Result<OpResult> CleanDB::ValidateTerms(const std::string& data_table,
   if (!cb.term || cb.term->kind != ExprKind::kField) {
     return Status::InvalidArgument("term must be a column reference");
   }
-  const std::string term_attr = cb.term->name;
-  CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> data,
-                          GetTableShared(data_table));
-  CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> dict,
-                          GetTableShared(dict_table));
-
-  // Pre-filter: terms appearing verbatim in the dictionary are clean; only
-  // unknown terms go through grouping + similarity (this is what makes the
-  // precision of Table 3 ≈ 100%: exact matches are never "repaired").
-  CLEANM_ASSIGN_OR_RETURN(const size_t dict_idx, dict->schema().IndexOf(dict_attr));
-  std::unordered_set<std::string> dictionary;
-  for (const auto& row : dict->rows()) {
-    if (row[dict_idx].type() == ValueType::kString) {
-      dictionary.insert(row[dict_idx].AsString());
-    }
+  // An unknown column is kKeyError here, as at Prepare; the engine itself
+  // would read it as null and report nothing.
+  for (const auto& [table, column] : {std::pair{data_table, cb.term->name},
+                                      std::pair{dict_table, dict_attr}}) {
+    CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> t, GetTableShared(table));
+    CLEANM_RETURN_NOT_OK(t->schema().IndexOf(column).status());
   }
-  CLEANM_ASSIGN_OR_RETURN(const size_t term_idx, data->schema().IndexOf(term_attr));
-  Dataset dirty(data->schema());
-  for (const auto& row : data->rows()) {
-    if (row[term_idx].type() == ValueType::kString &&
-        !dictionary.count(row[term_idx].AsString())) {
-      dirty.Append(row);
-    }
-  }
-  // Unique per call: concurrent ValidateTerms over the same data table must
-  // not clobber each other's (or shadow a user's) registration.
-  const std::string tmp_name = "__dirty_" + data_table + "_" +
-                               std::to_string(temp_table_seq_.fetch_add(1));
-  RegisterTable(tmp_name, std::move(dirty));
-
   FilteringOptions fopts = options_.filtering;
   fopts.algo = cb.op;
   std::vector<std::string> centers;
   if (cb.op == FilteringAlgo::kKMeans) {
     centers = SampleCenters(dict_table, dict_attr, fopts.k);
   }
-  auto build = BuildTermValidationPlan(tmp_name, data_var, dict_table, "d", dict_attr,
-                                       cb, fopts, std::move(centers));
-  if (!build.ok()) {
-    UnregisterTable(tmp_name);
-    return build.status();
-  }
-  auto result = RunProgrammaticOp(build.MoveValue());
-  UnregisterTable(tmp_name);
-  return result;
+  CLEANM_ASSIGN_OR_RETURN(CleaningPlan cp,
+                          BuildTermValidationPlan(data_table, data_var, dict_table, "d",
+                                                  dict_attr, cb, fopts, std::move(centers)));
+  return RunProgrammaticOp(std::move(cp));
 }
 
 Result<Dataset> CleanDB::Transform(const std::string& table, const TransformSpec& spec,

@@ -14,7 +14,6 @@
 // one-shot convenience — it is exactly Prepare + a single Execute.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <map>
@@ -256,10 +255,12 @@ class CleanDB {
   Result<OpResult> Deduplicate(const std::string& table, const std::string& var,
                                const DedupClause& dedup);
 
-  /// Term validation: values of `term` (an expression over `data_var`) are
-  /// validated against `dict_table`.`dict_attr`; violations couple each
-  /// dirty term with its suggested repairs. Terms that appear verbatim in
-  /// the dictionary are clean and skipped before grouping.
+  /// Term validation: values of `term` (a column of `data_table`, bound as
+  /// `data_var`) are validated against `dict_table`.`dict_attr`. Runs the
+  /// same plan as the query form's CLUSTER BY (BuildTermValidationPlan):
+  /// terms found verbatim in the dictionary are anti-joined away before
+  /// grouping, and each violation couples a dirty term with one similar
+  /// dictionary entry. Unknown tables or columns are kKeyError.
   Result<OpResult> ValidateTerms(const std::string& data_table,
                                  const std::string& data_var,
                                  const std::string& dict_table,
@@ -414,10 +415,6 @@ class CleanDB {
   size_t admission_inflight_count_ = 0;
   uint64_t admission_next_ticket_ = 0;
   uint64_t admission_serve_ticket_ = 0;
-
-  /// Suffix counter making concurrently-running ValidateTerms calls' temp
-  /// table names unique.
-  std::atomic<uint64_t> temp_table_seq_{0};
 
   /// Out-of-core state (null on fully in-memory sessions). Declared before
   /// cache_ so the cache (whose pager writes through session_spill_) is

@@ -56,7 +56,6 @@ GroupSpec MakeGroupSpec(FilteringAlgo algo, ExprPtr term,
   group.algo = algo;
   group.term = std::move(term);
   group.q = options.q;
-  group.k = options.k;
   group.delta = options.delta;
   group.centers = std::move(centers);
   return group;
@@ -130,9 +129,19 @@ Result<CleaningPlan> BuildTermValidationPlan(
   if (!cb.term) return Status::InvalidArgument("CLUSTER BY requires a term");
   CLEANM_RETURN_NOT_OK(CheckFilteringOptions(cb.op, options));
 
-  // dataGroup := for(c <- data) yield filter(c.term, algo)
+  // A term found verbatim in the dictionary is clean: anti-join it away
+  // before grouping (left outer join on term = entry, keep the unmatched).
+  // The probe binds its own variable, distinct from data_var whatever the
+  // dictionary's alias is.
+  const std::string probe_var = data_var + "_dict";
+  AlgOpPtr unknown =
+      SelectOp(OuterJoinOp(Scan(data_table, data_var), Scan(dict_table, probe_var),
+                           cb.term, FieldAccess(Var(probe_var), dict_attr)),
+               Call("is_null", {Var(probe_var)}));
+
+  // dataGroup := for(c <- unknown) yield filter(c.term, algo)
   GroupSpec data_group = MakeGroupSpec(cb.op, cb.term, options, centers);
-  AlgOpPtr data_nest = NestOp(Scan(data_table, data_var), data_group,
+  AlgOpPtr data_nest = NestOp(std::move(unknown), data_group,
                               {{"terms", "set", cb.term}}, nullptr, "key");
 
   // dictGroup := for(d <- dict) yield filter(d.attr, algo)
@@ -145,15 +154,14 @@ Result<CleaningPlan> BuildTermValidationPlan(
   AlgOpPtr joined = EquiJoinOp(data_nest, dict_nest, Var("key"), Var("dkey"));
   AlgOpPtr exploded = UnnestOp(UnnestOp(joined, Var("terms"), "term"),
                                Var("dict_terms"), "suggestion");
-  // A violation couples a dirty term with a similar dictionary term; exact
-  // dictionary matches are clean and excluded.
-  ExprPtr not_in_dict = Binary(BinaryOp::kNe, Var("term"), Var("suggestion"));
+  // A violation couples a dirty term with a similar dictionary term. No
+  // term reaching here is in the dictionary, so it never equals its
+  // suggestion.
   ExprPtr similar = Call("similar", {ConstString(MetricName(cb.metric)), Var("term"),
                                      Var("suggestion"), ConstDouble(cb.theta)});
   CleaningPlan out;
   out.op_name = "CLUSTER BY";
-  out.plan = SelectOp(std::move(exploded),
-                      Binary(BinaryOp::kAnd, not_in_dict, similar));
+  out.plan = SelectOp(std::move(exploded), std::move(similar));
   out.entity_vars = {"term", "suggestion"};
   return out;
 }

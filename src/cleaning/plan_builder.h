@@ -18,9 +18,18 @@
 //                       → Select(p1 < p2 ∧ similar(m, p1, p2, θ))
 //
 //   CLUSTER BY(op, m, θ, term)   (dictionary = second FROM table)
-//                     → Nest over data terms ⋈(key) Nest over dictionary
+//                     unknown := for(c <- T, not some{d.attr = c.term |
+//                                                    d <- dict}) yield bag c
+//                     → Select(is_null(probe)) over
+//                         OuterJoin[term = probe.attr](T, dict as probe)
+//                       → Nest[op term; terms=set(term)]
+//                         ⋈(key) Nest[op dict.attr; dict_terms=set(attr)]
 //                       → Unnest both term sets
-//                       → Select(term ≠ dict ∧ similar(m, term, dict, θ))
+//                       → Select(similar(m, term, suggestion, θ))
+//                     In-dictionary terms are anti-joined away before
+//                     grouping; one violation per (term, suggestion) pair
+//                     (no best suggestion is picked); a non-string term
+//                     joins no group under tf / k-means.
 //
 // The builders return plain algebra plans; CoalesceNests + the physical
 // executor provide the Figure-1 work sharing when a query carries several
@@ -67,7 +76,9 @@ Result<CleaningPlan> BuildDedupPlan(const std::string& table, const std::string&
                                     const FilteringOptions& options,
                                     std::vector<std::string> centers = {});
 
-/// CLUSTER BY (term validation) plan over data table + dictionary table.
+/// CLUSTER BY (term validation) plan over data table + dictionary table:
+/// both entry points (the query form and CleanDB::ValidateTerms) build it.
+/// The dictionary's anti-join probe binds `data_var` + "_dict".
 Result<CleaningPlan> BuildTermValidationPlan(
     const std::string& data_table, const std::string& data_var,
     const std::string& dict_table, const std::string& dict_var,

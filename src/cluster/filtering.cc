@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 
+#include "common/random.h"
 #include "common/status.h"
+#include "text/similarity.h"
 
 namespace cleanm {
 
@@ -27,21 +29,33 @@ bool ParseFilteringAlgo(std::string_view name, FilteringAlgo* out) {
   return false;
 }
 
-std::vector<GroupAssignment> TokenFilterAssign(const std::vector<std::string>& values,
-                                               size_t q) {
-  std::vector<GroupAssignment> out;
-  for (uint32_t i = 0; i < values.size(); i++) {
-    // Each distinct q-gram of the value yields one assignment; duplicates
-    // within a single string are emitted once (set semantics of the token
-    // filtering monoid).
-    auto grams = QGrams(values[i], q);
-    std::sort(grams.begin(), grams.end());
-    grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
-    for (auto& g : grams) {
-      out.push_back({std::move(g), i});
+std::vector<std::string> FilterKeys(FilteringAlgo algo, const Value& term, size_t q,
+                                    double delta, const std::vector<std::string>& centers) {
+  CLEANM_CHECK(algo != FilteringAlgo::kExactKey);
+  std::vector<std::string> keys;
+  if (term.type() != ValueType::kString) return keys;
+  const std::string& s = term.AsString();
+  if (algo == FilteringAlgo::kTokenFiltering) {
+    // Set semantics: a q-gram repeated within one term is one key.
+    keys = QGrams(s, q);
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    return keys;
+  }
+  // K-means: the minimum edit distance to any center (the Min monoid of the
+  // center-assignment step), then one key per center within delta of it.
+  std::vector<size_t> dists(centers.size());
+  size_t best = SIZE_MAX;
+  for (size_t c = 0; c < centers.size(); c++) {
+    dists[c] = LevenshteinDistance(s, centers[c]);
+    best = std::min(best, dists[c]);
+  }
+  for (size_t c = 0; c < centers.size(); c++) {
+    if (static_cast<double>(dists[c]) <= static_cast<double>(best) + delta) {
+      keys.push_back("c" + std::to_string(c));
     }
   }
-  return out;
+  return keys;
 }
 
 std::vector<std::string> ReservoirSample(const std::vector<std::string>& input,
@@ -58,63 +72,6 @@ std::vector<std::string> ReservoirSample(const std::vector<std::string>& input,
     }
   }
   return reservoir;
-}
-
-std::vector<std::string> SinglePassKMeans::SampleCenters(
-    const std::vector<std::string>& sample_from) {
-  return ReservoirSample(sample_from, k_, seed_);
-}
-
-std::vector<GroupAssignment> SinglePassKMeans::Assign(
-    const std::vector<std::string>& values,
-    const std::vector<std::string>& centers) const {
-  CLEANM_CHECK(!centers.empty());
-  std::vector<GroupAssignment> out;
-  for (uint32_t i = 0; i < values.size(); i++) {
-    // Find the minimum edit distance to any center (the Min monoid of the
-    // center-assignment step), then emit one assignment per center within
-    // delta of that minimum.
-    size_t best = SIZE_MAX;
-    std::vector<size_t> dists(centers.size());
-    for (size_t c = 0; c < centers.size(); c++) {
-      dists[c] = LevenshteinDistance(values[i], centers[c]);
-      best = std::min(best, dists[c]);
-    }
-    const double cutoff = static_cast<double>(best) + delta_;
-    for (size_t c = 0; c < centers.size(); c++) {
-      if (static_cast<double>(dists[c]) <= cutoff) {
-        out.push_back({"c" + std::to_string(c), i});
-      }
-    }
-  }
-  return out;
-}
-
-std::unordered_map<std::string, std::vector<uint32_t>> BuildGroups(
-    const std::vector<std::string>& values, const FilteringOptions& options,
-    const std::vector<std::string>& center_pool) {
-  std::vector<GroupAssignment> assignments;
-  switch (options.algo) {
-    case FilteringAlgo::kTokenFiltering:
-      assignments = TokenFilterAssign(values, options.q);
-      break;
-    case FilteringAlgo::kKMeans: {
-      SinglePassKMeans km(options.k, options.delta, options.seed);
-      const auto centers = km.SampleCenters(center_pool.empty() ? values : center_pool);
-      assignments = km.Assign(values, centers);
-      break;
-    }
-    case FilteringAlgo::kExactKey:
-      for (uint32_t i = 0; i < values.size(); i++) {
-        assignments.push_back({values[i], i});
-      }
-      break;
-  }
-  std::unordered_map<std::string, std::vector<uint32_t>> groups;
-  for (auto& a : assignments) {
-    groups[a.key].push_back(a.index);
-  }
-  return groups;
 }
 
 }  // namespace cleanm

@@ -1,19 +1,21 @@
 // Pair-pruning building blocks for similarity joins (Section 4.2/4.3):
 // token filtering and the single-pass k-means variant of ClusterJoin.
 //
-// Both are monoid-mappable groupings (see src/monoid/monoid.h): each assigns
-// every string to one or more group keys such that similar strings share at
-// least one key with high probability; similarity checks then run only
-// within groups, replacing the quadratic cartesian product.
+// Both assign every term to one or more group keys such that similar terms
+// share at least one key with high probability; similarity checks then run
+// only within groups, replacing the quadratic cartesian product. FilterKeys
+// is the one place either key is computed: the physical Nest expansion
+// (physical/planner.cc) and the reference evaluator (algebra/algebra_eval.cc)
+// both call it, and fold each key's members with the ordinary registered
+// monoids (bag / set).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
-#include "common/random.h"
-#include "text/similarity.h"
+#include "storage/value.h"
 
 namespace cleanm {
 
@@ -37,54 +39,25 @@ struct FilteringOptions {
   uint64_t seed = 42;     ///< center-sampling seed
 };
 
-/// \brief Group assignment produced by a filtering algorithm: the element at
-/// input index `index` belongs to group `key`.
-struct GroupAssignment {
-  std::string key;
-  uint32_t index;
-};
-
-/// \brief Token filtering (Section 4.3): associates each string with every
-/// q-gram it contains, so candidate pairs must share at least one token.
-/// The mapping is the monoid unit str -> {(token_i, {str}), ...}.
-std::vector<GroupAssignment> TokenFilterAssign(const std::vector<std::string>& values,
-                                               size_t q);
-
-/// \brief Single-pass k-means variant (ClusterJoin-inspired): samples k
-/// centers by reservoir sampling — the function-composition-monoid
-/// parameterization of Section 4.3 — then assigns each string to every
-/// center whose edit distance is within `delta` of the minimum (favouring
-/// multiple assignments so that similar strings meet in some cluster).
-class SinglePassKMeans {
- public:
-  SinglePassKMeans(size_t k, double delta, uint64_t seed)
-      : k_(k), delta_(delta), seed_(seed) {}
-
-  /// Chooses centers from `sample_from` (dedicated dictionary when available,
-  /// else the data itself) and returns them; deterministic given the seed.
-  std::vector<std::string> SampleCenters(const std::vector<std::string>& sample_from);
-
-  /// Assigns each value to its nearest center(s). `centers` must be the
-  /// output of SampleCenters (or any non-empty center list).
-  std::vector<GroupAssignment> Assign(const std::vector<std::string>& values,
-                                      const std::vector<std::string>& centers) const;
-
- private:
-  size_t k_;
-  double delta_;
-  uint64_t seed_;
-};
+/// \brief The group keys of one term under token filtering or k-means.
+///
+/// - Token filtering (Section 4.3): the term's distinct q-grams, sorted, so
+///   candidate pairs must share at least one token.
+/// - K-means (ClusterJoin-inspired): "c<i>" for every center whose edit
+///   distance to the term is within `delta` of the nearest center's
+///   (favouring multiple assignments, so similar terms meet in some
+///   cluster). `centers` come from ReservoirSample over the dictionary or
+///   the data; with none, the term joins no group.
+///
+/// A non-string term (a null from an empty CSV field, say) joins no group.
+/// Exact-key grouping does not come through here: its one key is the term.
+std::vector<std::string> FilterKeys(FilteringAlgo algo, const Value& term, size_t q,
+                                    double delta, const std::vector<std::string>& centers);
 
 /// Reservoir sampling (Vitter): k uniform samples in one pass. This is the
-/// "center initialization via the function composition monoid" of the paper.
+/// "center initialization via the function composition monoid" of the paper;
+/// deterministic given the seed.
 std::vector<std::string> ReservoirSample(const std::vector<std::string>& input,
                                          size_t k, uint64_t seed);
-
-/// \brief Runs the configured filtering algorithm end to end: groups
-/// `values` and returns key → member indexes. Exposed for direct use by
-/// the cleaning operators and the benchmarks.
-std::unordered_map<std::string, std::vector<uint32_t>> BuildGroups(
-    const std::vector<std::string>& values, const FilteringOptions& options,
-    const std::vector<std::string>& center_pool = {});
 
 }  // namespace cleanm

@@ -10,12 +10,6 @@
 
 namespace cleanm {
 
-Result<const Monoid*> EvalContext::FindMonoid(const std::string& name) const {
-  auto it = extra_monoids.find(name);
-  if (it != extra_monoids.end()) return it->second.get();
-  return LookupMonoid(name);
-}
-
 namespace {
 
 Result<Value> EvalBinary(BinaryOp op, const Value& l, const Value& r) {
@@ -183,7 +177,7 @@ Result<Value> EvalExpr(const ExprPtr& e, const Env& env, const EvalContext& ctx)
       return Value(std::move(fields));
     }
     case ExprKind::kComprehension: {
-      CLEANM_ASSIGN_OR_RETURN(const Monoid* monoid, ctx.FindMonoid(e->comp.monoid));
+      CLEANM_ASSIGN_OR_RETURN(const Monoid* monoid, LookupMonoid(e->comp.monoid));
       Value acc = monoid->zero();
       CLEANM_RETURN_NOT_OK(RunComprehension(e->comp, 0, env, ctx, monoid, &acc));
       return acc;

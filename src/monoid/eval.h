@@ -29,19 +29,15 @@ namespace cleanm {
 /// struct Values, so field access works uniformly.
 using Env = std::map<std::string, Value>;
 
-/// \brief Evaluation context: the base monoid registry plus caller-supplied
-/// parameterized monoids (e.g. "tf2" → token filtering with q=2) and an
-/// optional fallback for function calls the builtin library does not know
-/// (registered user functions; supplied by the algebra/cleaning layers so
-/// this module does not depend on the function registry).
+/// \brief Evaluation context: an optional fallback for function calls the
+/// builtin library does not know (registered user functions; supplied by
+/// the algebra/cleaning layers so this module does not depend on the
+/// function registry). Comprehension monoids resolve against LookupMonoid.
 struct EvalContext {
-  std::map<std::string, std::shared_ptr<Monoid>> extra_monoids;
   /// Tried when EvalBuiltin reports kKeyError for a call's name. Should
   /// itself return kKeyError for names it does not know either.
   std::function<Result<Value>(const std::string&, const std::vector<Value>&)>
       call_fallback;
-
-  Result<const Monoid*> FindMonoid(const std::string& name) const;
 };
 
 /// Evaluates `e` under `env`. Comprehensions iterate their generators in

@@ -1,10 +1,6 @@
 #include "monoid/monoid.h"
 
-#include <algorithm>
 #include <unordered_map>
-
-#include "cluster/filtering.h"
-#include "text/similarity.h"
 
 namespace cleanm {
 
@@ -27,11 +23,11 @@ const std::unordered_map<std::string, Monoid>& Registry() {
     auto* m = new std::unordered_map<std::string, Monoid>();
     m->emplace("sum", Monoid(
         "sum", Value(int64_t{0}), Identity,
-        [](Value a, const Value& b) { return NumValue(a, b, Num(a) + Num(b)); },
+        [](const Value& a, const Value& b) { return NumValue(a, b, Num(a) + Num(b)); },
         /*commutative=*/true, /*idempotent=*/false));
     m->emplace("prod", Monoid(
         "prod", Value(int64_t{1}), Identity,
-        [](Value a, const Value& b) { return NumValue(a, b, Num(a) * Num(b)); },
+        [](const Value& a, const Value& b) { return NumValue(a, b, Num(a) * Num(b)); },
         true, false));
     // max/min use null as the identity: merge(null, x) = x.
     m->emplace("max", Monoid(
@@ -119,88 +115,6 @@ Result<const Monoid*> LookupMonoid(const std::string& name) {
 
 bool IsCollectionMonoid(const std::string& name) {
   return name == "bag" || name == "list" || name == "set";
-}
-
-namespace {
-
-/// Shared merge for grouping monoids: dictionary union with bag concat on
-/// collision. Dictionaries are Value structs sorted by key so that merge
-/// output is canonical (making associativity checkable by Equals).
-Value GroupDictMerge(Value a, const Value& b) {
-  ValueStruct merged = a.AsStruct();
-  for (const auto& [key, bag] : b.AsStruct()) {
-    bool found = false;
-    for (auto& [mkey, mbag] : merged) {
-      if (mkey == key) {
-        auto& list = mbag.MutableList();
-        const auto& other = bag.AsList();
-        list.insert(list.end(), other.begin(), other.end());
-        found = true;
-        break;
-      }
-    }
-    // Deep-copy on adoption: the merged dictionary's bags are mutated by
-    // later merges and must not alias the (caller-owned) right argument.
-    if (!found) merged.emplace_back(key, bag.DeepCopy());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-  return Value(std::move(merged));
-}
-
-Value MakeGroupDict(const std::vector<std::string>& keys, const Value& element) {
-  ValueStruct dict;
-  for (const auto& k : keys) {
-    dict.emplace_back(k, Value(ValueList{element}));
-  }
-  std::sort(dict.begin(), dict.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-  return Value(std::move(dict));
-}
-
-}  // namespace
-
-std::shared_ptr<Monoid> MakeTokenFilterMonoid(size_t q) {
-  return std::make_shared<Monoid>(
-      "tokenfilter", Value(ValueStruct{}),
-      [q](const Value& v) {
-        auto grams = QGrams(v.AsString(), q);
-        std::sort(grams.begin(), grams.end());
-        grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
-        return MakeGroupDict(grams, v);
-      },
-      GroupDictMerge, /*commutative=*/true, /*idempotent=*/false);
-}
-
-std::shared_ptr<Monoid> MakeKMeansMonoid(std::vector<std::string> centers,
-                                         double delta) {
-  CLEANM_CHECK(!centers.empty());
-  return std::make_shared<Monoid>(
-      "kmeans", Value(ValueStruct{}),
-      [centers = std::move(centers), delta](const Value& v) {
-        const std::string& s = v.AsString();
-        size_t best = SIZE_MAX;
-        std::vector<size_t> dists(centers.size());
-        for (size_t c = 0; c < centers.size(); c++) {
-          dists[c] = LevenshteinDistance(s, centers[c]);
-          best = std::min(best, dists[c]);
-        }
-        std::vector<std::string> keys;
-        for (size_t c = 0; c < centers.size(); c++) {
-          if (static_cast<double>(dists[c]) <= static_cast<double>(best) + delta) {
-            keys.push_back("c" + std::to_string(c));
-          }
-        }
-        return MakeGroupDict(keys, v);
-      },
-      GroupDictMerge, true, false);
-}
-
-std::shared_ptr<Monoid> MakeExactGroupMonoid() {
-  return std::make_shared<Monoid>(
-      "exactgroup", Value(ValueStruct{}),
-      [](const Value& v) { return MakeGroupDict({v.ToString()}, v); },
-      GroupDictMerge, true, false);
 }
 
 }  // namespace cleanm

@@ -1,6 +1,12 @@
 // The monoid registry: the algebraic structures CleanM comprehensions
-// aggregate with (Section 4.1), including the domain-specific grouping
-// monoids of Section 4.3 (token filtering, k-means center assignment).
+// aggregate with (Section 4.1).
+//
+// The grouping monoids of Section 4.3 (token filtering, k-means center
+// assignment) are not registered here: a Nest maps each term to its group
+// keys with FilterKeys (cluster/filtering.h) and folds every key's members
+// with the registered bag / set monoids. Dictionary union with bag concat
+// on collision is exactly that per-key fold, so the paper's associativity
+// law holds by the bag monoid's.
 //
 // A monoid here is (zero, unit, merge) over runtime Values. merge must be
 // associative with zero as identity — the properties that make monoid
@@ -63,25 +69,5 @@ Result<const Monoid*> LookupMonoid(const std::string& name);
 /// True if `name` denotes a collection monoid (bag/list/set), whose
 /// comprehensions produce collections rather than scalars.
 bool IsCollectionMonoid(const std::string& name);
-
-// ---- Domain-specific grouping monoids (Section 4.3) ----
-//
-// A grouping monoid's carrier is a dictionary {key → bag of elements},
-// encoded as a Value struct. Its unit maps one string to the dictionary of
-// its group keys; its merge unions dictionaries, concatenating bags on key
-// collision. Associativity holds because bag concat and dictionary union
-// are associative — this is the paper's "tokenize(a, tokenize(b, c)) =
-// tokenize(tokenize(a, b), c)" law, checked by the property tests.
-
-/// Token-filtering monoid: unit(str) = {(g, {str}) | g ∈ distinct q-grams}.
-std::shared_ptr<Monoid> MakeTokenFilterMonoid(size_t q);
-
-/// K-means assignment monoid: unit(str) = {(center_i, {str})} for every
-/// sampled center within `delta` of the minimal edit distance.
-std::shared_ptr<Monoid> MakeKMeansMonoid(std::vector<std::string> centers, double delta);
-
-/// Exact-key grouping monoid: unit(v) = {(v, {v})}; used for equality
-/// blocking (e.g. FD groups).
-std::shared_ptr<Monoid> MakeExactGroupMonoid();
 
 }  // namespace cleanm

@@ -25,7 +25,7 @@ bool MonoidIdempotent(const std::string& name) {
 /// The zero element of a registered monoid, as a literal.
 ExprPtr MonoidZero(const std::string& name) {
   auto m = LookupMonoid(name);
-  if (!m.ok()) return nullptr;  // unknown (e.g. parameterized grouping monoid)
+  if (!m.ok()) return nullptr;  // unknown monoid name
   return Const(m.value()->zero());
 }
 

@@ -197,7 +197,8 @@ Result<Executor::CompiledNest> Executor::CompileNestStage(const AlgOpPtr& plan) 
   const TupleLayout layout = CollectVars(plan->input);
 
   // Keyed expansion: each input tuple becomes (key, tuple) pairs. Exact
-  // grouping emits one pair; grouping monoids may emit several.
+  // grouping emits one pair; token filtering and k-means emit one per
+  // FilterKeys key (none for a non-string term).
   CLEANM_ASSIGN_OR_RETURN(CompiledExpr term, CompileExpr(plan->group.term, layout, Env()));
   const GroupSpec group = plan->group;
   if (group.algo == FilteringAlgo::kKMeans && group.centers.empty()) {
@@ -205,29 +206,13 @@ Result<Executor::CompiledNest> Executor::CompileNestStage(const AlgOpPtr& plan) 
   }
   CompiledNest compiled;
   compiled.expand = [term, group](const Value& tuple, Partition* out) {
-    const Value t = term(tuple);
-    switch (group.algo) {
-      case FilteringAlgo::kExactKey:
-        out->push_back(Row{t, tuple});
-        return;
-      case FilteringAlgo::kTokenFiltering: {
-        if (t.type() != ValueType::kString) return;  // dirty value: skip
-        auto grams = QGrams(t.AsString(), group.q);
-        std::sort(grams.begin(), grams.end());
-        grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
-        for (auto& g : grams) {
-          out->push_back(Row{Value(std::move(g)), tuple});
-        }
-        return;
-      }
-      case FilteringAlgo::kKMeans: {
-        if (t.type() != ValueType::kString) return;
-        SinglePassKMeans km(group.centers.size(), group.delta, 0);
-        for (const auto& a : km.Assign({t.AsString()}, group.centers)) {
-          out->push_back(Row{Value(a.key), tuple});
-        }
-        return;
-      }
+    Value t = term(tuple);
+    if (group.algo == FilteringAlgo::kExactKey) {
+      out->push_back(Row{std::move(t), tuple});
+      return;
+    }
+    for (auto& key : FilterKeys(group.algo, t, group.q, group.delta, group.centers)) {
+      out->push_back(Row{Value(std::move(key)), tuple});
     }
   };
 

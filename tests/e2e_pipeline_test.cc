@@ -179,6 +179,69 @@ void MakeAuthorCorpus(Dataset* data, Dataset* dict, size_t* dirty_count) {
   *dirty_count = dirty;
 }
 
+/// `table`'s rows under a one-string-column schema named `column` (the
+/// query form's CLUSTER BY reads the dictionary column named like the term).
+Dataset WithColumnName(const Dataset& table, const std::string& column) {
+  Dataset out(Schema{{column, ValueType::kString}});
+  for (const auto& row : table.rows()) out.Append(row);
+  return out;
+}
+
+/// The (term, suggestion) pairs of CLUSTER BY violations, as "term -> suggestion".
+std::set<std::string> RepairPairs(const std::vector<Value>& violations) {
+  std::set<std::string> out;
+  for (const auto& v : violations) {
+    out.insert(v.GetField("term").ValueOrDie().AsString() + " -> " +
+               v.GetField("suggestion").ValueOrDie().AsString());
+  }
+  return out;
+}
+
+/// Both CLUSTER BY entry points over `data`.author against `dict`.author:
+/// the query form and ValidateTerms report the same, non-empty set of
+/// (term, suggestion) pairs, no reported term is a dictionary entry, and
+/// the engine equals the reference evaluator on the plan both build.
+void CheckTermValidationEntryPoints(const Dataset& data, const Dataset& dict,
+                                    FilteringAlgo algo) {
+  const CleanDBOptions options = FastCleanDBOptions();
+  CleanDB db(options);
+  db.RegisterTable("authors", data);
+  db.RegisterTable("dictionary", dict);
+  const std::string op = algo == FilteringAlgo::kKMeans ? "kmeans" : "tf";
+  auto query = db.Execute("SELECT * FROM authors a, dictionary d CLUSTER BY(" + op +
+                          ", LD, 0.8, a.author)");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  ASSERT_EQ(query.value().ops.size(), 1u);
+  ClusterByClause cb;
+  cb.op = algo;
+  cb.metric = SimilarityMetric::kLevenshtein;
+  cb.theta = 0.8;
+  cb.term = ParseCleanMExpr("a.author").ValueOrDie();
+  auto direct = db.ValidateTerms("authors", "a", "dictionary", "author", cb);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+
+  const auto pairs = RepairPairs(query.value().ops[0].violations);
+  EXPECT_FALSE(pairs.empty());
+  EXPECT_EQ(RepairPairs(direct.value().violations), pairs);
+  std::vector<std::string> names;
+  for (const auto& row : dict.rows()) names.push_back(row[0].AsString());
+  const std::set<std::string> entries(names.begin(), names.end());
+  for (const auto& v : direct.value().violations) {
+    EXPECT_FALSE(entries.count(v.GetField("term").ValueOrDie().AsString()))
+        << v.ToString();
+  }
+
+  FilteringOptions fopts = options.filtering;
+  fopts.algo = algo;
+  std::vector<std::string> centers;
+  if (algo == FilteringAlgo::kKMeans) centers = ReservoirSample(names, fopts.k, fopts.seed);
+  auto cp = BuildTermValidationPlan("authors", "a", "dictionary", "d", "author", cb, fopts,
+                                    std::move(centers))
+                .ValueOrDie();
+  Catalog catalog{{{"authors", &data}, {"dictionary", &dict}}};
+  (void)RunEngineAgainstReference(cp.plan, catalog);
+}
+
 TEST(E2ETermValidationTest, ParsedQueryMatchesReferenceEvaluator) {
   const char* query_text = R"(
     SELECT * FROM authors a, dictionary d
@@ -213,9 +276,84 @@ TEST(E2ETermValidationTest, ParsedQueryMatchesReferenceEvaluator) {
   }
 }
 
+TEST(E2ETermValidationTest, InDictionaryTermIsNeverRepaired) {
+  // "jon smith" is a dictionary entry, so it is clean, even though the
+  // dictionary also holds the similar "jon smyth".
+  CleanDB db(FastCleanDBOptions());
+  Dataset dict(Schema{{"name", ValueType::kString}});
+  dict.Append({Value("jon smith")});
+  dict.Append({Value("jon smyth")});
+  Dataset data(Schema{{"name", ValueType::kString}});
+  data.Append({Value("jon smith")});
+  db.RegisterTable("data", data);
+  db.RegisterTable("dict", dict);
+  auto result =
+      db.Execute("SELECT * FROM data c, dict d CLUSTER BY(tf, LD, 0.8, c.name)").ValueOrDie();
+  ASSERT_EQ(result.ops.size(), 1u);
+  EXPECT_EQ(RepairPairs(result.ops[0].violations), std::set<std::string>{});
+}
+
+TEST(E2ETermValidationTest, QueryFormAndValidateTermsAgreeOnAuthorCorpus) {
+  Dataset data, dict;
+  size_t dirty_count = 0;
+  MakeAuthorCorpus(&data, &dict, &dirty_count);
+  const Dataset named_dict = WithColumnName(dict, "author");
+  for (FilteringAlgo algo : {FilteringAlgo::kTokenFiltering, FilteringAlgo::kKMeans}) {
+    SCOPED_TRACE(algo == FilteringAlgo::kKMeans ? "kmeans" : "tf");
+    CheckTermValidationEntryPoints(data, named_dict, algo);
+  }
+}
+
+TEST(E2ETermValidationTest, QueryFormAndValidateTermsAgreeOnDblpOccurrences) {
+  // Every flattened author occurrence of a small DBLP-like corpus, against
+  // its clean author pool.
+  datagen::DblpOptions dopts;
+  dopts.rows = 150;
+  dopts.author_pool = 60;
+  dopts.duplicate_fraction = 0;
+  const Dataset data =
+      FlattenListColumn(datagen::MakeDblp(dopts), "author").ValueOrDie();
+  const Dataset dict =
+      WithColumnName(datagen::MakeAuthorDictionary(dopts.author_pool, dopts.seed), "author");
+  for (FilteringAlgo algo : {FilteringAlgo::kTokenFiltering, FilteringAlgo::kKMeans}) {
+    SCOPED_TRACE(algo == FilteringAlgo::kKMeans ? "kmeans" : "tf");
+    CheckTermValidationEntryPoints(data, dict, algo);
+  }
+}
+
+TEST(E2ETermValidationTest, NullTermJoinsNoGroupInEngineAndReference) {
+  // A CSV empty field parses to null. Under token filtering it joins no
+  // group, in the engine and in the reference evaluator alike.
+  Dataset data(Schema{{"name", ValueType::kString}});
+  data.Append({Value("jonathan smyth")});
+  data.Append({Value::Null()});
+  data.Append({Value("jonathan smith")});
+  Dataset dict(Schema{{"name", ValueType::kString}});
+  dict.Append({Value("jonathan smith")});
+  Catalog catalog{{{"data", &data}, {"dict", &dict}}};
+
+  DedupClause dedup;
+  dedup.op = FilteringAlgo::kTokenFiltering;
+  dedup.metric = SimilarityMetric::kLevenshtein;
+  dedup.theta = 0.8;
+  dedup.attributes = {ParseCleanMExpr("c.name").ValueOrDie()};
+  auto dedup_plan = BuildDedupPlan("data", "c", dedup, FilteringOptions{}).ValueOrDie();
+  EXPECT_GT(RunEngineAgainstReference(dedup_plan.plan, catalog).AsList().size(), 0u);
+
+  ClusterByClause cb;
+  cb.op = FilteringAlgo::kTokenFiltering;
+  cb.metric = SimilarityMetric::kLevenshtein;
+  cb.theta = 0.8;
+  cb.term = ParseCleanMExpr("c.name").ValueOrDie();
+  auto cb_plan = BuildTermValidationPlan("data", "c", "dict", "d", "name", cb,
+                                         FilteringOptions{})
+                     .ValueOrDie();
+  EXPECT_GT(RunEngineAgainstReference(cb_plan.plan, catalog).AsList().size(), 0u);
+}
+
 TEST(E2ETermValidationTest, CleanDBSuggestsExactlyTheInjectedRepairs) {
-  // Deterministic three-name corpus: CleanDB's ValidateTerms pre-filters
-  // verbatim dictionary hits, so exactly the misspelling is flagged.
+  // Deterministic three-name corpus: the plan anti-joins verbatim
+  // dictionary hits away, so exactly the misspelling is flagged.
   CleanDB db(FastCleanDBOptions());
   Dataset data(Schema{{"name", ValueType::kString}});
   data.Append({Value("jonathan smith")});
@@ -661,14 +799,19 @@ TEST(E2EMorselPipelineTest, TermValidationBitIdenticalAcrossMorselSizes) {
     return prepared.value().Execute(opts).ValueOrDie();
   };
   // `comparisons` counts the (term, suggestion) pairs the Select tests
-  // inside its Unnest: Σ over shared q-grams of |data terms| × |dictionary
-  // terms|, whatever the width and morsel size.
+  // inside its Unnest: Σ over shared q-grams of |data terms absent from the
+  // dictionary| × |dictionary terms|, whatever the width and morsel size.
+  // In-dictionary terms are anti-joined away before grouping.
   std::map<std::string, std::set<std::string>> data_grams, dict_grams;
-  for (const auto& row : data.rows()) {
-    for (const auto& g : QGrams(row[0].AsString(), 2)) data_grams[g].insert(row[0].AsString());
-  }
+  std::set<std::string> entries;
   for (const auto& row : named_dict.rows()) {
+    entries.insert(row[0].AsString());
     for (const auto& g : QGrams(row[0].AsString(), 2)) dict_grams[g].insert(row[0].AsString());
+  }
+  for (const auto& row : data.rows()) {
+    const std::string& term = row[0].AsString();
+    if (entries.count(term)) continue;
+    for (const auto& g : QGrams(term, 2)) data_grams[g].insert(term);
   }
   uint64_t pairs = 0;
   for (const auto& [gram, terms] : data_grams) {
@@ -678,14 +821,8 @@ TEST(E2EMorselPipelineTest, TermValidationBitIdenticalAcrossMorselSizes) {
   // The (term, suggestion) pairs: a violation's group key and the order of
   // its term sets follow the width, the pairs do not.
   auto repairs = [](const QueryResult& result) {
-    std::set<std::string> out;
-    for (const auto& op : result.ops) {
-      for (const auto& v : op.violations) {
-        out.insert(v.GetField("term").ValueOrDie().AsString() + " -> " +
-                   v.GetField("suggestion").ValueOrDie().AsString());
-      }
-    }
-    return out;
+    EXPECT_EQ(result.ops.size(), 1u);
+    return RepairPairs(result.ops.at(0).violations);
   };
   const auto repair_set = repairs(run(4096, 3));
   ASSERT_GT(repair_set.size(), 0u);  // the noised variants are flagged

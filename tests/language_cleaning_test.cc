@@ -213,6 +213,24 @@ TEST(CleanDBTest, TermValidationSuggestsCorrectRepairs) {
             "jonathan smith");
 }
 
+TEST(CleanDBTest, TermValidationUnknownColumnIsKeyError) {
+  CleanDB db(FastOptions());
+  Dataset names(Schema{{"name", ValueType::kString}});
+  names.Append({Value("jonathan smith")});
+  db.RegisterTable("data", names);
+  db.RegisterTable("dict", names);
+  ClusterByClause cb;
+  cb.op = FilteringAlgo::kTokenFiltering;
+  cb.term = ParseCleanMExpr("c.nope").ValueOrDie();
+  auto unknown_term = db.ValidateTerms("data", "c", "dict", "name", cb);
+  EXPECT_EQ(unknown_term.status().code(), StatusCode::kKeyError);
+  EXPECT_NE(unknown_term.status().message().find("'nope'"), std::string::npos);
+  cb.term = ParseCleanMExpr("c.name").ValueOrDie();
+  auto unknown_dict = db.ValidateTerms("data", "c", "dict", "nope", cb);
+  EXPECT_EQ(unknown_dict.status().code(), StatusCode::kKeyError);
+  EXPECT_NE(unknown_dict.status().message().find("'nope'"), std::string::npos);
+}
+
 TEST(CleanDBTest, TokenFilteringWithQZeroFailsWithAStatus) {
   CleanDBOptions options = FastOptions();
   options.filtering.q = 0;

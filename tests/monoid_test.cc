@@ -84,47 +84,6 @@ TEST(MonoidRegistryTest, CollectionClassification) {
   EXPECT_FALSE(IsCollectionMonoid("sum"));
 }
 
-// ---- Grouping monoids (Section 4.3) ----
-
-TEST(GroupingMonoidTest, TokenFilterAssociativity) {
-  // The paper's law: tokenize(a, tokenize(b, c)) = tokenize(tokenize(a,b), c).
-  auto m = MakeTokenFilterMonoid(2);
-  const Value a = Value("smith"), b = Value("smyth"), c = Value("jones");
-  const Value left = m->Merge(m->Merge(m->Unit(a), m->Unit(b)), m->Unit(c));
-  const Value right = m->Merge(m->Unit(a), m->Merge(m->Unit(b), m->Unit(c)));
-  EXPECT_TRUE(left.Equals(right));
-  // Identity.
-  EXPECT_TRUE(m->Merge(m->zero(), m->Unit(a)).Equals(m->Unit(a)));
-}
-
-TEST(GroupingMonoidTest, TokenFilterGroupsShareTokens) {
-  auto m = MakeTokenFilterMonoid(2);
-  Value acc = m->zero();
-  for (const char* s : {"smith", "smyth"}) acc = m->Accumulate(std::move(acc), Value(s));
-  // Group "sm" must contain both strings.
-  auto group = acc.GetField("sm").ValueOrDie();
-  EXPECT_EQ(group.AsList().size(), 2u);
-}
-
-TEST(GroupingMonoidTest, KMeansMonoidLaws) {
-  auto m = MakeKMeansMonoid({"alpha", "omega"}, 0.0);
-  const Value a = Value("alpho"), b = Value("omega"), c = Value("alpha");
-  const Value left = m->Merge(m->Merge(m->Unit(a), m->Unit(b)), m->Unit(c));
-  const Value right = m->Merge(m->Unit(a), m->Merge(m->Unit(b), m->Unit(c)));
-  EXPECT_TRUE(left.Equals(right));
-  // "alpho" is closer to "alpha": lands in c0.
-  auto c0 = m->Unit(a).GetField("c0");
-  ASSERT_TRUE(c0.ok());
-}
-
-TEST(GroupingMonoidTest, ExactGroupCollectsEqualKeys) {
-  auto m = MakeExactGroupMonoid();
-  Value acc = m->zero();
-  for (const char* s : {"x", "y", "x"}) acc = m->Accumulate(std::move(acc), Value(s));
-  EXPECT_EQ(acc.GetField("x").ValueOrDie().AsList().size(), 2u);
-  EXPECT_EQ(acc.GetField("y").ValueOrDie().AsList().size(), 1u);
-}
-
 // ---- Interpreter ----
 
 Value IntList(std::initializer_list<int64_t> xs) {
@@ -198,16 +157,6 @@ TEST(EvalTest, ShortCircuitBooleans) {
                     Binary(BinaryOp::kDiv, ConstInt(1), ConstInt(0)), ConstInt(1));
   auto expr = Binary(BinaryOp::kAnd, ConstBool(false), div);
   EXPECT_FALSE(EvalExpr(expr, env).ValueOrDie().AsBool());
-}
-
-TEST(EvalTest, ExtraMonoidsInContext) {
-  EvalContext ctx;
-  ctx.extra_monoids["tf2"] = MakeTokenFilterMonoid(2);
-  Env env{{"words", Value(ValueList{Value("abc"), Value("bcd")})}};
-  auto comp = Comprehension("tf2", Var("w"), {Generator("w", Var("words"))});
-  auto groups = EvalExpr(comp, env, ctx).ValueOrDie();
-  // Shared token "bc" groups both words.
-  EXPECT_EQ(groups.GetField("bc").ValueOrDie().AsList().size(), 2u);
 }
 
 // ---- Builtins ----

@@ -1,5 +1,6 @@
 // Unit + property tests for similarity metrics and the filtering/clustering
-// building blocks (token filtering, single-pass k-means, reservoir sampling).
+// building blocks (FilterKeys under token filtering and single-pass
+// k-means, reservoir sampling).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -179,29 +180,43 @@ TEST(FilteringAlgoParseTest, NamesAndAliases) {
   EXPECT_FALSE(ParseFilteringAlgo("dbscan", &a));
 }
 
+/// Token-filtering keys of a string term (FilterKeys ignores k-means's
+/// delta and centers).
+std::vector<std::string> TfKeys(const std::string& term, size_t q) {
+  return FilterKeys(FilteringAlgo::kTokenFiltering, Value(term), q, 0, {});
+}
+
+/// K-means keys of a string term.
+std::vector<std::string> KMeansKeys(const std::string& term, double delta,
+                                    const std::vector<std::string>& centers) {
+  return FilterKeys(FilteringAlgo::kKMeans, Value(term), 0, delta, centers);
+}
+
+/// True when two terms' key lists share a key: the terms meet in at least
+/// one group.
+bool ShareKey(const std::vector<std::string>& a, const std::vector<std::string>& b) {
+  const std::set<std::string> keys(a.begin(), a.end());
+  return std::any_of(b.begin(), b.end(), [&](const auto& k) { return keys.count(k) > 0; });
+}
+
 TEST(TokenFilteringTest, SharedTokenGuarantee) {
   // Two strings at edit distance 1 always share a q-gram when long enough;
   // token filtering must put them in at least one common group.
-  const std::vector<std::string> values = {"jonathan smith", "jonathan smyth",
-                                           "completely different"};
-  auto groups = BuildGroups(values, {.algo = FilteringAlgo::kTokenFiltering, .q = 2});
-  bool share = false;
-  for (const auto& [key, members] : groups) {
-    bool has0 = false, has1 = false;
-    for (uint32_t m : members) {
-      if (m == 0) has0 = true;
-      if (m == 1) has1 = true;
-    }
-    if (has0 && has1) share = true;
-  }
-  EXPECT_TRUE(share);
+  EXPECT_TRUE(ShareKey(TfKeys("jonathan smith", 2), TfKeys("jonathan smyth", 2)));
 }
 
 TEST(TokenFilteringTest, DistinctTokensOnlyOncePerString) {
   // "aaaa" has one distinct 2-gram ("aa"); it must appear once in that group.
-  auto assignments = TokenFilterAssign({"aaaa"}, 2);
-  ASSERT_EQ(assignments.size(), 1u);
-  EXPECT_EQ(assignments[0].key, "aa");
+  EXPECT_EQ(TfKeys("aaaa", 2), std::vector<std::string>{"aa"});
+}
+
+TEST(FilterKeysTest, NonStringTermJoinsNoGroup) {
+  // A null (an empty CSV field) or a number groups nowhere, under either
+  // algorithm — the one rule the engine and the reference evaluator share.
+  for (const Value& term : {Value::Null(), Value(int64_t{7})}) {
+    EXPECT_TRUE(FilterKeys(FilteringAlgo::kTokenFiltering, term, 2, 0, {}).empty());
+    EXPECT_TRUE(FilterKeys(FilteringAlgo::kKMeans, term, 2, 1.0, {"a", "b"}).empty());
+  }
 }
 
 TEST(ReservoirSampleTest, SizeAndMembership) {
@@ -241,22 +256,14 @@ TEST(ReservoirSampleTest, ApproximateUniformity) {
 
 TEST(KMeansTest, AssignsEveryValueToAtLeastOneCluster) {
   std::vector<std::string> values = {"smith", "smyth", "jones", "jonse", "brown"};
-  SinglePassKMeans km(2, 1.0, 3);
-  const auto centers = km.SampleCenters(values);
+  const auto centers = ReservoirSample(values, 2, 3);
   ASSERT_EQ(centers.size(), 2u);
-  const auto assignments = km.Assign(values, centers);
-  std::set<uint32_t> covered;
-  for (const auto& a : assignments) covered.insert(a.index);
-  EXPECT_EQ(covered.size(), values.size());
+  for (const auto& v : values) EXPECT_FALSE(KMeansKeys(v, 1.0, centers).empty()) << v;
 }
 
 TEST(KMeansTest, DeltaZeroAssignsOnlyNearestCenters) {
   // Centers "aaaa" and "zzzz"; "aaab" is strictly closer to "aaaa".
-  SinglePassKMeans km(2, 0.0, 1);
-  const std::vector<std::string> centers = {"aaaa", "zzzz"};
-  const auto assignments = km.Assign({"aaab"}, centers);
-  ASSERT_EQ(assignments.size(), 1u);
-  EXPECT_EQ(assignments[0].key, "c0");
+  EXPECT_EQ(KMeansKeys("aaab", 0.0, {"aaaa", "zzzz"}), std::vector<std::string>{"c0"});
 }
 
 TEST(KMeansTest, LargerDeltaProducesMoreAssignments) {
@@ -267,16 +274,13 @@ TEST(KMeansTest, LargerDeltaProducesMoreAssignments) {
     for (int j = 0; j < 6; j++) s += static_cast<char>('a' + rng.Uniform(6));
     values.push_back(s);
   }
-  SinglePassKMeans tight(5, 0.0, 7), loose(5, 2.0, 7);
-  const auto centers = tight.SampleCenters(values);
-  EXPECT_LE(tight.Assign(values, centers).size(), loose.Assign(values, centers).size());
-}
-
-TEST(BuildGroupsTest, ExactKeyGroupsEqualValues) {
-  auto groups = BuildGroups({"x", "y", "x"}, {.algo = FilteringAlgo::kExactKey});
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups["x"].size(), 2u);
-  EXPECT_EQ(groups["y"].size(), 1u);
+  const auto centers = ReservoirSample(values, 5, 7);
+  size_t tight = 0, loose = 0;
+  for (const auto& v : values) {
+    tight += KMeansKeys(v, 0.0, centers).size();
+    loose += KMeansKeys(v, 2.0, centers).size();
+  }
+  EXPECT_LE(tight, loose);
 }
 
 // Property sweep: across q values, token filtering never separates two
@@ -292,12 +296,7 @@ TEST_P(TokenFilterParamTest, SimilarPairsShareGroup) {
       {"stephens", "stephans"},
   };
   for (const auto& [a, b] : pairs) {
-    auto groups = BuildGroups({a, b}, {.algo = FilteringAlgo::kTokenFiltering, .q = q});
-    bool share = false;
-    for (const auto& [key, members] : groups) {
-      if (members.size() == 2) share = true;
-    }
-    EXPECT_TRUE(share) << a << " vs " << b << " q=" << q;
+    EXPECT_TRUE(ShareKey(TfKeys(a, q), TfKeys(b, q))) << a << " vs " << b << " q=" << q;
   }
 }
 

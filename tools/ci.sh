@@ -88,6 +88,11 @@ set -x
 # means the recorder or the exporter is broken.
 python3 tools/check_trace_json.py build-release/trace_unified.json
 
+# Term-validation gate (E1–E3 on the engine): CLUSTER BY over every DBLP
+# author occurrence must never report a dictionary entry as a dirty term,
+# and the tf q=2 run must report pairs.
+./build-release/bench_term_validation --check
+
 # Fault-injection seed sweep under ThreadSanitizer: three deterministic
 # failure schedules through the session-concurrency stress suite. Each seed
 # replays a different set of injected task failures while concurrent
@@ -110,4 +115,4 @@ python3 tools/check_bench_json.py build-release/BENCH_cluster.json \
   --baseline BENCH_cluster.json
 
 set +x
-echo "CI OK: release + asan + ubsan + tsan presets built and tested clean; dispatch, prepared-reexec, UDF-aggregate, pipeline (peak ≤ 2× footprint), out-of-core, fault-tolerance, observability, and delta-incremental gates passed; fault seed sweep clean under tsan; bench JSON and Chrome trace validated."
+echo "CI OK: release + asan + ubsan + tsan presets built and tested clean; dispatch, prepared-reexec, UDF-aggregate, pipeline (peak ≤ 2× footprint), out-of-core, fault-tolerance, observability, delta-incremental, and term-validation gates passed; fault seed sweep clean under tsan; bench JSON and Chrome trace validated."

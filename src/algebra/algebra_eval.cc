@@ -61,13 +61,6 @@ Value MergeTuples(const Value& a, const Value& b) {
   return Value(std::move(merged));
 }
 
-struct ValueHash {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-struct ValueEq {
-  bool operator()(const Value& a, const Value& b) const { return a.Equals(b); }
-};
-
 /// Computes the group keys of a tuple under a GroupSpec. Exact grouping
 /// yields the term itself; token filtering and k-means yield FilterKeys
 /// (none for a non-string term), the same function the engine calls.

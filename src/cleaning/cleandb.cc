@@ -53,7 +53,6 @@ CleanDB::CleanDB(CleanDBOptions options)
   copts.num_nodes = options_.num_nodes;
   copts.shuffle_ns_per_byte = options_.shuffle_ns_per_byte;
   copts.shuffle_batch_rows = options_.shuffle_batch_rows;
-  copts.shuffle_ns_per_batch = options_.shuffle_ns_per_batch;
   copts.fault = options_.fault;
   cluster_ = std::make_unique<engine::Cluster>(copts);
   if (options_.buffer_pool_bytes > 0) {

@@ -52,7 +52,8 @@ struct CleanDBOptions {
   //   shuffle_*          — simulated interconnect model.
   //   morsel_rows        — morsel size of the execution below the sink.
   //   incremental        — serve minor-generation (mutation) re-executions
-  //     from the incremental delta path instead of a full run.
+  //     of exact-key Nest plans with the incremental validator instead of
+  //     a full engine run.
   //   buffer_pool_bytes / spill_dir / page_bytes — out-of-core storage
   //     (DESIGN.md, "Out-of-core storage & spill"); buffer_pool_bytes > 0
   //     additionally ingests registered tables into a paged store.
@@ -69,20 +70,20 @@ struct CleanDBOptions {
   /// scans / Nest outputs, LRU-evicted). 0 = unbounded.
   size_t partition_cache_bytes = size_t{256} << 20;
   /// Admission control for concurrent executions: bound on the summed
-  /// admission charges (logical input bytes, or the per-call
-  /// ExecOptions::admission_bytes override) of in-flight
-  /// PreparedQuery executions. Executions over the bound queue FIFO; an
-  /// oversized execution is admitted once it is alone. 0 = unlimited (no
-  /// queueing, the default).
+  /// admission charges (the logical bytes of the tables each plan scans)
+  /// of in-flight PreparedQuery executions. Executions over the bound
+  /// queue FIFO; an oversized execution is admitted once it is alone.
+  /// 0 = unlimited (no queueing, the default).
   uint64_t max_inflight_bytes = 0;
   /// Session defaults for fault injection, task retry/backoff, and node
   /// blacklisting (see engine::FaultOptions; off by default). Probability /
   /// seed / retry knobs are overridable per call via ExecOptions.
   engine::FaultOptions fault;
-  /// Skew threshold for profile warnings: an operator whose per-node row
-  /// distribution has ImbalanceFactor (max/mean) above this is flagged.
-  double skew_warn_factor = 2.0;
 };
+
+/// Skew threshold for profile warnings: an operator whose per-node row
+/// distribution has ImbalanceFactor (max/mean) above this is flagged.
+inline constexpr double kSkewWarnFactor = 2.0;
 
 /// Output of one cleaning operation.
 struct OpResult {

@@ -14,20 +14,21 @@
 //
 //   unify_operations — run the Nest-coalesced (unified) plan forms vs. the
 //     standalone per-operation plans (the Figure-5 ablation, per call).
-//   shuffle_ns_per_byte / shuffle_ns_per_batch / shuffle_batch_rows —
-//     simulated interconnect model (see engine::ClusterOptions).
+//   shuffle_ns_per_byte / shuffle_batch_rows — simulated interconnect
+//     model (see engine::ClusterOptions).
 //   morsel_rows — rows per morsel of the morsel-driven execution below the
 //     sink (clamped to ≥ 1). Violation sets are bit-identical at every size
 //     (CI-gated).
 //   incremental — serve a re-execution whose table snapshot differs from
 //     the cached state only by *minor* generations (mutations via
-//     AppendRows/UpdateRows/DeleteRows) from the incremental delta path:
-//     only delta rows are processed and cached Nest group partials are
-//     merged/re-folded per the monoid annotation, with retractions and
-//     additions tagged through ViolationSink::OnViolationRetracted /
-//     OnViolationNew. false forces a full (cold) execution and also
-//     disables the planner's delta-extended scan rebuild. See DESIGN.md,
-//     "Incremental validation & the delta log".
+//     AppendRows/UpdateRows/DeleteRows) with the incremental validator,
+//     the delta log's only consumer: only delta rows are processed and
+//     cached Nest group partials are merged/re-folded per the monoid
+//     annotation, with retractions and additions tagged through
+//     ViolationSink::OnViolationRetracted / OnViolationNew. Plans it does
+//     not serve (join-rooted, Reduce, tf/k-means grouping) and every plan
+//     under false run the engine, whose scan-cache misses re-partition.
+//     See DESIGN.md, "Incremental validation & the delta log".
 //   buffer_pool_bytes — buffer-pool byte budget for this execution.
 //     Overriding away from the session value runs the call under an
 //     execution-local pool; 0 disables spilling for this call even on an
@@ -62,14 +63,6 @@ struct ExecOptions {
   /// width). Partitionings are cached per active width, so alternating caps
   /// never mixes layouts.
   std::optional<size_t> max_nodes;
-
-  /// Admission-control charge for this execution, in logical bytes —
-  /// overrides the default estimate (the summed ByteSize of every table the
-  /// plans scan, the same RowByteSize accounting the
-  /// peak_bytes_materialized gauge uses). Counted against
-  /// CleanDBOptions::max_inflight_bytes; ignored when the session has no
-  /// in-flight budget.
-  std::optional<uint64_t> admission_bytes;
 
   /// Wall-clock budget for this execution. When it elapses the execution
   /// unwinds at the next epoch/morsel boundary (or mid network sleep) and

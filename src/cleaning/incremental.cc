@@ -1,9 +1,9 @@
 #include "cleaning/incremental.h"
 
 #include <algorithm>
+#include <unordered_set>
 #include <utility>
 
-#include "common/timer.h"
 #include "physical/tuple.h"
 #include "storage/delta.h"
 
@@ -13,20 +13,13 @@ namespace {
 
 using engine::Partition;
 
-/// One compiled transform stage of a root's chain, applied tuple-wise.
-struct ChainStage {
-  AlgKind kind = AlgKind::kSelect;
-  std::function<bool(const Value&)> pred;  ///< kSelect
-  CompiledExpr path;                       ///< kUnnest / kOuterUnnest
-  std::string var;
-};
-
 struct RootWork {
   const CleaningPlan* plan = nullptr;
   const AlgOp* root = nullptr;
   const AlgOp* nest_key = nullptr;
-  /// Bottom-up (nest → root) compiled transform chain.
-  std::vector<ChainStage> stages;
+  /// The root's Select/Unnest chain above the Nest, compiled by the
+  /// engine's CompileChain.
+  engine::MorselExpand chain;
 };
 
 struct NestWork {
@@ -37,89 +30,8 @@ struct NestWork {
   IncrementalNestState* state = nullptr;
   /// Keys this execution's delta touched; true = the key saw a removal (its
   /// accumulators were re-folded from the member bag).
-  std::unordered_map<Value, bool, IncrementalValueHash, IncrementalValueEq> touched;
+  std::unordered_map<Value, bool, ValueHash, ValueEq> touched;
 };
-
-/// Peels root-first transforms down to an exact-key Nest over a Scan.
-/// `chain` receives the transform nodes root-first.
-bool AnalyzeRoot(const AlgOpPtr& root, std::vector<const AlgOp*>* chain,
-                 AlgOpPtr* nest) {
-  AlgOpPtr cur = root;
-  while (cur) {
-    switch (cur->kind) {
-      case AlgKind::kSelect:
-      case AlgKind::kUnnest:
-      case AlgKind::kOuterUnnest:
-        chain->push_back(cur.get());
-        cur = cur->input;
-        continue;
-      case AlgKind::kNest:
-        if (cur->group.algo != FilteringAlgo::kExactKey) return false;
-        if (!cur->input || cur->input->kind != AlgKind::kScan) return false;
-        *nest = cur;
-        return true;
-      default:
-        return false;
-    }
-  }
-  return false;
-}
-
-Result<std::vector<ChainStage>> CompileChainStages(
-    const std::vector<const AlgOp*>& chain_root_first, const Executor& exec) {
-  std::vector<ChainStage> stages;
-  stages.reserve(chain_root_first.size());
-  // Reverse to bottom-up application order.
-  for (auto it = chain_root_first.rbegin(); it != chain_root_first.rend(); ++it) {
-    const AlgOp* node = *it;
-    const TupleLayout layout = CollectVars(node->input);
-    ChainStage s;
-    s.kind = node->kind;
-    if (node->kind == AlgKind::kSelect) {
-      CLEANM_ASSIGN_OR_RETURN(s.pred, CompilePredicate(node->pred, layout, exec.Env()));
-    } else {
-      CLEANM_ASSIGN_OR_RETURN(s.path, CompileExpr(node->path, layout, exec.Env()));
-      s.var = node->path_var;
-    }
-    stages.push_back(std::move(s));
-  }
-  return stages;
-}
-
-/// Applies the compiled chain to one tuple, collecting the produced tuples.
-/// Select filtering and (Outer)Unnest padding mirror the physical executor
-/// exactly (pipeline.cc CompileChain): null or empty
-/// list pads Null only under OuterUnnest, a non-list scalar behaves as a
-/// singleton, a list iterates.
-void ApplyChain(const std::vector<ChainStage>& stages, size_t i, const Value& tuple,
-                std::vector<Value>* out) {
-  if (i == stages.size()) {
-    out->push_back(tuple);
-    return;
-  }
-  const ChainStage& s = stages[i];
-  if (s.kind == AlgKind::kSelect) {
-    if (s.pred(tuple)) ApplyChain(stages, i + 1, tuple, out);
-    return;
-  }
-  const bool outer = s.kind == AlgKind::kOuterUnnest;
-  const Value coll = s.path(tuple);
-  auto pad = [&](Value element) {
-    ValueStruct padded = tuple.AsStruct();
-    padded.emplace_back(s.var, std::move(element));
-    ApplyChain(stages, i + 1, Value(std::move(padded)), out);
-  };
-  if (coll.is_null() ||
-      (coll.type() == ValueType::kList && coll.AsList().empty())) {
-    if (outer) pad(Value::Null());
-    return;
-  }
-  if (coll.type() != ValueType::kList) {
-    pad(coll);
-    return;
-  }
-  for (const auto& element : coll.AsList()) pad(element);
-}
 
 /// Wraps a storage row into the scan's {var: record} tuple and expands it
 /// through the Nest's keyed expansion. Exact-key grouping emits exactly one
@@ -141,10 +53,11 @@ std::vector<Value> GroupOutputs(const NestWork& w, const RootWork& r,
                                 const Value& key, const IncrementalGroup& g) {
   Partition finalized;
   w.compiled.spec.finalize(key, g.accs, &finalized);
+  Partition chained;
+  for (const auto& row : finalized) r.chain(0, row, &chained);
   std::vector<Value> out;
-  for (const auto& row : finalized) {
-    ApplyChain(r.stages, 0, PhysicalTupleOf(row), &out);
-  }
+  out.reserve(chained.size());
+  for (const auto& row : chained) out.push_back(PhysicalTupleOf(row));
   return out;
 }
 
@@ -165,7 +78,8 @@ void ResetNest(IncrementalState& state, const AlgOp* nest_key) {
 Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
                                                 const std::vector<CleaningPlan>& plans,
                                                 const std::vector<AlgOpPtr>& roots,
-                                                Executor& exec, ViolationSink& sink) {
+                                                Executor& exec,
+                                                ViolationReport& report) {
   const Catalog& catalog = *exec.catalog;
   if (plans.size() != roots.size()) {
     return Status::Internal("incremental: plan/root arity mismatch");
@@ -175,15 +89,17 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
   std::vector<RootWork> rwork(roots.size());
   std::map<const AlgOp*, NestWork> nwork;
   for (size_t i = 0; i < roots.size(); i++) {
+    if (!roots[i]) return IncrementalRun::kIneligible;
     std::vector<const AlgOp*> chain;
-    AlgOpPtr nest;
-    if (!roots[i] || !AnalyzeRoot(roots[i], &chain, &nest)) {
+    const AlgOpPtr& nest = PeelTransforms(roots[i], &chain);
+    if (nest->kind != AlgKind::kNest || nest->group.algo != FilteringAlgo::kExactKey ||
+        !nest->input || nest->input->kind != AlgKind::kScan) {
       return IncrementalRun::kIneligible;
     }
     rwork[i].plan = &plans[i];
     rwork[i].root = roots[i].get();
     rwork[i].nest_key = nest.get();
-    CLEANM_ASSIGN_OR_RETURN(rwork[i].stages, CompileChainStages(chain, exec));
+    CLEANM_ASSIGN_OR_RETURN(rwork[i].chain, CompileChain(chain, exec.Env()));
     auto [it, inserted] = nwork.try_emplace(nest.get());
     if (inserted) {
       NestWork& w = it->second;
@@ -311,9 +227,7 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
     }
 
     // Additions: append members, remembering the units per key.
-    std::unordered_map<Value, std::vector<Row>, IncrementalValueHash,
-                       IncrementalValueEq>
-        added_pairs;
+    std::unordered_map<Value, std::vector<Row>, ValueHash, ValueEq> added_pairs;
     for (const auto& row : added) {
       CLEANM_ASSIGN_OR_RETURN(Row pair, ExpandOne(w, schema, row));
       auto [git, fresh_key] = ns.groups.try_emplace(pair[0]);
@@ -328,16 +242,14 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
     // monoid invertibility); an adds-only key merges the new units into a
     // DeepCopy of the cached accumulator (never in place: previously
     // finalized outputs share nested storage with it).
+    std::unordered_set<Value, ValueHash, ValueEq> emptied;
     for (const auto& [k, had_removal] : w.touched) {
       auto git = ns.groups.find(k);
       if (git == ns.groups.end()) continue;
       IncrementalGroup& g = git->second;
       if (g.members.empty()) {
         ns.groups.erase(git);
-        ns.key_order.erase(
-            std::remove_if(ns.key_order.begin(), ns.key_order.end(),
-                           [&](const Value& v) { return v.Equals(k); }),
-            ns.key_order.end());
+        emptied.insert(k);
         continue;
       }
       if (had_removal || g.accs.is_null()) {
@@ -361,30 +273,29 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
         g.accs = std::move(acc);
       }
     }
+    // One pass drops the emptied groups' keys; the others keep their order.
+    if (!emptied.empty()) {
+      ns.key_order.erase(std::remove_if(ns.key_order.begin(), ns.key_order.end(),
+                                        [&](const Value& k) { return emptied.count(k) > 0; }),
+                         ns.key_order.end());
+    }
     metrics.delta_rows_processed += added.size() + removed.size();
     metrics.groups_remerged += w.touched.size();
     ns.version = gen;
   }
 
   // Phase 4: per operation — recompute touched keys, diff against the
-  // baseline, and emit the retraction-tagged stream. Entity accumulation
-  // matches the engine path's unified-report semantics exactly.
-  std::unordered_map<Value, std::vector<std::string>, IncrementalValueHash,
-                     IncrementalValueEq>
-      entities;
+  // baseline, and report through the engine path's ViolationReport; only
+  // the retractions and the OnViolationNew tags are the validator's own.
   for (auto& r : rwork) {
-    Timer op_timer;
     NestWork& w = nwork.at(r.nest_key);
     IncrementalNestState& ns = *w.state;
     IncrementalOpState& os = state.ops.at(r.root);
-    const CleaningPlan& cp = *r.plan;
-
-    CLEANM_RETURN_NOT_OK(sink.OnOpBegin(cp.op_name));
+    CLEANM_RETURN_NOT_OK(report.BeginOp(*r.plan));
 
     std::vector<Value> retracted;
-    std::unordered_map<Value, std::vector<char>, IncrementalValueHash,
-                       IncrementalValueEq>
-        fresh;  // key → per-output "new since last run" flags
+    // key → per-output "new since last run" flags
+    std::unordered_map<Value, std::vector<char>, ValueHash, ValueEq> fresh;
     for (const auto& [k, had_removal] : w.touched) {
       (void)had_removal;
       std::vector<Value> next;
@@ -423,54 +334,21 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
     os.version = ns.version;
 
     // Retractions first, then the full current set in first-occurrence key
-    // order (the engine's group-order determinism contract). The current
-    // set goes through the same per-op entity deduper as the engine path;
-    // retractions are not deduper-gated — each names a concrete previously
-    // emitted tuple that no longer holds.
-    for (const auto& v : retracted) {
-      CLEANM_RETURN_NOT_OK(sink.OnViolationRetracted(cp.op_name, v));
-    }
-    size_t emitted = 0;
-    ViolationDeduper dedup(cp);
+    // order (the engine's group-order determinism contract).
+    for (const auto& v : retracted) CLEANM_RETURN_NOT_OK(report.Retract(v));
     for (const auto& k : ns.key_order) {
       auto oit = os.outputs.find(k);
       if (oit == os.outputs.end()) continue;
       const std::vector<char>* flags = nullptr;
       if (auto fit = fresh.find(k); fit != fresh.end()) flags = &fit->second;
       for (size_t n = 0; n < oit->second.size(); n++) {
-        const Value& v = oit->second[n];
-        if (!dedup.ShouldEmit(v)) continue;
         const bool is_new = flags != nullptr && n < flags->size() && (*flags)[n];
-        CLEANM_RETURN_NOT_OK(is_new ? sink.OnViolationNew(cp.op_name, v)
-                                    : sink.OnViolation(cp.op_name, v));
-        emitted++;
-        for (const auto& var : cp.entity_vars) {
-          auto field = v.GetField(var);
-          if (!field.ok()) continue;
-          const Value& entity = field.value();
-          auto add = [&](const Value& e) {
-            auto& ops = entities[e];
-            if (ops.empty() || ops.back() != cp.op_name) ops.push_back(cp.op_name);
-          };
-          if (entity.type() == ValueType::kList) {
-            for (const auto& e : entity.AsList()) add(e);
-          } else {
-            add(entity);
-          }
-        }
+        CLEANM_RETURN_NOT_OK(report.Emit(oit->second[n], is_new));
       }
     }
-
-    OpSummary summary;
-    summary.op_name = cp.op_name;
-    summary.violations = emitted;
-    summary.seconds = op_timer.ElapsedSeconds();
-    CLEANM_RETURN_NOT_OK(sink.OnOpEnd(summary));
+    CLEANM_RETURN_NOT_OK(report.EndOp());
   }
-
-  for (const auto& [entity, ops] : entities) {
-    CLEANM_RETURN_NOT_OK(sink.OnDirtyEntity(entity, ops));
-  }
+  CLEANM_RETURN_NOT_OK(report.Finish());
   metrics.incremental_executions += 1;
   return IncrementalRun::kRan;
 }

@@ -1,15 +1,23 @@
 // Driver-side incremental validator: serves re-executions whose table
 // snapshot differs from the cached state only by *minor* (mutation)
-// generations without re-running the engine.
+// generations without re-running the engine. It is the only consumer of
+// the delta log; an execution it does not serve runs the engine path, whose
+// scan-cache misses re-partition.
 //
 // Eligibility is structural and all-or-nothing per prepared query: every
-// active plan root must peel — through Select / Unnest / OuterUnnest
-// transforms only — down to an exact-key Nest whose input is directly a
-// Scan (the FD / DEDUP / user-GROUP-BY shapes, standalone or coalesced).
-// Join-rooted plans (denial constraints, CLUSTER BY), Reduce roots, and
-// grouping-monoid Nests (token filtering / k-means redistribute rows across
-// groups non-locally) fall back to the full engine path — which still
-// benefits from the planner's delta-extended scan rebuild.
+// active plan root must peel (physical PeelTransforms, the walk BuildSegment
+// uses) through Select / Unnest / OuterUnnest transforms only down to an
+// exact-key Nest whose input is directly a Scan (the FD / DEDUP /
+// user-GROUP-BY shapes, standalone or coalesced). Join-rooted plans (denial
+// constraints, CLUSTER BY), Reduce roots, and grouping-monoid Nests (token
+// filtering / k-means redistribute rows across groups non-locally) fall
+// back to the full engine path.
+//
+// The validator reuses the engine's pieces: each root's chain compiles with
+// physical CompileChain (so Select-on-Unnest pair tests count in
+// `comparisons` as on the engine path), the Nest's keyed expansion and
+// monoid spec with Executor::CompileNestStage, and the report goes through
+// ViolationReport, adding only the retractions and the OnViolationNew tags.
 //
 // The state caches, per Nest node, every group's member bag and merged
 // monoid accumulator list, and per operation the post-chain outputs per
@@ -20,7 +28,7 @@
 // re-grouping of exactly the affected keys); added rows merge fresh units
 // into a DeepCopy of the cached accumulator. Touched groups are
 // re-finalized and re-chained; the per-operation diff is emitted through
-// ViolationSink::OnViolationRetracted / OnViolationNew so
+// ViolationReport::Retract and Emit(v, /*is_new=*/true) so
 // (previous − retracted + new) equals a cold full re-execution. Any
 // inconsistency (non-contiguous delta coverage, a removed row the state
 // never saw, a closed major epoch) resets the affected state and reports
@@ -41,13 +49,6 @@
 #include "physical/planner.h"
 
 namespace cleanm {
-
-struct IncrementalValueHash {
-  size_t operator()(const Value& v) const { return static_cast<size_t>(v.Hash()); }
-};
-struct IncrementalValueEq {
-  bool operator()(const Value& a, const Value& b) const { return a.Equals(b); }
-};
 
 /// One cached group of an exact-key Nest: the member bag (wrapped
 /// {var: record} tuples in insertion order) and the merged accumulator
@@ -71,9 +72,7 @@ struct IncrementalNestState {
   /// First-occurrence key order — the engine's group-order determinism
   /// contract, preserved so emission order is reproducible.
   std::vector<Value> key_order;
-  std::unordered_map<Value, IncrementalGroup, IncrementalValueHash,
-                     IncrementalValueEq>
-      groups;
+  std::unordered_map<Value, IncrementalGroup, ValueHash, ValueEq> groups;
 };
 
 /// Cached per-operation outputs (post-finalize, post-transform-chain,
@@ -82,9 +81,7 @@ struct IncrementalNestState {
 struct IncrementalOpState {
   const AlgOp* nest = nullptr;
   uint64_t version = 0;
-  std::unordered_map<Value, std::vector<Value>, IncrementalValueHash,
-                     IncrementalValueEq>
-      outputs;
+  std::unordered_map<Value, std::vector<Value>, ValueHash, ValueEq> outputs;
 };
 
 /// \brief Mutable incremental cache of one PreparedQuery, shared across its
@@ -103,15 +100,16 @@ enum class IncrementalRun {
 };
 
 /// Attempts to serve one execution of `plans` (with active roots `roots`,
-/// same order) from `state`. On kRan the whole sink protocol — OnOpBegin,
-/// retractions, the deduplicated current violation set with OnViolationNew
-/// tags, OnOpEnd, OnDirtyEntity — has been delivered and the
-/// delta_rows_processed / groups_remerged / incremental_executions counters
-/// charged. `exec` supplies the catalog snapshot, compile environment, and
-/// metrics; no engine (cluster) work is issued.
+/// same order) from `state`. On kRan the whole report — per operation
+/// OnOpBegin, retractions, the deduplicated current violation set with
+/// OnViolationNew tags, OnOpEnd; then OnDirtyEntity — has been delivered
+/// through `report`, and the delta_rows_processed / groups_remerged /
+/// incremental_executions / comparisons counters charged. On kIneligible
+/// nothing was reported. `exec` supplies the catalog snapshot, compile
+/// environment, and metrics; no engine (cluster) work is issued.
 Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
                                                 const std::vector<CleaningPlan>& plans,
                                                 const std::vector<AlgOpPtr>& roots,
-                                                Executor& exec, ViolationSink& sink);
+                                                Executor& exec, ViolationReport& report);
 
 }  // namespace cleanm

@@ -1,23 +1,6 @@
 #include "cleaning/plan_builder.h"
 
-#include <unordered_set>
-
-#include "common/hash.h"
-
 namespace cleanm {
-
-bool ViolationDeduper::ShouldEmit(const Value& v) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  bool projected = false;
-  for (const auto& var : cp_->entity_vars) {
-    auto field = v.GetField(var);
-    if (field.ok()) {
-      h = HashCombine(h, field.value().Hash());
-      projected = true;
-    }
-  }
-  return !projected || seen_.insert(h).second;
-}
 
 ExprPtr CombineAttrs(const std::vector<ExprPtr>& attrs) {
   CLEANM_CHECK(!attrs.empty());

@@ -37,7 +37,6 @@
 #pragma once
 
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "algebra/algebra.h"
@@ -89,25 +88,5 @@ Result<CleaningPlan> BuildTermValidationPlan(
 /// output and the semantics tests.
 ExprPtr FdComprehension(const std::string& table, const std::string& var,
                         const FdClause& fd);
-
-/// \brief Streaming-capable entity-projection dedup: filtering monoids
-/// assign one record to several groups (one per shared token / center), so
-/// the same violating pair can surface once per shared group, and only its
-/// first occurrence must reach the sink.
-///
-/// The seen-set persists across calls, so morsel boundaries cannot change
-/// which violations are emitted.
-class ViolationDeduper {
- public:
-  explicit ViolationDeduper(const CleaningPlan& cp) : cp_(&cp) {}
-
-  /// True when `v` is the first occurrence of its entity projection (or
-  /// projects onto no entity var at all) and should be emitted.
-  bool ShouldEmit(const Value& v);
-
- private:
-  const CleaningPlan* cp_;
-  std::unordered_set<uint64_t> seen_;
-};
 
 }  // namespace cleanm

@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
 #include "cleaning/incremental.h"
 #include "cleaning/query_profile.h"
@@ -36,11 +35,7 @@ class ScopedClusterConfig {
         saved_(cluster->options()),
         saved_active_(cluster->num_nodes()) {
     if (opts.max_nodes) cluster_->SetActiveNodes(*opts.max_nodes);
-    if (opts.shuffle_ns_per_byte || opts.shuffle_ns_per_batch) {
-      cluster_->SetShuffleCost(
-          opts.shuffle_ns_per_byte.value_or(saved_.shuffle_ns_per_byte),
-          opts.shuffle_ns_per_batch.value_or(saved_.shuffle_ns_per_batch));
-    }
+    if (opts.shuffle_ns_per_byte) cluster_->SetShuffleCost(*opts.shuffle_ns_per_byte);
     if (opts.shuffle_batch_rows) cluster_->SetShuffleBatchRows(*opts.shuffle_batch_rows);
     if (HasFaultOverrides(opts)) {
       engine::FaultOptions fo = saved_.fault;
@@ -54,7 +49,7 @@ class ScopedClusterConfig {
 
   ~ScopedClusterConfig() {
     cluster_->SetActiveNodes(saved_active_);
-    cluster_->SetShuffleCost(saved_.shuffle_ns_per_byte, saved_.shuffle_ns_per_batch);
+    cluster_->SetShuffleCost(saved_.shuffle_ns_per_byte);
     cluster_->SetShuffleBatchRows(saved_.shuffle_batch_rows);
     cluster_->SetFaultOptions(saved_.fault);
   }
@@ -70,7 +65,6 @@ class ScopedClusterConfig {
 /// run alone (it takes the session config lock exclusively).
 bool ReconfiguresCluster(const ExecOptions& opts) {
   return opts.max_nodes.has_value() || opts.shuffle_ns_per_byte.has_value() ||
-         opts.shuffle_ns_per_batch.has_value() ||
          opts.shuffle_batch_rows.has_value() || HasFaultOverrides(opts);
 }
 
@@ -542,11 +536,14 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   // snapshot after it).
   TableSnapshot snapshot = SnapshotTables();
 
-  // FIFO admission against the session's in-flight byte budget (no-op when
-  // unlimited). Charged before any engine work starts; released on every
-  // exit path.
-  const uint64_t admitted = AdmitExecution(opts.admission_bytes.value_or(
-      EstimateAdmissionBytes(pq.plans_, snapshot.catalog)));
+  // FIFO admission against the session's in-flight byte budget. The charge
+  // is estimated only when there is a budget (the estimate walks every
+  // scanned row); it is taken before any engine work starts and released
+  // on every exit path.
+  const uint64_t admitted =
+      options_.max_inflight_bytes == 0
+          ? 0
+          : AdmitExecution(EstimateAdmissionBytes(pq.plans_, snapshot.catalog));
   struct AdmissionRelease {
     CleanDB* db;
     uint64_t bytes;
@@ -638,18 +635,8 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   exec.quarantine = max_quarantined > 0 ? &quarantine : nullptr;
   exec.pool = pool;
   exec.spill = spill ? &*spill : nullptr;
-  exec.delta_scan = knobs.incremental;
 
-  // The unified violation report: entity → operations it violates (the
-  // Section-4.4 outer join), built incrementally as violations stream.
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
-  struct ValueEq {
-    bool operator()(const Value& a, const Value& b) const { return a.Equals(b); }
-  };
-  std::unordered_map<Value, std::vector<std::string>, ValueHash, ValueEq> entities;
-
+  ViolationReport report(sink);
   const size_t morsel_rows = std::max<size_t>(1, knobs.morsel_rows);
 
   // The engine propagates worker failures as exceptions (see
@@ -662,8 +649,8 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   // only advanced by mutation (minor) generations since the cached state,
   // an eligible query is served entirely from the delta log — no engine
   // work, no scan/Nest cache traffic. Ineligible or cold states fall
-  // through to the ordinary loop below (which still benefits from the
-  // planner's delta-extended scan rebuild).
+  // through to the ordinary loop below, whose scan-cache misses
+  // re-partition.
   if (knobs.incremental && pq.incremental_) {
     std::vector<AlgOpPtr> inc_roots;
     inc_roots.reserve(pq.plans_.size());
@@ -673,39 +660,14 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
                               : pq.plans_[i].plan);
     }
     Result<IncrementalRun> inc =
-        RunIncrementalValidation(*pq.incremental_, pq.plans_, inc_roots, exec, sink);
+        RunIncrementalValidation(*pq.incremental_, pq.plans_, inc_roots, exec, report);
     CLEANM_RETURN_NOT_OK(inc.status());
     if (inc.value() == IncrementalRun::kRan) return Status::OK();
   }
   for (size_t i = 0; i < pq.plans_.size(); i++) {
     const CleaningPlan& cp = pq.plans_[i];
-    Timer op_timer;
     const AlgOpPtr& root = unify ? pq.unified_roots_[i] : cp.plan;
-
-    CLEANM_RETURN_NOT_OK(sink.OnOpBegin(cp.op_name));
-    size_t emitted = 0;
-    ViolationDeduper dedup(cp);
-    auto emit_violation = [&](const Value& v) -> Status {
-      if (!dedup.ShouldEmit(v)) return Status::OK();
-      CLEANM_RETURN_NOT_OK(sink.OnViolation(cp.op_name, v));
-      emitted++;
-      for (const auto& var : cp.entity_vars) {
-        auto field = v.GetField(var);
-        if (!field.ok()) continue;
-        const Value& entity = field.value();
-        auto add = [&](const Value& e) {
-          auto& ops = entities[e];
-          if (ops.empty() || ops.back() != cp.op_name) ops.push_back(cp.op_name);
-        };
-        if (entity.type() == ValueType::kList) {
-          for (const auto& e : entity.AsList()) add(e);
-        } else {
-          add(entity);
-        }
-      }
-      return Status::OK();
-    };
-
+    CLEANM_RETURN_NOT_OK(report.BeginOp(cp));
     if (root->kind != AlgKind::kReduce) {
       // Operator-level pipelining below the sink: violations reach the
       // sink as each morsel completes, so a sink error (early abort) stops
@@ -714,7 +676,7 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
       CLEANM_RETURN_NOT_OK(exec.Run(
           root, morsel_rows, [&](size_t, engine::Partition&& morsel) -> Status {
             for (const auto& row : morsel) {
-              CLEANM_RETURN_NOT_OK(emit_violation(PhysicalTupleOf(row)));
+              CLEANM_RETURN_NOT_OK(report.Emit(PhysicalTupleOf(row)));
             }
             return Status::OK();
           }));
@@ -724,21 +686,12 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
       // value's elements reach the sink afterwards.
       CLEANM_ASSIGN_OR_RETURN(Value out, exec.RunToValue(root, morsel_rows));
       for (const auto& v : out.AsList()) {
-        CLEANM_RETURN_NOT_OK(emit_violation(v));
+        CLEANM_RETURN_NOT_OK(report.Emit(v));
       }
     }
-
-    OpSummary op_summary;
-    op_summary.op_name = cp.op_name;
-    op_summary.violations = emitted;
-    op_summary.seconds = op_timer.ElapsedSeconds();
-    CLEANM_RETURN_NOT_OK(sink.OnOpEnd(op_summary));
+    CLEANM_RETURN_NOT_OK(report.EndOp());
   }
-
-  for (const auto& [entity, ops] : entities) {
-    CLEANM_RETURN_NOT_OK(sink.OnDirtyEntity(entity, ops));
-  }
-  return Status::OK();
+  return report.Finish();
   };
 
   Status status;
@@ -793,7 +746,7 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
       }
     }
     auto qp = std::make_shared<QueryProfile>(QueryProfile::Build(
-        trace_recorder->Drain(), op_labels, options_.skew_warn_factor));
+        trace_recorder->Drain(), op_labels, kSkewWarnFactor));
     const std::string trace_path = knobs.trace_path;
     if (!trace_path.empty()) {
       const Status trace_status = qp->WriteChromeTrace(trace_path);

@@ -46,7 +46,8 @@ struct OperatorProfile {
   std::vector<uint64_t> node_time_ns;
   /// max/mean of node_rows (LoadReport::ImbalanceFactor); 1.0 when empty.
   double imbalance = 1.0;
-  /// imbalance exceeded the session's skew_warn_factor.
+  /// imbalance exceeded Build's skew_warn_factor (kSkewWarnFactor on the
+  /// session path).
   bool skew_warning = false;
   /// Engine-counter movement while the span was open (inclusive).
   MetricsCounters counters;

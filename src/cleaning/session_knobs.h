@@ -13,8 +13,8 @@
 //
 // Only knobs with identical meaning at both scopes belong here. Knobs that
 // exist at a single scope (CleanDBOptions::num_nodes vs
-// ExecOptions::max_nodes, the admission/deadline/quarantine/fault
-// overrides) stay hand-written in their respective structs.
+// ExecOptions::max_nodes, the deadline/quarantine/fault overrides) stay
+// hand-written in their respective structs.
 //
 // X(type, name, default_value) — see exec_options.h / cleandb.h for the
 // per-knob documentation.
@@ -29,7 +29,6 @@
 #define CLEANM_SESSION_KNOBS(X)                          \
   X(bool, unify_operations, true)                        \
   X(double, shuffle_ns_per_byte, 1.0)                    \
-  X(double, shuffle_ns_per_batch, 0.0)                   \
   X(size_t, shuffle_batch_rows, 1024)                    \
   X(size_t, morsel_rows, 4096)                           \
   X(bool, incremental, true)                             \

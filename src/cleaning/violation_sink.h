@@ -18,10 +18,13 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cleaning/cleandb.h"
 #include "common/status.h"
+#include "common/timer.h"
 #include "storage/value.h"
 
 namespace cleanm {
@@ -88,6 +91,45 @@ class ViolationSink {
   virtual Status OnViolationNew(const std::string& op_name, const Value& violation) {
     return OnViolation(op_name, violation);
   }
+};
+
+/// \brief Writes one execution's report into a sink, in the call order
+/// ViolationSink documents: per operation OnOpBegin, its violations, and
+/// OnOpEnd with the operation's OpSummary; then one OnDirtyEntity per
+/// entity of the unified report (the Section-4.4 outer join). The engine
+/// loop and the incremental validator both report through it.
+///
+/// Violations are deduplicated on the operation's entity projection:
+/// filtering monoids assign one record to several groups (one per shared
+/// token / center), so the same violating pair can surface once per shared
+/// group, and only its first occurrence reaches the sink. The seen-set
+/// lives for the whole operation, so morsel boundaries cannot change which
+/// violations are emitted.
+class ViolationReport {
+ public:
+  explicit ViolationReport(ViolationSink& sink) : sink_(sink) {}
+
+  Status BeginOp(const CleaningPlan& op);
+  /// Delivers `v` unless its entity projection was already emitted in this
+  /// operation (a violation projecting onto no entity var always is);
+  /// `is_new` delivers it through OnViolationNew.
+  Status Emit(const Value& v, bool is_new = false);
+  /// A violation of an earlier execution that no longer holds; not
+  /// deduplicated and not part of the dirty-entity report.
+  Status Retract(const Value& v) { return sink_.OnViolationRetracted(op_->op_name, v); }
+  Status EndOp();
+  /// Delivers the dirty-entity report, once all operations have ended.
+  Status Finish();
+
+ private:
+  ViolationSink& sink_;
+  const CleaningPlan* op_ = nullptr;
+  Timer op_timer_;
+  size_t emitted_ = 0;
+  std::unordered_set<uint64_t> seen_;
+  std::vector<Value> projection_;  ///< scratch: the entity fields of one violation
+  /// entity → the operations it violates, in the order they ran.
+  std::unordered_map<Value, std::vector<std::string>, ValueHash, ValueEq> entities_;
 };
 
 /// \brief The materializing sink: accumulates everything into a

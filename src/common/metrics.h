@@ -63,9 +63,8 @@ namespace cleanm {
 //   buffer_pool_hits / buffer_pool_misses — page pins served from resident
 //     frames / read from disk.
 //   delta_rows_processed — rows applied from table mutation delta logs
-//     (added + removed), by the incremental validator and by the planner's
-//     delta-extended scan path, instead of being re-partitioned from
-//     scratch.
+//     (added + removed) by the incremental validator, the logs' only
+//     consumer, instead of re-running the engine over the table.
 //   groups_remerged — cached Nest group partials updated in place by an
 //     incremental re-validation: delta units folded into a copied
 //     accumulator, or a touched group re-folded from its member bag.

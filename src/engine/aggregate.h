@@ -89,13 +89,7 @@ Partitioned AggregateByKey(Cluster& cluster, const Partitioned& in,
 
 /// Deep-hash map from group key to accumulator (node-local aggregation
 /// state).
-struct ValueHasher {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-struct ValueEqual {
-  bool operator()(const Value& a, const Value& b) const { return a.Equals(b); }
-};
-using AccMap = std::unordered_map<Value, Value, ValueHasher, ValueEqual>;
+using AccMap = std::unordered_map<Value, Value, ValueHash, ValueEq>;
 
 /// Node-local aggregation state: the accumulator map plus the keys in
 /// first-occurrence order. Partial encoding and finalize both walk

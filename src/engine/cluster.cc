@@ -129,9 +129,8 @@ void Cluster::SetActiveNodes(size_t n) {
   active_nodes_ = n;
 }
 
-void Cluster::SetShuffleCost(double ns_per_byte, double ns_per_batch) {
+void Cluster::SetShuffleCost(double ns_per_byte) {
   options_.shuffle_ns_per_byte = ns_per_byte;
-  options_.shuffle_ns_per_batch = ns_per_batch;
 }
 
 void Cluster::SetShuffleBatchRows(size_t rows) {
@@ -231,9 +230,8 @@ Partitioned Cluster::Filter(const Partitioned& in,
   return out;
 }
 
-void Cluster::ChargeNetwork(uint64_t bytes, uint64_t batches) const {
-  const double ns = static_cast<double>(bytes) * options_.shuffle_ns_per_byte +
-                    static_cast<double>(batches) * options_.shuffle_ns_per_batch;
+void Cluster::ChargeNetwork(uint64_t bytes) const {
+  const double ns = static_cast<double>(bytes) * options_.shuffle_ns_per_byte;
   if (ns <= 0) return;
   auto remaining = std::chrono::nanoseconds(static_cast<int64_t>(ns));
   if (remaining.count() <= 0) return;
@@ -285,7 +283,7 @@ Partitioned Cluster::Shuffle(const Partitioned& in,
       if (dst != src) {
         metrics().bytes_shuffled += b.bytes;
         metrics().shuffle_batches += 1;
-        ChargeNetwork(b.bytes, 1);
+        ChargeNetwork(b.bytes);
       }
       staged[src][dst].push_back(std::move(b.rows));
       b.rows = Partition();
@@ -351,7 +349,7 @@ Partition Cluster::BroadcastAll(const Partitioned& in) {
       metrics().rows_shuffled += in[src].size() * receivers;
       metrics().bytes_shuffled += bytes * receivers;
       metrics().shuffle_batches += batches_per_receiver * receivers;
-      ChargeNetwork(bytes * receivers, batches_per_receiver * receivers);
+      ChargeNetwork(bytes * receivers);
     }
   });
   return all;

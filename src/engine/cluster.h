@@ -87,9 +87,6 @@ struct ClusterOptions {
   /// batch is flushed to its destination. The simulated network cost is
   /// charged once per flushed batch. 1 degenerates to row-at-a-time.
   size_t shuffle_batch_rows = 1024;
-  /// Fixed simulated latency charged per flushed remote batch (on top of
-  /// the per-byte cost) — the "per-message" term of a real interconnect.
-  double shuffle_ns_per_batch = 0.0;
   /// Deterministic fault injection + retry/blacklist knobs (off by
   /// default). See engine/fault.h.
   FaultOptions fault;
@@ -142,7 +139,7 @@ class Cluster {
   void SetActiveNodes(size_t n);
 
   /// Re-points the simulated interconnect cost model.
-  void SetShuffleCost(double ns_per_byte, double ns_per_batch);
+  void SetShuffleCost(double ns_per_byte);
 
   /// Re-sizes the per-destination shuffle batches (clamped to ≥ 1).
   void SetShuffleBatchRows(size_t rows);
@@ -280,11 +277,11 @@ class Cluster {
   /// nothing; its share re-routes to the next surviving node.
   size_t SurvivorFor(size_t dst) const;
 
-  /// Sleeps for the simulated transfer time of `bytes` across `batches`
-  /// network messages. Pure wall-clock charge; metering is the caller's
-  /// job. Sleeps in small slices, checking the installed ExecControl
-  /// between slices, so deadlines stay prompt in shuffle-dominated epochs.
-  void ChargeNetwork(uint64_t bytes, uint64_t batches) const;
+  /// Sleeps for the simulated transfer time of `bytes`. Pure wall-clock
+  /// charge; metering is the caller's job. Sleeps in small slices, checking
+  /// the installed ExecControl between slices, so deadlines stay prompt in
+  /// shuffle-dominated epochs.
+  void ChargeNetwork(uint64_t bytes) const;
 };
 
 }  // namespace cleanm::engine

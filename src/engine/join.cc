@@ -9,12 +9,6 @@
 namespace cleanm::engine {
 
 namespace {
-struct ValueHash {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-struct ValueEq {
-  bool operator()(const Value& a, const Value& b) const { return a.Equals(b); }
-};
 using BuildTable = std::unordered_map<Value, std::vector<const Row*>, ValueHash, ValueEq>;
 
 /// If the shuffled build side `r` is over the spill budget, writes each

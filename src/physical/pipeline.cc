@@ -93,45 +93,6 @@ TupleCont UnnestStage(CompiledExpr path, std::string var, bool outer,
   };
 }
 
-/// Composes the root-first transform chain into a single per-row expansion:
-/// data flows source → chain.back() → ... → chain.front() → terminal, so
-/// the continuation is built from the top down. A Select filters; a Select
-/// directly on an Unnest fuses into it (see UnnestStage).
-Result<engine::MorselExpand> CompileChain(const std::vector<const AlgOp*>& chain,
-                                          const std::vector<AlgOpPtr>& chain_inputs,
-                                          const CompileEnv& env, TupleCont terminal) {
-  TupleCont k = std::move(terminal);
-  if (!k) {
-    k = [](Value t, Partition* out) {
-      out->push_back(MakePhysicalTuple(std::move(t)));
-    };
-  }
-  for (size_t i = 0; i < chain.size(); i++) {  // i = 0 is the root stage
-    const AlgOp* op = chain[i];
-    TupleCont inner = std::move(k);
-    std::function<bool(const Value&)> pred;
-    if (op->kind == AlgKind::kSelect) {
-      CLEANM_ASSIGN_OR_RETURN(pred,
-                              CompilePredicate(op->pred, CollectVars(chain_inputs[i]), env));
-      if (i + 1 == chain.size() || chain[i + 1]->kind == AlgKind::kSelect) {
-        k = [pred, inner](Value t, Partition* out) {
-          if (pred(t)) inner(std::move(t), out);
-        };
-        continue;
-      }
-      op = chain[++i];  // the Unnest the Select sits on
-    }
-    CLEANM_ASSIGN_OR_RETURN(CompiledExpr path,
-                            CompileExpr(op->path, CollectVars(chain_inputs[i]), env));
-    k = UnnestStage(std::move(path), op->path_var, op->kind == AlgKind::kOuterUnnest,
-                    std::move(pred), std::move(inner), env.metrics);
-  }
-  TupleCont final_k = std::move(k);
-  return engine::MorselExpand([final_k](size_t, const Row& r, Partition* out) {
-    final_k(PhysicalTupleOf(r), out);
-  });
-}
-
 bool IsTransform(AlgKind kind) {
   return kind == AlgKind::kSelect || kind == AlgKind::kUnnest ||
          kind == AlgKind::kOuterUnnest;
@@ -247,6 +208,51 @@ Result<Executor::PipelineSegment> CollectInput(Executor* ex, const AlgOpPtr& pla
 
 }  // namespace
 
+const AlgOpPtr& PeelTransforms(const AlgOpPtr& plan, std::vector<const AlgOp*>* chain) {
+  const AlgOpPtr* cur = &plan;
+  while (IsTransform((*cur)->kind)) {
+    chain->push_back(cur->get());
+    cur = &(*cur)->input;
+  }
+  return *cur;
+}
+
+Result<engine::MorselExpand> CompileChain(const std::vector<const AlgOp*>& chain,
+                                          const CompileEnv& env,
+                                          Executor::TupleSink terminal) {
+  // Data flows source → chain.back() → ... → chain.front() → terminal, so
+  // the continuation is built from the top down.
+  TupleCont k = std::move(terminal);
+  if (!k) {
+    k = [](Value t, Partition* out) {
+      out->push_back(MakePhysicalTuple(std::move(t)));
+    };
+  }
+  for (size_t i = 0; i < chain.size(); i++) {  // i = 0 is the root stage
+    const AlgOp* op = chain[i];
+    TupleCont inner = std::move(k);
+    std::function<bool(const Value&)> pred;
+    if (op->kind == AlgKind::kSelect) {
+      CLEANM_ASSIGN_OR_RETURN(pred, CompilePredicate(op->pred, CollectVars(op->input), env));
+      if (i + 1 == chain.size() || chain[i + 1]->kind == AlgKind::kSelect) {
+        k = [pred, inner](Value t, Partition* out) {
+          if (pred(t)) inner(std::move(t), out);
+        };
+        continue;
+      }
+      op = chain[++i];  // the Unnest the Select sits on
+    }
+    CLEANM_ASSIGN_OR_RETURN(CompiledExpr path,
+                            CompileExpr(op->path, CollectVars(op->input), env));
+    k = UnnestStage(std::move(path), op->path_var, op->kind == AlgKind::kOuterUnnest,
+                    std::move(pred), std::move(inner), env.metrics);
+  }
+  TupleCont final_k = std::move(k);
+  return engine::MorselExpand([final_k](size_t, const Row& r, Partition* out) {
+    final_k(PhysicalTupleOf(r), out);
+  });
+}
+
 Result<PartitionPin> Executor::PipelinedNest(const AlgOpPtr& plan,
                                              size_t morsel_rows) {
   const size_t nodes = cluster->num_nodes();
@@ -335,15 +341,8 @@ Result<Executor::PipelineSegment> Executor::BuildSegment(const AlgOpPtr& plan,
   if (!plan) return Status::Internal("null physical plan");
   if (!cache) return Status::Internal("Executor has no partition cache");
 
-  std::vector<const AlgOp*> chain;        // root-first transform stages
-  std::vector<AlgOpPtr> chain_inputs;     // their inputs (layout anchors)
-  const AlgOpPtr* cur = &plan;
-  while (IsTransform((*cur)->kind)) {
-    chain.push_back(cur->get());
-    chain_inputs.push_back((*cur)->input);
-    cur = &(*cur)->input;
-  }
-  const AlgOpPtr& source = *cur;
+  std::vector<const AlgOp*> chain;
+  const AlgOpPtr& source = PeelTransforms(plan, &chain);
 
   PipelineSegment seg;
   switch (source->kind) {
@@ -402,8 +401,7 @@ Result<Executor::PipelineSegment> Executor::BuildSegment(const AlgOpPtr& plan,
       sink(PhysicalTupleOf(r), out);
     };
   } else {
-    CLEANM_ASSIGN_OR_RETURN(
-        seg.expand, CompileChain(chain, chain_inputs, Env(), std::move(terminal)));
+    CLEANM_ASSIGN_OR_RETURN(seg.expand, CompileChain(chain, Env(), std::move(terminal)));
   }
   if (quarantine) {
     seg.expand = WithQuarantine(std::move(seg.expand), SegmentSourceLabel(*source),

@@ -1,11 +1,8 @@
 #include "physical/planner.h"
 
-#include <algorithm>
-
 #include "functions/function_registry.h"
 #include "monoid/monoid.h"
 #include "physical/tuple.h"
-#include "storage/delta.h"
 #include "storage/pagestore/paged_table.h"
 #include "storage/pagestore/spill.h"
 
@@ -44,60 +41,7 @@ Result<PartitionPin> Executor::WrappedScan(const AlgOp& scan) {
   PartitionPin base = cache->FindScan(scan.table, generation, nodes);
   if (base) {
     cache->CountScanHit();
-  } else if (delta_scan) {
-    // Delta-extended rebuild: a cached partitioning of an earlier
-    // generation of this table can be patched forward through the
-    // mutation delta log — each removed row erased in place (one
-    // Equals-matching physical row), added rows appended round-robin —
-    // instead of re-partitioning the whole dataset. Only mutation (minor)
-    // generations are bridgeable: the probe reaches back at most MinorOf
-    // generations, and Collect refuses windows that cross a registration.
-    // Any inconsistency (a removed row the cached partitioning does not
-    // hold) abandons the patch and falls through to the full build.
-    const uint64_t minor = catalog->MinorOf(scan.table);
-    const DeltaLog* log = minor > 0 ? catalog->FindDelta(scan.table) : nullptr;
-    const auto table_r = log ? catalog->Find(scan.table) : Result<const Dataset*>(nullptr);
-    if (log && table_r.ok() && table_r.value() != nullptr) {
-      const Schema& schema = table_r.value()->schema();
-      const uint64_t reach = std::min<uint64_t>(minor, generation > 0 ? generation - 1 : 0);
-      for (uint64_t k = 1; k <= reach && !base; k++) {
-        PartitionPin prior = cache->FindScan(scan.table, generation - k, nodes);
-        if (!prior) continue;
-        std::vector<Row> added, removed;
-        if (!log->Collect(generation - k, generation, &added, &removed)) break;
-        Partitioned patched = *prior;
-        if (patched.empty()) break;
-        bool consistent = true;
-        for (const Row& gone : removed) {
-          const Value image = RowToRecord(schema, gone);
-          bool erased = false;
-          for (auto& part : patched) {
-            for (size_t i = 0; i < part.size(); i++) {
-              if (PhysicalTupleOf(part[i]).Equals(image)) {
-                part.erase(part.begin() + static_cast<ptrdiff_t>(i));
-                erased = true;
-                break;
-              }
-            }
-            if (erased) break;
-          }
-          if (!erased) {
-            consistent = false;
-            break;
-          }
-        }
-        if (!consistent) break;
-        for (size_t i = 0; i < added.size(); i++) {
-          patched[i % patched.size()].push_back(
-              MakePhysicalTuple(RowToRecord(schema, added[i])));
-        }
-        cluster->metrics().delta_rows_processed += added.size() + removed.size();
-        cache->CountScanHit();
-        base = cache->PutScan(scan.table, generation, nodes, std::move(patched));
-      }
-    }
-  }
-  if (!base) {
+  } else {
     std::vector<Row> rows;
     // Page-backed scan: stream chunks through the pool instead of walking
     // the resident Dataset. Both paths build the identical row vector and

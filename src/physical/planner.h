@@ -97,13 +97,6 @@ struct Executor {
   /// and over budget, Nest partials and hash-join build sides go to the
   /// spill file and are re-read for the merge/probe phase.
   SpillContext* spill = nullptr;
-  /// Delta-extended scan rebuild: on a base-scan cache miss, a cached
-  /// partitioning of an earlier generation of the same table may be
-  /// patched forward through the table's delta log (rows removed/appended
-  /// in place of a full re-partition), as long as the whole window since
-  /// that generation is mutations. False (ExecOptions::incremental=false)
-  /// forces every miss to re-partition from the catalog dataset.
-  bool delta_scan = true;
 
   /// Compile context for this execution: registered functions + the
   /// cluster's metrics (udf_calls accounting).
@@ -215,6 +208,19 @@ struct Executor {
   /// local_nests), never copied out.
   Result<PartitionPin> PipelinedNest(const AlgOpPtr& plan, size_t morsel_rows);
 };
+
+/// Peels `plan`'s root-first Select / Unnest / OuterUnnest stages into
+/// `chain` and returns the node beneath them (the segment's source).
+const AlgOpPtr& PeelTransforms(const AlgOpPtr& plan, std::vector<const AlgOp*>* chain);
+
+/// Composes a root-first transform chain into one per-row expansion feeding
+/// `terminal` (null: append each tuple as a physical row). A Select filters;
+/// a Select directly on an Unnest is tested inside it, on one padded tuple
+/// per input row, and those tests count in `env.metrics->comparisons`.
+/// BuildSegment and the incremental validator both compile chains here.
+Result<engine::MorselExpand> CompileChain(const std::vector<const AlgOp*>& chain,
+                                          const CompileEnv& env,
+                                          Executor::TupleSink terminal = nullptr);
 
 /// Every table scanned under `plan`, with the catalog's current generation
 /// — the dependency set recorded on cached Nest outputs (and the tables an

@@ -32,6 +32,72 @@ RepairAction ToAction(const Value& v) {
   return action;
 }
 
+/// The cell overwrite both commit paths run. The actions are indexed by
+/// entity hash and their columns resolved once, so one pass over the rows
+/// costs O(rows + actions). Row and cell counts go to the summary.
+class RepairEditor {
+ public:
+  /// kKeyError when an action names a column `schema` does not have.
+  static Result<RepairEditor> Make(const Schema& schema,
+                                   const std::vector<RepairAction>& actions,
+                                   RepairSummary* summary) {
+    RepairEditor editor(actions, summary);
+    summary->actions = actions.size();
+    for (size_t a = 0; a < actions.size(); a++) {
+      for (const auto& [column, value] : actions[a].set) {
+        (void)value;
+        CLEANM_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(column));
+        editor.column_indexes_[a].push_back(idx);
+      }
+      editor.by_entity_[actions[a].entity.Hash()].push_back(a);
+    }
+    return editor;
+  }
+
+  /// Overwrites the cells of `*row` that the actions whose entity equals
+  /// its record name; true when a cell changed.
+  bool Edit(const Schema& schema, Row* row) {
+    const Value record = RowToRecord(schema, *row);
+    auto candidates = by_entity_.find(record.Hash());
+    if (candidates == by_entity_.end()) return false;
+    bool changed = false;
+    for (size_t a : candidates->second) {
+      if (!(*actions_)[a].entity.Equals(record)) continue;
+      matched_[a] = true;
+      const ValueStruct& set = (*actions_)[a].set;
+      for (size_t s = 0; s < set.size(); s++) {
+        const size_t idx = column_indexes_[a][s];
+        if ((*row)[idx].Equals(set[s].second)) continue;
+        (*row)[idx] = set[s].second;
+        summary_->cells_changed++;
+        changed = true;
+      }
+    }
+    if (changed) summary_->rows_changed++;
+    return changed;
+  }
+
+  /// Counts the actions that matched no row, once every row was edited.
+  void CountUnmatched() {
+    for (bool m : matched_) {
+      if (!m) summary_->unmatched++;
+    }
+  }
+
+ private:
+  RepairEditor(const std::vector<RepairAction>& actions, RepairSummary* summary)
+      : actions_(&actions),
+        summary_(summary),
+        column_indexes_(actions.size()),
+        matched_(actions.size(), false) {}
+
+  const std::vector<RepairAction>* actions_;
+  RepairSummary* summary_;
+  std::vector<std::vector<size_t>> column_indexes_;
+  std::unordered_map<uint64_t, std::vector<size_t>> by_entity_;
+  std::vector<bool> matched_;
+};
+
 }  // namespace
 
 std::vector<RepairAction> ExtractRepairActions(
@@ -59,48 +125,15 @@ std::vector<RepairAction> ExtractRepairActions(
 Result<Dataset> ApplyRepairActions(const Dataset& source,
                                    const std::vector<RepairAction>& actions,
                                    RepairSummary* summary, QueryMetrics* metrics) {
-  summary->actions = actions.size();
-
-  // Resolve the target columns once, and index the actions by entity hash
-  // so the application pass stays O(rows + actions).
-  std::vector<std::vector<size_t>> column_indexes(actions.size());
-  std::unordered_map<uint64_t, std::vector<size_t>> by_entity;
-  for (size_t a = 0; a < actions.size(); a++) {
-    for (const auto& [column, value] : actions[a].set) {
-      (void)value;
-      CLEANM_ASSIGN_OR_RETURN(size_t idx, source.schema().IndexOf(column));
-      column_indexes[a].push_back(idx);
-    }
-    by_entity[actions[a].entity.Hash()].push_back(a);
-  }
-
-  std::vector<bool> matched(actions.size(), false);
+  CLEANM_ASSIGN_OR_RETURN(RepairEditor editor,
+                          RepairEditor::Make(source.schema(), actions, summary));
   Dataset repaired(source.schema());
   for (const auto& source_row : source.rows()) {
     Row row = source_row;
-    const Value record = RowToRecord(source.schema(), source_row);
-    bool changed = false;
-    auto candidates = by_entity.find(record.Hash());
-    if (candidates != by_entity.end()) {
-      for (size_t a : candidates->second) {
-        if (!actions[a].entity.Equals(record)) continue;
-        matched[a] = true;
-        for (size_t s = 0; s < actions[a].set.size(); s++) {
-          const size_t idx = column_indexes[a][s];
-          const Value& new_value = actions[a].set[s].second;
-          if (row[idx].Equals(new_value)) continue;
-          row[idx] = new_value;
-          summary->cells_changed++;
-          changed = true;
-        }
-      }
-    }
-    if (changed) summary->rows_changed++;
+    editor.Edit(source.schema(), &row);
     repaired.Append(std::move(row));
   }
-  for (bool m : matched) {
-    if (!m) summary->unmatched++;
-  }
+  editor.CountUnmatched();
   if (metrics) metrics->repairs_applied += summary->cells_changed;
   return repaired;
 }
@@ -184,50 +217,17 @@ Result<RepairSummary> RepairSink::CommitDelta() {
   CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> source,
                           db_->GetTableShared(source_table_));
 
+  // Mutations never change a table's schema, so the columns the editor
+  // resolves against `source` stay valid for the UpdateRowsWith run.
   RepairSummary summary;
-  summary.actions = actions_.size();
-
-  // Resolve target columns and index actions by entity hash up front (the
-  // same O(rows + actions) plan as ApplyRepairActions). Mutations never
-  // change a table's schema, so the indexes stay valid for the editor run.
-  std::vector<std::vector<size_t>> column_indexes(actions_.size());
-  std::unordered_map<uint64_t, std::vector<size_t>> by_entity;
-  for (size_t a = 0; a < actions_.size(); a++) {
-    for (const auto& [column, value] : actions_[a].set) {
-      (void)value;
-      CLEANM_ASSIGN_OR_RETURN(size_t idx, source->schema().IndexOf(column));
-      column_indexes[a].push_back(idx);
-    }
-    by_entity[actions_[a].entity.Hash()].push_back(a);
-  }
-
-  std::vector<bool> matched(actions_.size(), false);
+  CLEANM_ASSIGN_OR_RETURN(RepairEditor editor,
+                          RepairEditor::Make(source->schema(), actions_, &summary));
   CLEANM_ASSIGN_OR_RETURN(
       CleanDB::MutationResult mutation,
-      db_->UpdateRowsWith(
-          source_table_, [&](const Schema& schema, Row* row) -> bool {
-            const Value record = RowToRecord(schema, *row);
-            auto candidates = by_entity.find(record.Hash());
-            if (candidates == by_entity.end()) return false;
-            bool changed = false;
-            for (size_t a : candidates->second) {
-              if (!actions_[a].entity.Equals(record)) continue;
-              matched[a] = true;
-              for (size_t s = 0; s < actions_[a].set.size(); s++) {
-                const size_t idx = column_indexes[a][s];
-                const Value& new_value = actions_[a].set[s].second;
-                if ((*row)[idx].Equals(new_value)) continue;
-                (*row)[idx] = new_value;
-                summary.cells_changed++;
-                changed = true;
-              }
-            }
-            if (changed) summary.rows_changed++;
-            return changed;
-          }));
-  for (bool m : matched) {
-    if (!m) summary.unmatched++;
-  }
+      db_->UpdateRowsWith(source_table_, [&editor](const Schema& schema, Row* row) {
+        return editor.Edit(schema, row);
+      }));
+  editor.CountUnmatched();
   db_->cluster().session_metrics().repairs_applied += summary.cells_changed;
 
   summary.table = source_table_;

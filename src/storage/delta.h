@@ -5,10 +5,10 @@
 // TableDelta describing exactly which rows the mutation added and removed.
 // The per-table DeltaLog accumulates those entries between registrations;
 // RegisterTable (a *major* generation bump) drops the log and starts a new
-// epoch. Consumers — the planner's delta-extended scan rebuild and the
-// driver-side incremental validator — collect the entries between the
-// version they last saw and the snapshot they are executing against, and
-// apply only those rows instead of reprocessing the table.
+// epoch. Its one consumer, the driver-side incremental validator
+// (cleaning/incremental.h), collects the entries between the version it
+// last saw and the snapshot it is executing against, and applies only
+// those rows instead of reprocessing the table.
 //
 // Logs are immutable snapshots: a mutation copies the entry vector (cheap —
 // entries are shared_ptr-owned) and publishes a new DeltaLog, so an

@@ -146,6 +146,15 @@ class Value {
       v_;
 };
 
+/// Hash and equality functors for unordered containers keyed by Value
+/// (deep Hash/Equals).
+struct ValueHash {
+  size_t operator()(const Value& v) const { return static_cast<size_t>(v.Hash()); }
+};
+struct ValueEq {
+  bool operator()(const Value& a, const Value& b) const { return a.Equals(b); }
+};
+
 /// A row is a flat vector of values, positionally aligned with a Schema.
 using Row = std::vector<Value>;
 

@@ -830,35 +830,109 @@ TEST(PreparedQueryTest, RetractionsAndNewTagsReconcileWithColdExecution) {
                                          {Value("c2"), Value("C"), Value(int64_t{8})}})
                   .ok());
 
+  // Re-validates incrementally and checks the contract: previous −
+  // retracted + new == current, as multisets, and `current` matches a cold
+  // execution over the mutated table.
+  auto sorted = [](std::vector<std::string> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  auto revalidate = [&](const DeltaRecordingSink& previous, DeltaRecordingSink* sink) {
+    const uint64_t served = db.cluster().session_metrics().incremental_executions.load();
+    ASSERT_TRUE(pq.ExecuteInto(*sink).ok());
+    EXPECT_EQ(db.cluster().session_metrics().incremental_executions.load(), served + 1);
+    std::vector<std::string> merged = previous.current;
+    for (const auto& r : sink->retracted) {
+      auto it = std::find(merged.begin(), merged.end(), r);
+      ASSERT_NE(it, merged.end()) << "retraction of a never-emitted violation: " << r;
+      merged.erase(it);
+    }
+    merged.insert(merged.end(), sink->fresh.begin(), sink->fresh.end());
+    EXPECT_EQ(sorted(merged), sorted(sink->current));
+
+    CleanDB cold(FastOptions());
+    cold.RegisterTable("customer", *db.GetTableShared("customer").ValueOrDie());
+    auto cold_prepared = cold.Prepare(query);
+    ASSERT_TRUE(cold_prepared.ok());
+    DeltaRecordingSink cold_after;
+    ASSERT_TRUE(cold_prepared.value().ExecuteInto(cold_after).ok());
+    EXPECT_EQ(sorted(sink->current), sorted(cold_after.current));
+  };
+
   DeltaRecordingSink delta_sink;
-  ASSERT_TRUE(pq.ExecuteInto(delta_sink).ok());
+  revalidate(cold_sink, &delta_sink);
   EXPECT_FALSE(delta_sink.retracted.empty());
   EXPECT_FALSE(delta_sink.fresh.empty());
 
-  // The incremental contract: previous − retracted + new == current, as
-  // multisets (and `current` is the full post-mutation violation set).
-  std::vector<std::string> merged = cold_sink.current;
-  for (const auto& r : delta_sink.retracted) {
-    auto it = std::find(merged.begin(), merged.end(), r);
-    ASSERT_NE(it, merged.end()) << "retraction of a never-emitted violation: " << r;
-    merged.erase(it);
-  }
-  merged.insert(merged.end(), delta_sink.fresh.begin(), delta_sink.fresh.end());
-  std::sort(merged.begin(), merged.end());
-  std::vector<std::string> current = delta_sink.current;
-  std::sort(current.begin(), current.end());
-  EXPECT_EQ(merged, current);
+  // One commit empties two groups at once ("B" and "C"), and a later one
+  // re-creates "B".
+  ASSERT_TRUE(db.DeleteRows("customer",
+                            [](const Schema&, const Row& r) {
+                              return r[1].Equals(Value(std::string("B"))) ||
+                                     r[1].Equals(Value(std::string("C")));
+                            })
+                  .ok());
+  DeltaRecordingSink emptied_sink;
+  revalidate(delta_sink, &emptied_sink);
+  EXPECT_FALSE(emptied_sink.retracted.empty());
+  EXPECT_TRUE(emptied_sink.fresh.empty());
 
-  // And `current` matches a cold execution over the mutated table.
-  CleanDB cold(FastOptions());
-  cold.RegisterTable("customer", *db.GetTableShared("customer").ValueOrDie());
-  auto cold_prepared = cold.Prepare(query);
-  ASSERT_TRUE(cold_prepared.ok());
-  DeltaRecordingSink cold_after;
-  ASSERT_TRUE(cold_prepared.value().ExecuteInto(cold_after).ok());
-  std::vector<std::string> expected = cold_after.current;
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(current, expected);
+  ASSERT_TRUE(db.AppendRows("customer", {{Value("b3"), Value("B"), Value(int64_t{4})},
+                                         {Value("b4"), Value("B"), Value(int64_t{5})}})
+                  .ok());
+  DeltaRecordingSink recreated_sink;
+  revalidate(emptied_sink, &recreated_sink);
+  EXPECT_TRUE(recreated_sink.retracted.empty());
+  EXPECT_FALSE(recreated_sink.fresh.empty());
+}
+
+TEST(PreparedQueryTest, IncrementalDedupChargesComparisonsForReChainedPairs) {
+  // DEDUP tests every (p1, p2) pair of a group inside its Unnest, so a
+  // group of m ≥ 2 members costs m² comparisons, on the engine path and
+  // when the incremental validator re-chains it. Groups: "A" 3 members,
+  // "B" 2, "C" 1 (below the having bound, never paired), "D" 4.
+  Dataset t(Schema{{"name", ValueType::kString}, {"address", ValueType::kString}});
+  for (const char* name : {"a1", "a2", "a3"}) t.Append({Value(name), Value("A")});
+  for (const char* name : {"b1", "b2"}) t.Append({Value(name), Value("B")});
+  t.Append({Value("c1"), Value("C")});
+  for (const char* name : {"d1", "d2", "d3", "d4"}) t.Append({Value(name), Value("D")});
+  const char* query = "SELECT * FROM customer c DEDUP(exact, c.address)";
+
+  CleanDB db(FastOptions());
+  db.RegisterTable("customer", t);
+  auto prepared = db.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  PreparedQuery& pq = prepared.value();
+  auto cold = pq.Execute().ValueOrDie();
+  EXPECT_EQ(cold.metrics.comparisons, 9u + 4u + 16u);
+
+  // The first incremental run builds the baselines, so it also charges
+  // every group's pairs at the pre-delta version.
+  ASSERT_TRUE(db.AppendRows("customer", {{Value("a4"), Value("A")}}).ok());
+  auto first = pq.Execute().ValueOrDie();
+  EXPECT_EQ(first.metrics.incremental_executions, 1u);
+  EXPECT_EQ(first.metrics.comparisons, (9u + 4u + 16u) + 16u);
+
+  // Once baselines exist, a commit re-chains only the group it touches.
+  ASSERT_TRUE(db.AppendRows("customer", {{Value("b3"), Value("B")}}).ok());
+  auto grown = pq.Execute().ValueOrDie();
+  EXPECT_EQ(grown.metrics.incremental_executions, 1u);
+  EXPECT_EQ(grown.metrics.comparisons, 9u);
+
+  ASSERT_TRUE(db.UpdateRows(
+                    "customer",
+                    [](const Schema&, const Row& r) {
+                      return r[0].Equals(Value(std::string("d2")));
+                    },
+                    ValueStruct{{"name", Value(std::string("d2 renamed"))}})
+                  .ok());
+  auto updated = pq.Execute().ValueOrDie();
+  EXPECT_EQ(updated.metrics.incremental_executions, 1u);
+  EXPECT_EQ(updated.metrics.comparisons, 16u);
+
+  CleanDB cold_db(FastOptions());
+  cold_db.RegisterTable("customer", *db.GetTableShared("customer").ValueOrDie());
+  ExpectSameViolationSets(updated, cold_db.Execute(query).ValueOrDie());
 }
 
 TEST(PreparedQueryTest, IncrementalKnobOffAndIneligiblePlansFallBackCorrectly) {
@@ -877,8 +951,8 @@ TEST(PreparedQueryTest, IncrementalKnobOffAndIneligiblePlansFallBackCorrectly) {
 
   AppendFreshFdViolation(db, "customer", v1);
 
-  // incremental=false forces the full engine path — and also disables the
-  // planner's delta-extended scan rebuild, so the table re-partitions.
+  // incremental=false forces the full engine path, so the table
+  // re-partitions.
   ExecOptions full;
   full.incremental = false;
   auto cold = pq.Execute(full).ValueOrDie();
@@ -887,8 +961,8 @@ TEST(PreparedQueryTest, IncrementalKnobOffAndIneligiblePlansFallBackCorrectly) {
   EXPECT_EQ(cold.ops[0].violations.size(), before.ops[0].violations.size() + 1);
 
   // A join-rooted plan (denial constraint) is structurally ineligible for
-  // driver-side serving, but the delta-extended scan rebuild still spares
-  // it a full re-partition after a further mutation.
+  // driver-side serving: after a further mutation it runs the engine path,
+  // which re-partitions the table (the delta log has no other consumer).
   datagen::LineitemOptions lopts;
   lopts.rows = 120;
   lopts.noise_fraction = 0.1;
@@ -903,8 +977,8 @@ TEST(PreparedQueryTest, IncrementalKnobOffAndIneligiblePlansFallBackCorrectly) {
   ASSERT_TRUE(db.AppendRows("lineitem", {li->row(0)}).ok());
   auto dc_after = dc.value().Execute().ValueOrDie();
   EXPECT_EQ(dc_after.metrics.incremental_executions, 0u);  // engine path
-  EXPECT_GT(dc_after.metrics.delta_rows_processed, 0u);    // delta scan rebuild
-  EXPECT_EQ(dc_after.metrics.rows_scanned, 0u);            // no re-partition
+  EXPECT_EQ(dc_after.metrics.delta_rows_processed, 0u);    // no delta consumer
+  EXPECT_GT(dc_after.metrics.rows_scanned, 0u);            // re-partition
 
   // Cross-check against a cold session over the mutated lineitem.
   CleanDB cold_db(FastOptions());
@@ -912,7 +986,11 @@ TEST(PreparedQueryTest, IncrementalKnobOffAndIneligiblePlansFallBackCorrectly) {
   auto dc_cold = cold_db.PrepareDenialConstraint("lineitem", CloneExpr(pred.ValueOrDie()));
   ASSERT_TRUE(dc_cold.ok());
   auto dc_cold_result = dc_cold.value().Execute().ValueOrDie();
-  EXPECT_EQ(dc_after.ops[0].violations.size(), dc_cold_result.ops[0].violations.size());
+  ASSERT_EQ(dc_after.ops[0].violations.size(), dc_cold_result.ops[0].violations.size());
+  for (size_t i = 0; i < dc_after.ops[0].violations.size(); i++) {
+    EXPECT_TRUE(dc_after.ops[0].violations[i].Equals(dc_cold_result.ops[0].violations[i]))
+        << "violation " << i;
+  }
 }
 
 TEST(RepairSinkTest, CommitDeltaClosesTheFixpointIncrementally) {

@@ -114,5 +114,14 @@ done
 python3 tools/check_bench_json.py build-release/BENCH_cluster.json \
   --baseline BENCH_cluster.json
 
+# Benchmark self-test at smoke size (builds its own driver under
+# .bench_build/): every workload passes its digest correctness gate on two
+# seeds and fails it against a wrong reference, and the deterministic
+# per-layer counters repeat exactly across runs. No other check replays
+# delta_stream's diff stream (previous − retracted + new) against a cold
+# run over the final table, or requires delta_rows_processed,
+# groups_remerged and cleaning.incremental_ratio to be reproducible.
+python3 cleanbench/selftest.py
+
 set +x
-echo "CI OK: release + asan + ubsan + tsan presets built and tested clean; dispatch, prepared-reexec, UDF-aggregate, pipeline (peak ≤ 2× footprint), out-of-core, fault-tolerance, observability, delta-incremental, and term-validation gates passed; fault seed sweep clean under tsan; bench JSON and Chrome trace validated."
+echo "CI OK: release + asan + ubsan + tsan presets built and tested clean; dispatch, prepared-reexec, UDF-aggregate, pipeline (peak ≤ 2× footprint), out-of-core, fault-tolerance, observability, delta-incremental, and term-validation gates passed; fault seed sweep clean under tsan; bench JSON and Chrome trace validated; cleanbench selftest (digest gates, diff-stream replay, deterministic counters) passed."

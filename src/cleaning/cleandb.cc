@@ -69,11 +69,24 @@ CleanDB::CleanDB(CleanDBOptions options)
   }
 }
 
+std::shared_ptr<const Dataset> CleanDB::Lease(
+    const std::shared_ptr<TableVersion>& version) {
+  // Relaxed suffices: the caller holds table_mu_, which orders this
+  // increment before any later mutator's load.
+  version->leases.fetch_add(1, std::memory_order_relaxed);
+  return std::shared_ptr<const Dataset>(&version->data, [version](const Dataset*) {
+    version->leases.fetch_sub(1, std::memory_order_release);
+  });
+}
+
 void CleanDB::RegisterTable(const std::string& name, Dataset dataset) {
-  auto table = std::make_shared<const Dataset>(std::move(dataset));
+  auto version = std::make_shared<TableVersion>(std::move(dataset));
+  // The registered version is the epoch's base: mutations never rewrite it
+  // in place, so it may be read below without the lock.
+  std::shared_ptr<const Dataset> table(version, &version->data);
   {
     std::unique_lock<std::shared_mutex> lock(table_mu_);
-    tables_[name] = table;
+    tables_[name] = version;
     generations_[name]++;
     // A registration opens a new major epoch: the registered dataset is the
     // base future incremental bootstraps fold from, the minor counter
@@ -103,7 +116,7 @@ void CleanDB::RegisterTable(const std::string& name, Dataset dataset) {
         std::unique_lock<std::shared_mutex> lock(table_mu_);
         // Publish only if this registration is still current (a concurrent
         // re-registration may have won the race and re-ingested).
-        if (tables_[name] == table) paged_tables_[name] = std::move(paged);
+        if (tables_[name] == version) paged_tables_[name] = std::move(paged);
       }
     }
     // Ingestion failure leaves the table resident-only — an optimization
@@ -160,10 +173,17 @@ Result<CleanDB::MutationResult> CleanDB::MutateTable(const std::string& table,
   if (it == tables_.end()) {
     return Status::KeyError("unknown table '" + table + "'");
   }
-  const Dataset& current = *it->second;
-  auto next = std::make_shared<Dataset>(current.schema());
+  // Copy-on-write: rewrite the current version in place only when nobody
+  // can observe it — no live lease (the acquire load pairs with the
+  // leases' release decrements) and not the registered base, which the
+  // incremental validator bootstraps from. Otherwise work on a copy.
+  std::shared_ptr<TableVersion> target = it->second;
+  if (target->leases.load(std::memory_order_acquire) != 0 ||
+      &target->data == base_tables_[table].get()) {
+    target = std::make_shared<TableVersion>(target->data);
+  }
   auto delta = std::make_shared<TableDelta>();
-  CLEANM_RETURN_NOT_OK(fn(current, next.get(), delta.get()));
+  CLEANM_RETURN_NOT_OK(fn(&target->data, delta.get()));
 
   MutationResult result;
   result.major = majors_[table];
@@ -188,7 +208,7 @@ Result<CleanDB::MutationResult> CleanDB::MutateTable(const std::string& table,
   }
   log->Append(std::move(delta));
   delta_logs_[table] = std::move(log);
-  tables_[table] = std::move(next);
+  it->second = std::move(target);
   // The paged copy describes the pre-mutation rows; it is not rebuilt here
   // (mutations stay cheap), so the table reverts to resident scans until
   // the next registration re-ingests it.
@@ -198,108 +218,113 @@ Result<CleanDB::MutationResult> CleanDB::MutateTable(const std::string& table,
 
 Result<CleanDB::MutationResult> CleanDB::AppendRows(const std::string& table,
                                                     std::vector<Row> rows) {
-  return MutateTable(
-      table, [&rows](const Dataset& cur, Dataset* next, TableDelta* delta) {
-        const size_t width = cur.schema().fields().size();
-        for (const auto& r : rows) {
-          if (r.size() != width) {
-            return Status::InvalidArgument(
-                "appended row has " + std::to_string(r.size()) +
-                " values; table schema has " + std::to_string(width));
-          }
-        }
-        for (const auto& r : cur.rows()) next->Append(r);
-        for (auto& r : rows) {
-          delta->added.push_back(r);
-          next->Append(std::move(r));
-        }
-        return Status::OK();
-      });
+  return MutateTable(table, [&rows](Dataset* t, TableDelta* delta) {
+    const size_t width = t->schema().fields().size();
+    for (const auto& r : rows) {
+      if (r.size() != width) {
+        return Status::InvalidArgument(
+            "appended row has " + std::to_string(r.size()) +
+            " values; table schema has " + std::to_string(width));
+      }
+    }
+    delta->added = rows;
+    for (auto& r : rows) t->Append(std::move(r));
+    return Status::OK();
+  });
 }
 
 Result<CleanDB::MutationResult> CleanDB::UpdateRows(const std::string& table,
                                                     const RowMatcher& matcher,
                                                     const ValueStruct& sets) {
-  return MutateTable(
-      table, [&](const Dataset& cur, Dataset* next, TableDelta* delta) {
-        std::vector<std::pair<size_t, const Value*>> targets;
-        targets.reserve(sets.size());
-        for (const auto& [name, value] : sets) {
-          CLEANM_ASSIGN_OR_RETURN(const size_t idx, cur.schema().IndexOf(name));
-          targets.emplace_back(idx, &value);
-        }
-        for (const auto& row : cur.rows()) {
-          if (matcher(cur.schema(), row)) {
-            Row updated = row;
-            bool changed = false;
-            for (const auto& [idx, value] : targets) {
-              if (!updated[idx].Equals(*value)) {
-                updated[idx] = *value;
-                changed = true;
-              }
-            }
-            if (changed) {
-              delta->removed.push_back(row);
-              delta->added.push_back(updated);
-              next->Append(std::move(updated));
-              continue;
-            }
-          }
-          next->Append(row);
-        }
-        return Status::OK();
-      });
+  return MutateTable(table, [&](Dataset* t, TableDelta* delta) {
+    const Schema& schema = t->schema();
+    std::vector<std::pair<size_t, const Value*>> targets;
+    targets.reserve(sets.size());
+    for (const auto& [name, value] : sets) {
+      CLEANM_ASSIGN_OR_RETURN(const size_t idx, schema.IndexOf(name));
+      targets.emplace_back(idx, &value);
+    }
+    std::vector<Row>& rows = t->mutable_rows();
+    std::vector<size_t> matched;
+    for (size_t i = 0; i < rows.size(); i++) {
+      if (matcher(schema, rows[i])) matched.push_back(i);
+    }
+    for (size_t i : matched) {
+      Row& row = rows[i];
+      const bool changed =
+          std::any_of(targets.begin(), targets.end(),
+                      [&row](const auto& target) {
+                        return !row[target.first].Equals(*target.second);
+                      });
+      if (!changed) continue;
+      delta->removed.push_back(row);
+      for (const auto& [idx, value] : targets) row[idx] = *value;
+      delta->added.push_back(row);
+    }
+    return Status::OK();
+  });
 }
 
 Result<CleanDB::MutationResult> CleanDB::UpdateRowsWith(const std::string& table,
                                                         const RowEditor& editor) {
-  return MutateTable(
-      table, [&editor](const Dataset& cur, Dataset* next, TableDelta* delta) {
-        const size_t width = cur.schema().fields().size();
-        for (const auto& row : cur.rows()) {
-          Row edited = row;
-          if (editor(cur.schema(), &edited)) {
-            if (edited.size() != width) {
-              return Status::InvalidArgument(
-                  "row editor changed the row width");
-            }
-            bool changed = false;
-            for (size_t i = 0; i < width && !changed; i++) {
-              changed = !edited[i].Equals(row[i]);
-            }
-            if (changed) {
-              delta->removed.push_back(row);
-              delta->added.push_back(edited);
-              next->Append(std::move(edited));
-              continue;
-            }
-          }
-          next->Append(row);
-        }
-        return Status::OK();
-      });
+  return MutateTable(table, [&editor](Dataset* t, TableDelta* delta) {
+    const Schema& schema = t->schema();
+    const size_t width = schema.fields().size();
+    std::vector<Row>& rows = t->mutable_rows();
+    // The editor works on scratch copies; rows it changed are written back
+    // only after it has seen every row.
+    std::vector<std::pair<size_t, Row>> edits;
+    Row edited;
+    for (size_t i = 0; i < rows.size(); i++) {
+      edited = rows[i];
+      if (!editor(schema, &edited)) continue;
+      if (edited.size() != width) {
+        return Status::InvalidArgument("row editor changed the row width");
+      }
+      bool changed = false;
+      for (size_t c = 0; c < width && !changed; c++) {
+        changed = !edited[c].Equals(rows[i][c]);
+      }
+      if (changed) edits.emplace_back(i, std::move(edited));
+    }
+    for (auto& [i, row] : edits) {
+      delta->removed.push_back(std::move(rows[i]));
+      rows[i] = row;
+      delta->added.push_back(std::move(row));
+    }
+    return Status::OK();
+  });
 }
 
 Result<CleanDB::MutationResult> CleanDB::DeleteRows(const std::string& table,
                                                     const RowMatcher& matcher) {
-  return MutateTable(
-      table, [&matcher](const Dataset& cur, Dataset* next, TableDelta* delta) {
-        for (const auto& row : cur.rows()) {
-          if (matcher(cur.schema(), row)) {
-            delta->removed.push_back(row);
-          } else {
-            next->Append(row);
-          }
-        }
-        return Status::OK();
-      });
+  return MutateTable(table, [&matcher](Dataset* t, TableDelta* delta) {
+    std::vector<Row>& rows = t->mutable_rows();
+    std::vector<size_t> matched;
+    for (size_t i = 0; i < rows.size(); i++) {
+      if (matcher(t->schema(), rows[i])) matched.push_back(i);
+    }
+    if (matched.empty()) return Status::OK();
+    // Compact the survivors forward, keeping their order.
+    size_t out = matched.front();
+    for (size_t i = out, m = 0; i < rows.size(); i++) {
+      if (m < matched.size() && matched[m] == i) {
+        delta->removed.push_back(std::move(rows[i]));
+        m++;
+      } else {
+        rows[out++] = std::move(rows[i]);
+      }
+    }
+    rows.resize(out);
+    return Status::OK();
+  });
 }
 
 Result<const Dataset*> CleanDB::GetTable(const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(table_mu_);
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::KeyError("unknown table '" + name + "'");
-  return it->second.get();
+  return &it->second->data;
 }
 
 Result<std::shared_ptr<const Dataset>> CleanDB::GetTableShared(
@@ -307,16 +332,16 @@ Result<std::shared_ptr<const Dataset>> CleanDB::GetTableShared(
   std::shared_lock<std::shared_mutex> lock(table_mu_);
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::KeyError("unknown table '" + name + "'");
-  return it->second;
+  return Lease(it->second);
 }
 
 CleanDB::TableSnapshot CleanDB::SnapshotTables() const {
   TableSnapshot snapshot;
   std::shared_lock<std::shared_mutex> lock(table_mu_);
   snapshot.leases.reserve(tables_.size());
-  for (const auto& [name, dataset] : tables_) {
-    snapshot.catalog.tables[name] = dataset.get();
-    snapshot.leases.push_back(dataset);
+  for (const auto& [name, version] : tables_) {
+    snapshot.catalog.tables[name] = &version->data;
+    snapshot.leases.push_back(Lease(version));
   }
   snapshot.paged_leases.reserve(paged_tables_.size());
   for (const auto& [name, paged] : paged_tables_) {

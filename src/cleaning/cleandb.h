@@ -14,6 +14,7 @@
 // one-shot convenience — it is exactly Prepare + a single Execute.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <map>
@@ -128,7 +129,7 @@ struct QueryResult {
 /// tables visible when it starts: re-registering a table (RegisterTable,
 /// repair Commit) bumps the generation for executions that start later,
 /// while in-flight executions keep reading the datasets they snapshotted
-/// (shared-ownership leases keep them alive). Cluster-reconfiguring
+/// (counted leases keep them alive and unchanged). Cluster-reconfiguring
 /// ExecOptions (max_nodes, shuffle_*) take the session's config lock
 /// exclusively and so run alone; plain executions share it.
 class CleanDB {
@@ -142,12 +143,16 @@ class CleanDB {
   void RegisterTable(const std::string& name, Dataset dataset);
   /// Drops a table (and its cached partitionings). No-op when absent.
   void UnregisterTable(const std::string& name);
-  /// Borrowed pointer into the current registration. Stable only until the
-  /// next RegisterTable/UnregisterTable of `name` — callers that may race a
-  /// re-registration use GetTableShared.
+  /// Borrowed pointer into the current version of `name`. Valid only until
+  /// the next mutation (AppendRows / UpdateRows / UpdateRowsWith /
+  /// DeleteRows) or registration of `name`: a mutation may rewrite the rows
+  /// it points at in place. Callers that may race either use GetTableShared.
   Result<const Dataset*> GetTable(const std::string& name) const;
-  /// Shared-ownership lease on the current registration: the dataset stays
-  /// alive for the lease's lifetime even if the name is re-registered.
+  /// Counted lease on the current version: a stable view that keeps
+  /// reading the same rows for the lease's lifetime, whatever is mutated or
+  /// re-registered meanwhile (a mutation copies a leased version instead of
+  /// rewriting it). Drop it promptly: while it lives, every mutation of
+  /// `name` pays a full copy.
   Result<std::shared_ptr<const Dataset>> GetTableShared(
       const std::string& name) const;
   /// Current generation (version) of `name`, bumped by every RegisterTable
@@ -164,16 +169,26 @@ class CleanDB {
 
   // ---- Table mutation (minor generations) ----
   //
-  // Mutations publish a new effective dataset plus a delta-log entry and
+  // Mutations change the effective dataset, append a delta-log entry, and
   // bump the table's generation and *minor* counter — but, unlike
   // RegisterTable, they do NOT invalidate cached partitionings: entries of
   // older versions simply become unreachable (the LRU reclaims them), and
   // pinned readers are untouched. A re-execution whose snapshot differs
   // from the cached state only by minor generations is then served by the
   // incremental delta path (see DESIGN.md, "Incremental validation & the
-  // delta log"). All three are thread-safe and atomic (exclusive table
-  // lock); a mutation that changes nothing (no matches, sets equal to the
-  // current values) publishes nothing and bumps nothing.
+  // delta log").
+  //
+  // Table versions are copy-on-write. A mutation rewrites the current
+  // version in place when no lease (GetTableShared result or execution
+  // snapshot) is alive on it and it is not the registered base; otherwise
+  // it copies the version first and publishes the copy, so every lease
+  // keeps its view. GetTable()'s borrowed pointer is therefore valid only
+  // until the next mutation or registration. All four are thread-safe and
+  // atomic (exclusive table lock). User matchers and editors run before
+  // the first write, so one that throws (or an editor that changes the row
+  // width) leaves the table untouched; a mutation that changes nothing (no
+  // matches, sets equal to the current values) publishes nothing and bumps
+  // nothing.
 
   /// Row predicate for UpdateRows/DeleteRows.
   using RowMatcher = std::function<bool(const Schema&, const Row&)>;
@@ -311,10 +326,11 @@ class CleanDB {
   friend class PreparedQuery;
 
   /// A point-in-time view of the table registrations. `catalog` holds raw
-  /// Dataset pointers (the form the executor binds); `leases` co-own those
-  /// datasets so a concurrent re-registration can never free data an
-  /// in-flight execution still reads — the snapshot-visibility rule: a new
-  /// generation is seen only by executions that snapshot after it.
+  /// Dataset pointers (the form the executor binds); `leases` are counted
+  /// leases on those versions, so a concurrent re-registration can never
+  /// free, and a concurrent mutation never rewrites, data an in-flight
+  /// execution still reads — the snapshot-visibility rule: a new generation
+  /// is seen only by executions that snapshot after it.
   struct TableSnapshot {
     Catalog catalog;
     std::vector<std::shared_ptr<const Dataset>> leases;
@@ -358,15 +374,32 @@ class CleanDB {
   CleanDBOptions options_;
   std::unique_ptr<engine::Cluster> cluster_;
 
-  /// One mutation's dataset rewrite: fill `next` (constructed empty over
-  /// the current schema) from `current`, recording the row-level effect in
-  /// `delta`. Runs under the exclusive table lock.
-  using MutationFn = std::function<Status(const Dataset& current,
-                                          Dataset* next, TableDelta* delta)>;
-  /// Shared mutation body: applies `fn` to the current registration of
-  /// `table` and — iff the delta is non-empty — publishes the new dataset,
-  /// bumps generation + minor, and appends to the table's delta log, all in
-  /// one exclusive table_mu_ critical section. Never invalidates the cache.
+  /// One table version: its rows plus the count of live leases on it.
+  /// Leases are taken under table_mu_ and released (release order) from any
+  /// thread; MutateTable reads the count (acquire order) under the
+  /// exclusive lock, so a zero count means every former reader's reads
+  /// happen before the rewrite.
+  struct TableVersion {
+    explicit TableVersion(Dataset d) : data(std::move(d)) {}
+    Dataset data;
+    std::atomic<size_t> leases{0};
+  };
+  /// A counted lease on `version`: co-owns it and holds its count up until
+  /// the returned pointer's last copy is destroyed. Call under table_mu_.
+  static std::shared_ptr<const Dataset> Lease(
+      const std::shared_ptr<TableVersion>& version);
+
+  /// One mutation's rewrite of `table` (the current version, or a copy of
+  /// it), recording the row-level effect in `delta`. It must run every user
+  /// matcher or editor before its first write, and write nothing when it
+  /// fails. Runs under the exclusive table lock.
+  using MutationFn = std::function<Status(Dataset* table, TableDelta* delta)>;
+  /// Shared mutation body: applies `fn` to the current version of `table` —
+  /// in place when no lease is alive on it and it is not the registered
+  /// base, else to a copy — and, iff the delta is non-empty, publishes the
+  /// result, bumps generation + minor, and appends to the table's delta
+  /// log, all in one exclusive table_mu_ critical section. Never
+  /// invalidates the cache.
   Result<MutationResult> MutateTable(const std::string& table,
                                      const MutationFn& fn);
 
@@ -379,13 +412,15 @@ class CleanDB {
   /// completes before the drop or fails with kKeyError — a log can never
   /// survive its table.
   mutable std::shared_mutex table_mu_;
-  /// Datasets are shared-owned so snapshot leases survive re-registration.
-  std::map<std::string, std::shared_ptr<const Dataset>> tables_;
+  /// Current versions, shared-owned so leases survive re-registration.
+  std::map<std::string, std::shared_ptr<TableVersion>> tables_;
   /// Per-table version counters backing the cache's staleness keys; bumped
   /// by registrations and mutations alike.
   std::map<std::string, uint64_t> generations_;
-  /// The dataset as last *registered* (mutations replace tables_ but not
-  /// this): the incremental validator's bootstrap input.
+  /// The dataset as last *registered*: the incremental validator's
+  /// bootstrap input. It aliases the registered version, which mutations
+  /// never rewrite in place (the first mutation after a registration
+  /// copies), so it stays immutable.
   std::map<std::string, std::shared_ptr<const Dataset>> base_tables_;
   /// Major registration epochs (bumped by Register/UnregisterTable only).
   std::map<std::string, uint64_t> majors_;

@@ -1,7 +1,6 @@
 #include "cleaning/incremental.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "physical/tuple.h"
@@ -22,15 +21,29 @@ struct RootWork {
   engine::MorselExpand chain;
 };
 
+/// A key this execution's delta touched.
+struct Touch {
+  /// The key saw a removal (its accumulators are re-folded from the member
+  /// bag).
+  bool had_removal = false;
+  /// The group's sequence number; kept here because an emptied group
+  /// leaves the nest state before its outputs are retracted.
+  uint64_t seq = 0;
+};
+
 struct NestWork {
   AlgOpPtr nest;
   std::string table;
   std::string var;
   Executor::CompiledNest compiled;
   IncrementalNestState* state = nullptr;
-  /// Keys this execution's delta touched; true = the key saw a removal (its
-  /// accumulators were re-folded from the member bag).
-  std::unordered_map<Value, bool, ValueHash, ValueEq> touched;
+  std::unordered_map<Value, Touch, ValueHash, ValueEq> touched;
+};
+
+/// One table's delta-log window, netted (DeltaLog::Collect).
+struct DeltaWindow {
+  std::vector<Row> added;
+  std::vector<Row> removed;
 };
 
 /// Wraps a storage row into the scan's {var: record} tuple and expands it
@@ -154,8 +167,8 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
       for (const auto& row : base->rows()) {
         CLEANM_ASSIGN_OR_RETURN(Row pair, ExpandOne(w, base->schema(), row));
         auto [git, fresh_key] = ns.groups.try_emplace(pair[0]);
-        if (fresh_key) ns.key_order.push_back(pair[0]);
         IncrementalGroup& g = git->second;
+        if (fresh_key) g.seq = ns.next_seq++;
         Value unit = w.compiled.spec.init(pair);
         g.accs = g.members.empty()
                      ? std::move(unit)
@@ -179,21 +192,25 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
       os.nest = r.nest_key;
       os.version = w.state->version;
       os.outputs.clear();
-      for (const auto& k : w.state->key_order) {
-        std::vector<Value> outs = GroupOutputs(w, r, k, w.state->groups.at(k));
-        if (!outs.empty()) os.outputs.emplace(k, std::move(outs));
+      for (const auto& [k, g] : w.state->groups) {
+        std::vector<Value> outs = GroupOutputs(w, r, k, g);
+        if (!outs.empty()) os.outputs.emplace(g.seq, std::move(outs));
       }
     }
   }
 
-  // Phase 3: apply each table's delta window to its nest states.
+  // Phase 3: apply each table's delta window to its nest states. Nests
+  // over one table at one state version share the window, so each is
+  // collected once per execution.
+  std::map<std::pair<std::string, uint64_t>, DeltaWindow> windows;
   for (auto& [key, w] : nwork) {
     IncrementalNestState& ns = *w.state;
     const uint64_t gen = catalog.GenerationOf(w.table);
     if (ns.version == gen) continue;
-    const DeltaLog* log = catalog.FindDelta(w.table);
-    std::vector<Row> added, removed;
-    if (!log->Collect(ns.version, gen, &added, &removed)) {
+    auto [wit, unseen] = windows.try_emplace({w.table, ns.version});
+    std::vector<Row>& added = wit->second.added;
+    std::vector<Row>& removed = wit->second.removed;
+    if (unseen && !catalog.FindDelta(w.table)->Collect(ns.version, gen, &added, &removed)) {
       // The log does not contiguously cover (state version, snapshot]:
       // rebuild from scratch next time.
       ResetNest(state, key);
@@ -223,7 +240,9 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
         ResetNest(state, key);
         return IncrementalRun::kIneligible;
       }
-      w.touched[pair[0]] = true;
+      Touch& touch = w.touched[pair[0]];
+      touch.had_removal = true;
+      touch.seq = git->second.seq;
     }
 
     // Additions: append members, remembering the units per key.
@@ -231,9 +250,10 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
     for (const auto& row : added) {
       CLEANM_ASSIGN_OR_RETURN(Row pair, ExpandOne(w, schema, row));
       auto [git, fresh_key] = ns.groups.try_emplace(pair[0]);
-      if (fresh_key) ns.key_order.push_back(pair[0]);
-      git->second.members.push_back(pair[1]);
-      w.touched.try_emplace(pair[0], false);
+      IncrementalGroup& g = git->second;
+      if (fresh_key) g.seq = ns.next_seq++;
+      g.members.push_back(pair[1]);
+      w.touched.try_emplace(pair[0], Touch{false, g.seq});
       added_pairs[pair[0]].push_back(std::move(pair));
     }
 
@@ -242,17 +262,15 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
     // monoid invertibility); an adds-only key merges the new units into a
     // DeepCopy of the cached accumulator (never in place: previously
     // finalized outputs share nested storage with it).
-    std::unordered_set<Value, ValueHash, ValueEq> emptied;
-    for (const auto& [k, had_removal] : w.touched) {
+    for (const auto& [k, touch] : w.touched) {
       auto git = ns.groups.find(k);
       if (git == ns.groups.end()) continue;
       IncrementalGroup& g = git->second;
       if (g.members.empty()) {
         ns.groups.erase(git);
-        emptied.insert(k);
         continue;
       }
-      if (had_removal || g.accs.is_null()) {
+      if (touch.had_removal || g.accs.is_null()) {
         // Re-fold from the member bag: after a removal (subtractive
         // re-grouping), or for a group this delta created (no cached
         // accumulator to extend).
@@ -273,12 +291,6 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
         g.accs = std::move(acc);
       }
     }
-    // One pass drops the emptied groups' keys; the others keep their order.
-    if (!emptied.empty()) {
-      ns.key_order.erase(std::remove_if(ns.key_order.begin(), ns.key_order.end(),
-                                        [&](const Value& k) { return emptied.count(k) > 0; }),
-                         ns.key_order.end());
-    }
     metrics.delta_rows_processed += added.size() + removed.size();
     metrics.groups_remerged += w.touched.size();
     ns.version = gen;
@@ -294,16 +306,15 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
     CLEANM_RETURN_NOT_OK(report.BeginOp(*r.plan));
 
     std::vector<Value> retracted;
-    // key → per-output "new since last run" flags
-    std::unordered_map<Value, std::vector<char>, ValueHash, ValueEq> fresh;
-    for (const auto& [k, had_removal] : w.touched) {
-      (void)had_removal;
+    // group seq → per-output "new since last run" flags
+    std::unordered_map<uint64_t, std::vector<char>> fresh;
+    for (const auto& [k, touch] : w.touched) {
       std::vector<Value> next;
       if (auto git = ns.groups.find(k); git != ns.groups.end()) {
         next = GroupOutputs(w, r, k, git->second);
       }
       std::vector<Value> prev;
-      if (auto oit = os.outputs.find(k); oit != os.outputs.end()) {
+      if (auto oit = os.outputs.find(touch.seq); oit != os.outputs.end()) {
         prev = std::move(oit->second);
       }
       // Bag diff via pairwise Equals (groups produce few outputs).
@@ -323,27 +334,26 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
       }
       if (std::any_of(next_new.begin(), next_new.end(),
                       [](char c) { return c != 0; })) {
-        fresh[k] = std::move(next_new);
+        fresh[touch.seq] = std::move(next_new);
       }
       if (next.empty()) {
-        os.outputs.erase(k);
+        os.outputs.erase(touch.seq);
       } else {
-        os.outputs[k] = std::move(next);
+        os.outputs[touch.seq] = std::move(next);
       }
     }
     os.version = ns.version;
 
     // Retractions first, then the full current set in first-occurrence key
-    // order (the engine's group-order determinism contract).
+    // order (the engine's group-order determinism contract): ascending
+    // sequence numbers, visiting only the groups that have outputs.
     for (const auto& v : retracted) CLEANM_RETURN_NOT_OK(report.Retract(v));
-    for (const auto& k : ns.key_order) {
-      auto oit = os.outputs.find(k);
-      if (oit == os.outputs.end()) continue;
+    for (const auto& [seq, outputs] : os.outputs) {
       const std::vector<char>* flags = nullptr;
-      if (auto fit = fresh.find(k); fit != fresh.end()) flags = &fit->second;
-      for (size_t n = 0; n < oit->second.size(); n++) {
+      if (auto fit = fresh.find(seq); fit != fresh.end()) flags = &fit->second;
+      for (size_t n = 0; n < outputs.size(); n++) {
         const bool is_new = flags != nullptr && n < flags->size() && (*flags)[n];
-        CLEANM_RETURN_NOT_OK(report.Emit(oit->second[n], is_new));
+        CLEANM_RETURN_NOT_OK(report.Emit(outputs[n], is_new));
       }
     }
     CLEANM_RETURN_NOT_OK(report.EndOp());

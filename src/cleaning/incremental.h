@@ -19,17 +19,23 @@
 // monoid spec with Executor::CompileNestStage, and the report goes through
 // ViolationReport, adding only the retractions and the OnViolationNew tags.
 //
-// The state caches, per Nest node, every group's member bag and merged
-// monoid accumulator list, and per operation the post-chain outputs per
-// group. An execution advances the state by the delta-log window between
-// the state's version and the snapshot's generation: removed rows erase one
+// The state caches, per Nest node, every group's first-occurrence sequence
+// number, member bag and merged monoid accumulator list, and per operation
+// the post-chain outputs of the groups that have any, ordered by sequence
+// number. An execution advances the state by the delta-log window between
+// the state's version and the snapshot's generation (collected once per
+// table and execution, however many Nests read it): removed rows erase one
 // Equals-matching member and force a re-fold of the group's accumulators
 // from the member bag (sidestepping monoid invertibility — subtractive
 // re-grouping of exactly the affected keys); added rows merge fresh units
 // into a DeepCopy of the cached accumulator. Touched groups are
 // re-finalized and re-chained; the per-operation diff is emitted through
 // ViolationReport::Retract and Emit(v, /*is_new=*/true) so
-// (previous − retracted + new) equals a cold full re-execution. Any
+// (previous − retracted + new) equals a cold full re-execution. Emission
+// walks only the groups with outputs, in sequence order — the engine's
+// first-occurrence group order, where a group emptied and later re-created
+// comes after every older group — so an execution costs in proportion to
+// the delta and the violations, not the table. Any
 // inconsistency (non-contiguous delta coverage, a removed row the state
 // never saw, a closed major epoch) resets the affected state and reports
 // kIneligible, and the caller runs the ordinary engine path.
@@ -50,10 +56,15 @@
 
 namespace cleanm {
 
-/// One cached group of an exact-key Nest: the member bag (wrapped
-/// {var: record} tuples in insertion order) and the merged accumulator
-/// list (AggregateSpec layout: one accumulator Value per aggregation).
+/// One cached group of an exact-key Nest: its first-occurrence sequence
+/// number, the member bag (wrapped {var: record} tuples in insertion order)
+/// and the merged accumulator list (AggregateSpec layout: one accumulator
+/// Value per aggregation).
 struct IncrementalGroup {
+  /// Assigned when the key first occurs and never reused: a group that is
+  /// emptied and later re-created gets a new, larger number. Ascending
+  /// numbers are the engine's first-occurrence group order.
+  uint64_t seq = 0;
   std::vector<Value> members;
   /// Never merged into in place once operation outputs were derived from
   /// it: finalized tuples share nested storage with the accumulators, so
@@ -69,19 +80,19 @@ struct IncrementalNestState {
   uint64_t major = 0;
   /// Table generation the groups reflect.
   uint64_t version = 0;
-  /// First-occurrence key order — the engine's group-order determinism
-  /// contract, preserved so emission order is reproducible.
-  std::vector<Value> key_order;
+  /// The next group's sequence number.
+  uint64_t next_seq = 0;
   std::unordered_map<Value, IncrementalGroup, ValueHash, ValueEq> groups;
 };
 
 /// Cached per-operation outputs (post-finalize, post-transform-chain,
-/// pre-dedup) per group key — the baseline the retraction diff runs
-/// against.
+/// pre-dedup) of the groups that have any, keyed by group sequence number —
+/// the baseline the retraction diff runs against, and in key order the
+/// emission order (the engine's group-order determinism contract).
 struct IncrementalOpState {
   const AlgOp* nest = nullptr;
   uint64_t version = 0;
-  std::unordered_map<Value, std::vector<Value>, ValueHash, ValueEq> outputs;
+  std::map<uint64_t, std::vector<Value>> outputs;
 };
 
 /// \brief Mutable incremental cache of one PreparedQuery, shared across its

@@ -214,14 +214,19 @@ Result<RepairSummary> RepairSink::CommitDelta() {
   // under the table lock; concurrent snapshots see either the pre- or
   // post-repair generation, never a torn state.
   auto commit_lock = db_->LockCommits();
-  CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> source,
-                          db_->GetTableShared(source_table_));
-
+  // Only the schema is needed up front, so the lease is dropped before the
+  // mutation: a live lease would make UpdateRowsWith copy the whole table.
   // Mutations never change a table's schema, so the columns the editor
-  // resolves against `source` stay valid for the UpdateRowsWith run.
+  // resolves here stay valid for the UpdateRowsWith run.
+  Schema source_schema;
+  {
+    CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> source,
+                            db_->GetTableShared(source_table_));
+    source_schema = source->schema();
+  }
   RepairSummary summary;
   CLEANM_ASSIGN_OR_RETURN(RepairEditor editor,
-                          RepairEditor::Make(source->schema(), actions_, &summary));
+                          RepairEditor::Make(source_schema, actions_, &summary));
   CLEANM_ASSIGN_OR_RETURN(
       CleanDB::MutationResult mutation,
       db_->UpdateRowsWith(source_table_, [&editor](const Schema& schema, Row* row) {

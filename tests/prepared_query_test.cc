@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <functional>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -637,6 +640,172 @@ TEST(MutationApiTest, MutationsBumpMinorGenerationsAndRegisterResets) {
   EXPECT_FALSE(db.AppendRows("t", {{Value(int64_t{1})}}).ok());
 }
 
+// ---- Copy-on-write table versions ----
+
+/// A two-column table of `n` rows (i, i).
+Dataset CountingTable(int64_t n) {
+  Dataset t(Schema{{"a", ValueType::kInt}, {"b", ValueType::kInt}});
+  for (int64_t i = 0; i < n; i++) t.Append({Value(i), Value(i)});
+  return t;
+}
+
+/// The table's current rows, read through a lease that is dropped at once.
+std::vector<Row> RowsOf(CleanDB& db, const std::string& table) {
+  return db.GetTableShared(table).ValueOrDie()->rows();
+}
+
+bool KeyIs(const Row& r, int64_t key) { return r[0].Equals(Value(key)); }
+
+TEST(MutationApiTest, MutationsWithNoLeaseRewriteTheCurrentVersionInPlace) {
+  CleanDB db(FastOptions());
+  db.RegisterTable("t", CountingTable(6));
+  // The first mutation after a registration copies: the registered version
+  // is the incremental validator's base.
+  ASSERT_TRUE(db.AppendRows("t", {{Value(int64_t{6}), Value(int64_t{6})}}).ok());
+  const Dataset* current = db.GetTable("t").ValueOrDie();
+
+  ASSERT_TRUE(db.AppendRows("t", {{Value(int64_t{7}), Value(int64_t{7})}}).ok());
+  EXPECT_EQ(db.GetTable("t").ValueOrDie(), current);
+  ASSERT_TRUE(
+      db.DeleteRows("t", [](const Schema&, const Row& r) { return KeyIs(r, 0); }).ok());
+  EXPECT_EQ(db.GetTable("t").ValueOrDie(), current);
+  ASSERT_TRUE(db.UpdateRows("t", [](const Schema&, const Row& r) { return KeyIs(r, 1); },
+                            ValueStruct{{"b", Value(int64_t{10})}})
+                  .ok());
+  EXPECT_EQ(db.GetTable("t").ValueOrDie(), current);
+  ASSERT_TRUE(db.UpdateRowsWith("t",
+                                [](const Schema&, Row* r) {
+                                  if (!KeyIs(*r, 2)) return false;
+                                  (*r)[1] = Value(int64_t{20});
+                                  return true;
+                                })
+                  .ok());
+  EXPECT_EQ(db.GetTable("t").ValueOrDie(), current);
+  EXPECT_EQ(db.TableMinor("t"), 5u);
+
+  ASSERT_EQ(current->num_rows(), 7u);
+  EXPECT_TRUE(current->row(0)[1].Equals(Value(int64_t{10})));
+  EXPECT_TRUE(current->row(1)[1].Equals(Value(int64_t{20})));
+  EXPECT_TRUE(KeyIs(current->row(6), 7));
+}
+
+TEST(MutationApiTest, LeaseTakenBeforeAMutationKeepsReadingItsRows) {
+  CleanDB db(FastOptions());
+  db.RegisterTable("t", CountingTable(4));
+  ASSERT_TRUE(db.AppendRows("t", {{Value(int64_t{4}), Value(int64_t{4})}}).ok());
+  const std::vector<Row> before = RowsOf(db, "t");
+
+  using Mutation = std::function<void()>;
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"append",
+       [&] { ASSERT_TRUE(db.AppendRows("t", {{Value(int64_t{9}), Value(int64_t{9})}}).ok()); }},
+      {"delete",
+       [&] {
+         ASSERT_TRUE(
+             db.DeleteRows("t", [](const Schema&, const Row& r) { return KeyIs(r, 9); })
+                 .ok());
+       }},
+      {"update",
+       [&] {
+         ASSERT_TRUE(db.UpdateRows("t",
+                                   [](const Schema&, const Row& r) { return KeyIs(r, 1); },
+                                   ValueStruct{{"b", Value(int64_t{-1})}})
+                         .ok());
+       }},
+      {"update_with",
+       [&] {
+         ASSERT_TRUE(db.UpdateRowsWith("t",
+                                       [](const Schema&, Row* r) {
+                                         if (!KeyIs(*r, 1)) return false;
+                                         (*r)[1] = Value(int64_t{1});
+                                         return true;
+                                       })
+                         .ok());
+       }},
+  };
+  std::vector<Row> expected = before;
+  for (const auto& [name, mutate] : mutations) {
+    std::shared_ptr<const Dataset> lease = db.GetTableShared("t").ValueOrDie();
+    const uint64_t generation = db.TableGeneration("t");
+    mutate();
+    EXPECT_EQ(db.TableGeneration("t"), generation + 1) << name;
+    // The lease still reads exactly the rows it was taken on, while the
+    // table moved on.
+    EXPECT_EQ(lease->rows(), expected) << name;
+    EXPECT_NE(RowsOf(db, "t"), expected) << name;
+    expected = RowsOf(db, "t");
+  }
+  EXPECT_EQ(expected, before);  // the four mutations cancel out
+}
+
+TEST(MutationApiTest, FailedMutationsLeaveTheTableUntouched) {
+  // Each failing mutation would change rows 0..k-1 before failing on row k:
+  // a matcher that throws on row k, or an editor that changes row k's
+  // width. None may write, with or without a live lease.
+  constexpr int64_t k = 3;
+  CleanDB db(FastOptions());
+  db.RegisterTable("t", CountingTable(6));
+  auto prepared = db.Prepare("SELECT * FROM t x FD(x.a, x.b)");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  PreparedQuery& pq = prepared.value();
+  ASSERT_TRUE(pq.Execute().ok());
+  // Leave the registered base, so a lease-free mutation would run in place,
+  // and bring the incremental state up to date.
+  ASSERT_TRUE(db.AppendRows("t", {{Value(int64_t{6}), Value(int64_t{6})}}).ok());
+  ASSERT_EQ(pq.Execute().ValueOrDie().metrics.incremental_executions, 1u);
+
+  auto throw_on_k = [](const Schema&, const Row& r) {
+    if (KeyIs(r, k)) throw std::runtime_error("matcher failed");
+    return r[0].AsInt() < k;
+  };
+  const std::vector<Row> rows = RowsOf(db, "t");
+  const uint64_t generation = db.TableGeneration("t");
+  const uint64_t minor = db.TableMinor("t");
+  for (const bool leased : {false, true}) {
+    std::shared_ptr<const Dataset> lease;
+    if (leased) lease = db.GetTableShared("t").ValueOrDie();
+    const std::string label = leased ? "with a lease" : "without a lease";
+
+    EXPECT_THROW((void)db.DeleteRows("t", throw_on_k), std::runtime_error) << label;
+    EXPECT_THROW((void)db.UpdateRows("t", throw_on_k, ValueStruct{{"b", Value(int64_t{-1})}}),
+                 std::runtime_error)
+        << label;
+    auto widened = db.UpdateRowsWith("t", [](const Schema&, Row* r) {
+      if (KeyIs(*r, k)) r->emplace_back();
+      (*r)[1] = Value(int64_t{-1});
+      return true;
+    });
+    EXPECT_EQ(widened.status().code(), StatusCode::kInvalidArgument) << label;
+
+    EXPECT_EQ(RowsOf(db, "t"), rows) << label;
+    EXPECT_EQ(db.TableGeneration("t"), generation) << label;
+    EXPECT_EQ(db.TableMinor("t"), minor) << label;
+    if (lease) {
+      EXPECT_EQ(lease->rows(), rows);
+    }
+  }
+
+  // The delta log gained no entry: the next incremental execution applies
+  // exactly the one row appended after the failures.
+  ASSERT_TRUE(db.AppendRows("t", {{Value(int64_t{7}), Value(int64_t{7})}}).ok());
+  auto after = pq.Execute().ValueOrDie();
+  EXPECT_EQ(after.metrics.incremental_executions, 1u);
+  EXPECT_EQ(after.metrics.delta_rows_processed, 1u);
+}
+
+TEST(MutationApiTest, DeleteRowsKeepsTheSurvivorsInOrder) {
+  CleanDB db(FastOptions());
+  db.RegisterTable("t", CountingTable(10));
+  auto odd = [](const Schema&, const Row& r) { return r[0].AsInt() % 2 == 1; };
+  auto multiple_of_four = [](const Schema&, const Row& r) { return r[0].AsInt() % 4 == 0; };
+  // First on the registered base (the copying path), then in place.
+  ASSERT_EQ(db.DeleteRows("t", odd).ValueOrDie().rows_affected, 5u);
+  ASSERT_EQ(db.DeleteRows("t", multiple_of_four).ValueOrDie().rows_affected, 3u);
+  std::vector<int64_t> keys;
+  for (const auto& r : RowsOf(db, "t")) keys.push_back(r[0].AsInt());
+  EXPECT_EQ(keys, (std::vector<int64_t>{2, 6}));
+}
+
 TEST(PreparedQueryTest, MinorBumpIsServedIncrementallyWithZeroRepartitions) {
   const char* query = R"(
     SELECT * FROM customer c
@@ -818,7 +987,7 @@ TEST(PreparedQueryTest, RetractionsAndNewTagsReconcileWithColdExecution) {
   ASSERT_FALSE(cold_sink.current.empty());
 
   // Fix the FD violation on "A" (a2's nationkey joins the majority) and
-  // inject a brand-new violating group "C".
+  // inject two brand-new violating groups, "C" and "D".
   ASSERT_TRUE(db.UpdateRows(
                     "customer",
                     [](const Schema&, const Row& r) {
@@ -827,7 +996,9 @@ TEST(PreparedQueryTest, RetractionsAndNewTagsReconcileWithColdExecution) {
                     ValueStruct{{"nationkey", Value(int64_t{1})}})
                   .ok());
   ASSERT_TRUE(db.AppendRows("customer", {{Value("c1"), Value("C"), Value(int64_t{7})},
-                                         {Value("c2"), Value("C"), Value(int64_t{8})}})
+                                         {Value("c2"), Value("C"), Value(int64_t{8})},
+                                         {Value("d1"), Value("D"), Value(int64_t{9})},
+                                         {Value("d2"), Value("D"), Value(int64_t{10})}})
                   .ok());
 
   // Re-validates incrementally and checks the contract: previous −
@@ -884,6 +1055,18 @@ TEST(PreparedQueryTest, RetractionsAndNewTagsReconcileWithColdExecution) {
   revalidate(emptied_sink, &recreated_sink);
   EXPECT_TRUE(recreated_sink.retracted.empty());
   EXPECT_FALSE(recreated_sink.fresh.empty());
+
+  // Emission order is first-occurrence group order: "B", emptied and then
+  // re-created, now comes after every older group in each operation —
+  // after "A", and after "D", which first occurred after the original "B".
+  std::map<std::string, std::vector<std::string>> keys_by_op;
+  for (const auto& line : recreated_sink.current) {
+    const size_t bar = line.find('|');
+    const size_t key = line.find("{key:", bar) + 5;
+    keys_by_op[line.substr(0, bar)].push_back(line.substr(key, line.find(',', key) - key));
+  }
+  EXPECT_EQ(keys_by_op["FD"], (std::vector<std::string>{"D", "B"}));
+  EXPECT_EQ(keys_by_op["DEDUP"], (std::vector<std::string>{"A", "D", "B"}));
 }
 
 TEST(PreparedQueryTest, IncrementalDedupChargesComparisonsForReChainedPairs) {

@@ -15,20 +15,13 @@
 
 #include "baselines/baselines.h"
 #include "datagen/generators.h"
+#include "harness.h"
 #include "storage/colpack.h"
 #include "storage/csv.h"
 #include "storage/json.h"
 
 namespace cleanm {
 namespace {
-
-CleanDBOptions BenchOptions() {
-  CleanDBOptions opts;
-  opts.num_nodes = 8;
-  // Per-byte shuffle cost including serialization (see DESIGN.md).
-  opts.shuffle_ns_per_byte = 40.0;
-  return opts;
-}
 
 DedupClause DblpDedup() {
   DedupClause dedup;
@@ -53,8 +46,8 @@ double TimeDedup(System& system, const Dataset& data) {
 int main(int argc, char** argv) {
   using namespace cleanm;
   namespace fs = std::filesystem;
-  // --smoke: tiny sizes so CTest can verify the bench end to end.
-  const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
+  const bool smoke = bench::ParseFlags(argc, argv, {"--smoke"}).smoke;
+  const CleanDBOptions options = bench::SessionOptions(/*nonet=*/false);
   const std::vector<size_t> row_sweep =
       smoke ? std::vector<size_t>{300} : std::vector<size_t>{4000, 8000};
   // Per-process dir: concurrent ctest runs must not share bench files.
@@ -104,19 +97,19 @@ int main(int argc, char** argv) {
         }
       };
       {  // Warm-up (page cache + allocator) so system order is fair.
-        CleanDB warm(BenchOptions());
+        CleanDB warm(options);
         auto data = load();
         CLEANM_CHECK(TimeDedup(warm, data) >= 0);
       }
       Timer t_cdb;
-      CleanDB cleandb(BenchOptions());
+      CleanDB cleandb(options);
       {
         auto data = load();
         CLEANM_CHECK(TimeDedup(cleandb, data) >= 0);
       }
       const double cdb = t_cdb.ElapsedSeconds();
       Timer t_spark;
-      SparkSqlSim spark(BenchOptions());
+      SparkSqlSim spark(options);
       {
         auto data = load();
         CLEANM_CHECK(TimeDedup(spark, data) >= 0);

@@ -14,20 +14,10 @@
 
 #include "baselines/baselines.h"
 #include "datagen/generators.h"
+#include "harness.h"
 
 namespace cleanm {
 namespace {
-
-// --nonet: zero simulated network cost.
-bool g_nonet = false;
-
-CleanDBOptions BenchOptions() {
-  CleanDBOptions opts;
-  opts.num_nodes = 8;
-  // Per-byte shuffle cost including serialization (see DESIGN.md).
-  opts.shuffle_ns_per_byte = g_nonet ? 0.0 : 40.0;
-  return opts;
-}
 
 DedupClause CustomerDedup() {
   DedupClause dedup;
@@ -65,13 +55,9 @@ double Run(System& system, const Dataset& data, const DedupClause& dedup,
 
 int main(int argc, char** argv) {
   using namespace cleanm;
-  // --smoke: tiny sizes so CTest can verify the bench end to end.
-  bool smoke = false;
-  for (int i = 1; i < argc; i++) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg == "--nonet") g_nonet = true;
-  }
+  const bench::Flags flags = bench::ParseFlags(argc, argv, {"--smoke", "--nonet"});
+  const bool smoke = flags.smoke;
+  const CleanDBOptions options = bench::SessionOptions(flags.nonet);
   const size_t base_rows = smoke ? 200 : 4000;
   const std::vector<size_t> dup_sweep =
       smoke ? std::vector<size_t>{5} : std::vector<size_t>{50, 100};
@@ -84,7 +70,7 @@ int main(int argc, char** argv) {
     datagen::CustomerOptions w;
     w.base_rows = base_rows;
     w.max_duplicates = 20;
-    CleanDB warm(BenchOptions());
+    CleanDB warm(options);
     (void)Run(warm, datagen::MakeCustomer(w), CustomerDedup());
   }
   for (size_t max_dups : dup_sweep) {
@@ -94,13 +80,13 @@ int main(int argc, char** argv) {
     copts.max_duplicates = max_dups;
     auto data = datagen::MakeCustomer(copts);
 
-    CleanDB cleandb(BenchOptions());
+    CleanDB cleandb(options);
     uint64_t cdb_shuffled = 0;
     const double cdb = Run(cleandb, data, CustomerDedup(), &cdb_shuffled);
-    BigDansingSim bigdansing(BenchOptions());
+    BigDansingSim bigdansing(options);
     uint64_t bd_shuffled = 0;
     const double bd = Run(bigdansing, data, CustomerDedup(), &bd_shuffled);
-    SparkSqlSim spark(BenchOptions());
+    SparkSqlSim spark(options);
     uint64_t sp_shuffled = 0;
     const double sp = Run(spark, data, CustomerDedup(), &sp_shuffled);
     std::printf("[1-%-3zu] %19.3f %14.3f %12.3f   (rows shuffled: %llu / %llu / %llu)\n",
@@ -124,9 +110,9 @@ int main(int argc, char** argv) {
   std::printf("%-10s %10s %12s %12s\n", "dataset", "rows", "CleanDB(s)", "SparkSQL(s)");
   for (const auto* which : {"MAG2014", "MAGtotal"}) {
     const Dataset& data = std::string(which) == "MAG2014" ? mag2014 : mag;
-    CleanDB cleandb(BenchOptions());
+    CleanDB cleandb(options);
     const double cdb = Run(cleandb, data, MagDedup());
-    SparkSqlSim spark(BenchOptions());
+    SparkSqlSim spark(options);
     const double sp = Run(spark, data, MagDedup());
     std::printf("%-10s %10zu %12.3f %12.3f\n", which, data.num_rows(), cdb, sp);
   }

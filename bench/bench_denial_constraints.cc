@@ -20,6 +20,7 @@
 
 #include "baselines/baselines.h"
 #include "datagen/generators.h"
+#include "harness.h"
 #include "storage/colpack.h"
 #include "storage/csv.h"
 
@@ -27,14 +28,6 @@ namespace cleanm {
 namespace {
 
 constexpr size_t kRowsPerSf = 600;  // SF15 → 9000 rows (paper: 90M; 1/10000)
-
-CleanDBOptions BenchOptions() {
-  CleanDBOptions opts;
-  opts.num_nodes = 8;
-  // Per-byte shuffle cost including serialization (see DESIGN.md).
-  opts.shuffle_ns_per_byte = 40.0;
-  return opts;
-}
 
 Dataset MakeSf(int sf) {
   datagen::LineitemOptions lopts;
@@ -67,8 +60,8 @@ double TimeFdOn(System& system, const Dataset& data) {
 int main(int argc, char** argv) {
   using namespace cleanm;
   namespace fs = std::filesystem;
-  // --smoke: tiny scale factors so CTest can verify the bench end to end.
-  const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
+  const bool smoke = bench::ParseFlags(argc, argv, {"--smoke"}).smoke;
+  const CleanDBOptions options = bench::SessionOptions(/*nonet=*/false);
   const std::vector<int> sf_sweep =
       smoke ? std::vector<int>{1} : std::vector<int>{15, 30, 45, 60, 70};
   const int ablation_sf = smoke ? 1 : 45;
@@ -98,14 +91,14 @@ int main(int argc, char** argv) {
       return clean_secs < 0 ? -1.0 : total.ElapsedSeconds();
     };
 
-    CleanDB cleandb(BenchOptions());
-    SparkSqlSim spark(BenchOptions());
-    BigDansingSim bigdansing(BenchOptions());
+    CleanDB cleandb(options);
+    SparkSqlSim spark(options);
+    BigDansingSim bigdansing(options);
     const double csv_cdb = run(cleandb, csv_path, false);
     const double csv_spark = run(spark, csv_path, false);
     const double csv_bd = run(bigdansing, csv_path, false);
-    CleanDB cleandb2(BenchOptions());
-    SparkSqlSim spark2(BenchOptions());
+    CleanDB cleandb2(options);
+    SparkSqlSim spark2(options);
     const double cpk_cdb = run(cleandb2, cpk_path, true);
     const double cpk_spark = run(spark2, cpk_path, true);
     std::printf("%4d %8zu | %10.3f %8.3f %10.3f | %10.3f %8.3f\n", sf,
@@ -120,7 +113,7 @@ int main(int argc, char** argv) {
     for (auto strategy : {engine::AggregateStrategy::kLocalCombine,
                           engine::AggregateStrategy::kSortShuffle,
                           engine::AggregateStrategy::kHashShuffle}) {
-      CleanDBOptions opts = BenchOptions();
+      CleanDBOptions opts = options;
       opts.shuffle_ns_per_byte = 0;
       opts.physical.aggregate_strategy = strategy;
       CleanDB db(opts);
@@ -167,11 +160,11 @@ int main(int argc, char** argv) {
     auto pred = ParseCleanMExpr(
                     "t1.price < t2.price AND t1.discount > t2.discount").ValueOrDie();
 
-    CleanDB cleandb(BenchOptions());
+    CleanDB cleandb(options);
     cleandb.RegisterTable("lineitem", data);
     auto cdb = cleandb.CheckDenialConstraint("lineitem", pred, prefilter).ValueOrDie();
 
-    SparkSqlSim spark(BenchOptions());
+    SparkSqlSim spark(options);
     spark.RegisterTable("lineitem", data);
     // Spark SQL's generated plan evaluates the whole conjunction after the
     // cross product (the price filter references the join variable t1, so
@@ -188,7 +181,7 @@ int main(int argc, char** argv) {
     // here is quadratic).
     std::string bd_cell = "non-responsive";
     if (sf == sf_sweep.front()) {
-      BigDansingSim bigdansing(BenchOptions());
+      BigDansingSim bigdansing(options);
       bigdansing.RegisterTable("lineitem", data);
       auto bd = bigdansing.CheckDenialConstraint("lineitem", pred, prefilter);
       if (bd.ok()) {

@@ -12,11 +12,11 @@
 // Select's; precision, recall and F come from the reported violations, one
 // per (term, suggestion) pair.
 //
-//   bench_term_validation [--smoke | --check]
+//   bench_term_validation [--smoke] [--check]
 //
-// --smoke runs a tiny corpus. --check runs the full corpus and exits
-// non-zero when a reported term is a dictionary entry, or when the tf q=2
-// run reports no pair.
+// --smoke runs a tiny corpus. Every run exits non-zero when a reported
+// term is a dictionary entry, or when the tf q=2 run reports no pair;
+// --check skips E3.
 #include <cstdio>
 #include <map>
 #include <set>
@@ -26,6 +26,7 @@
 #include "cleaning/prepared_query.h"
 #include "cleaning/query_profile.h"
 #include "datagen/generators.h"
+#include "harness.h"
 
 namespace cleanm {
 namespace {
@@ -130,9 +131,13 @@ Measured Run(const Corpus& corpus, const Config& config, double theta) {
 
 int main(int argc, char** argv) {
   using namespace cleanm;
-  const std::string mode = argc > 1 ? argv[1] : "";
-  const bool check = mode == "--check";
-  if (mode == "--smoke") {
+  bench::Flags flags = bench::ParseFlags(argc, argv, {"--smoke", "--check"});
+  // The gates read which terms the engine reports, not timings, so every
+  // run judges them, the CTest smoke run included; --check only skips E3.
+  const bool skip_e3 = flags.check;
+  flags.check = true;
+  bench::Report report(flags);
+  if (report.flags().smoke) {
     g_corpus_rows = 300;
     g_author_pool = 100;
   }
@@ -151,7 +156,6 @@ int main(int argc, char** argv) {
       {"kmeans k=5", "kmeans", 5}, {"kmeans k=10", "kmeans", 10}, {"kmeans k=20", "kmeans", 20},
   };
 
-  int failures = 0;
   std::printf("%-12s %9s %9s %9s %7s %8s %8s %8s\n", "config", "group(ms)", "sim(ms)",
               "exec(ms)", "pairs", "prec", "recall", "fscore");
   for (const auto& config : configs) {
@@ -159,21 +163,15 @@ int main(int argc, char** argv) {
     std::printf("%-12s %9.2f %9.2f %9.2f %7zu %7.1f%% %7.1f%% %7.1f%%\n", config.label,
                 m.grouping_ms, m.similarity_ms, m.total_ms, m.pairs, m.precision * 100,
                 m.recall * 100, m.fscore * 100);
-    if (m.in_dictionary > 0) {
-      std::printf("CHECK FAILED: %s reported %zu dictionary entries as dirty terms\n",
-                  config.label, m.in_dictionary);
-      failures++;
-    }
-    if (config.op == std::string("tf") && config.q_or_k == 2 && m.pairs == 0) {
-      std::printf("CHECK FAILED: tf q=2 reported no pair\n");
-      failures++;
+    report.Require(std::string(config.label) + " reports " + std::to_string(m.in_dictionary) +
+                       " dictionary entries as dirty terms (must be 0)",
+                   m.in_dictionary == 0);
+    if (config.op == std::string("tf") && config.q_or_k == 2) {
+      report.Require("tf q=2 reports " + std::to_string(m.pairs) + " pairs (must be > 0)",
+                     m.pairs > 0);
     }
   }
-  if (check) {
-    if (failures) return 1;
-    std::printf("\n[check] no dictionary entry reported as dirty; tf q=2 reports pairs\n");
-    return 0;
-  }
+  if (skip_e3) return report.Finish();
 
   std::printf("\n=== E3 — Figure 4: F-score vs noise (theta lowered with noise) ===\n");
   std::printf("paper: accuracy drops slightly with noise; q=4 / k=20 drop the most\n\n");
@@ -193,5 +191,5 @@ int main(int argc, char** argv) {
   std::printf("\n[measured] every column comes from the engine's violations, one per "
               "(term, suggestion) pair: no best suggestion is picked, so each extra "
               "suggestion counts against precision.\n");
-  return failures ? 1 : 0;
+  return report.Finish();
 }

@@ -15,19 +15,16 @@
 #include "cleaning/cleandb.h"
 #include "common/timer.h"
 #include "datagen/generators.h"
+#include "harness.h"
 #include "storage/colpack.h"
 
 int main(int argc, char** argv) {
   using namespace cleanm;
-  // --smoke: tiny size so CTest can verify the bench end to end.
-  const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
+  const bool smoke = bench::ParseFlags(argc, argv, {"--smoke"}).smoke;
   std::printf("=== E5 — Table 4: transformation slowdowns (lineitem 'SF70'-scaled) ===\n");
   std::printf("paper: split 1.15x | fill 1.15x | both two-step 2.30x | both one-step 1.19x\n\n");
 
-  CleanDBOptions opts;
-  opts.num_nodes = 8;
-  opts.shuffle_ns_per_byte = 0;
-  CleanDB db(opts);
+  CleanDB db(bench::SessionOptions(/*nonet=*/true));
   datagen::LineitemOptions lopts;
   lopts.rows = smoke ? 2000 : 420000 / 2;  // SF70-equivalent at 1/2000 scale
   lopts.missing_fraction = 0.05;

@@ -11,12 +11,10 @@
 // (prefix() is a computed attribute).
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cstdio>
-#include <fstream>
 #include <map>
+#include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +25,7 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "datagen/generators.h"
+#include "harness.h"
 #include "repair/repair_sink.h"
 
 namespace cleanm {
@@ -37,18 +36,11 @@ size_t g_base_rows = 12000;
 // --nonet: zero simulated network cost (pure compute).
 bool g_nonet = false;
 
-CleanDBOptions BenchOptions() {
-  CleanDBOptions opts;
-  opts.num_nodes = 8;
-  // Effective per-byte cost of a shuffle hop including serialization —
-  // shuffles dominate cleaning jobs on real clusters (see DESIGN.md).
-  opts.shuffle_ns_per_byte = g_nonet ? 0.0 : 40.0;
-  return opts;
-}
-
-Dataset MakeData() {
+/// The customer table every section but the delta-incremental A/B runs on:
+/// 10% duplicated entities (up to 40 copies) and 5% FD violations.
+Dataset MakeCustomers(size_t base_rows) {
   datagen::CustomerOptions copts;
-  copts.base_rows = g_base_rows;
+  copts.base_rows = base_rows;
   copts.duplicate_fraction = 0.10;
   copts.max_duplicates = 40;
   copts.fd_violation_fraction = 0.05;
@@ -67,10 +59,10 @@ struct SystemTimes {
 };
 
 SystemTimes RunCleanDB(bool unify) {
-  CleanDBOptions opts = BenchOptions();
+  CleanDBOptions opts = bench::SessionOptions(g_nonet);
   opts.unify_operations = unify;
   CleanDB db(opts);
-  db.RegisterTable("customer", MakeData());
+  db.RegisterTable("customer", MakeCustomers(g_base_rows));
   SystemTimes t;
   auto result = db.Execute(kQuery).ValueOrDie();
   t.fd1 = result.ops[0].seconds;
@@ -81,8 +73,8 @@ SystemTimes RunCleanDB(bool unify) {
 }
 
 SystemTimes RunSparkSql() {
-  SparkSqlSim spark(BenchOptions());
-  spark.RegisterTable("customer", MakeData());
+  SparkSqlSim spark(bench::SessionOptions(g_nonet));
+  spark.RegisterTable("customer", MakeCustomers(g_base_rows));
   auto query = ParseCleanM(kQuery).ValueOrDie();
   SystemTimes t;
   auto result = spark.ExecuteQuery(query).ValueOrDie();
@@ -94,8 +86,8 @@ SystemTimes RunSparkSql() {
 }
 
 SystemTimes RunBigDansing() {
-  BigDansingSim bd(BenchOptions());
-  bd.RegisterTable("customer", MakeData());
+  BigDansingSim bd(bench::SessionOptions(g_nonet));
+  bd.RegisterTable("customer", MakeCustomers(g_base_rows));
   SystemTimes t;
   FdClause fd1;
   fd1.lhs = {ParseCleanMExpr("c.address").ValueOrDie()};
@@ -131,79 +123,56 @@ const char* kManyOpQuery = R"(
   FD(c.custkey, c.nationkey)
 )";
 
-Dataset ManyOpData() {
-  // Fixed small table regardless of --smoke, so the per-query fixed costs
-  // (planning, partitioning, dispatch) that prepared re-execution
-  // amortizes dominate.
-  datagen::CustomerOptions copts;
-  copts.base_rows = 400;
-  copts.duplicate_fraction = 0.10;
-  copts.max_duplicates = 40;
-  copts.fd_violation_fraction = 0.05;
-  return datagen::MakeCustomer(copts);
-}
-
-CleanDBOptions ManyOpOptions() {
-  CleanDBOptions opts;
-  opts.num_nodes = 8;
-  opts.shuffle_ns_per_byte = 0;
-  return opts;
-}
-
 // ---- Prepared-query A/B: cold one-shot Execute (fresh session: construct,
 // register, parse, plan, partition — the only way to run a query before the
 // Prepare/Execute split) vs. re-executing one PreparedQuery on a live
 // session (plans + partition cache warm). 8-FD unified plan, pure compute.
 
-struct PreparedAb {
-  double cold_s = 0;
-  double reexec_s = 0;
-  double speedup = 0;
-  uint64_t reexec_repartitions = 0;  ///< scan+nest misses across timed reps
-};
-
-PreparedAb RunPreparedAb() {
-  const Dataset data = ManyOpData();
+void RunPreparedAb(bench::Section& s) {
+  // Fixed small table regardless of --smoke, so the per-query fixed costs
+  // (planning, partitioning, dispatch) that prepared re-execution
+  // amortizes dominate.
+  const Dataset data = MakeCustomers(400);
   const int reps = 5;
-  PreparedAb ab;
 
-  double cold_best = -1;
+  bench::BestTime cold;
   for (int rep = 0; rep < reps; rep++) {
-    Timer timer;
-    CleanDB db(ManyOpOptions());
-    db.RegisterTable("customer", data);
-    auto result = db.Execute(kManyOpQuery).ValueOrDie();
+    std::optional<CleanDB> db;  // torn down after the timing, not in it
+    auto result = cold.Time([&] {
+      db.emplace(bench::SessionOptions(/*nonet=*/true));
+      db->RegisterTable("customer", data);
+      return db->Execute(kManyOpQuery).ValueOrDie();
+    });
     CLEANM_CHECK(result.ops.size() == 8);
-    const double s = timer.ElapsedSeconds();
-    if (cold_best < 0 || s < cold_best) cold_best = s;
   }
 
-  CleanDB db(ManyOpOptions());
+  CleanDB db(bench::SessionOptions(/*nonet=*/true));
   db.RegisterTable("customer", data);
   auto prepared = db.Prepare(kManyOpQuery);
   CLEANM_CHECK(prepared.ok());
   (void)prepared.value().Execute().ValueOrDie();  // populate the cache
-  double reexec_best = -1;
+  bench::BestTime reexec;
+  uint64_t repartitions = 0;  // scan+nest misses across timed reps
   for (int rep = 0; rep < reps; rep++) {
-    Timer timer;
-    auto result = prepared.value().Execute().ValueOrDie();
+    auto result = reexec.Time([&] { return prepared.value().Execute().ValueOrDie(); });
     CLEANM_CHECK(result.ops.size() == 8);
-    const double s = timer.ElapsedSeconds();
-    if (reexec_best < 0 || s < reexec_best) reexec_best = s;
-    ab.reexec_repartitions += result.cache.scan_misses + result.cache.nest_misses;
+    repartitions += result.cache.scan_misses + result.cache.nest_misses;
   }
 
-  ab.cold_s = cold_best;
-  ab.reexec_s = reexec_best;
-  ab.speedup = reexec_best > 0 ? cold_best / reexec_best : 0;
-  return ab;
+  s.Seconds("cold_execute_s", cold.seconds());
+  s.Seconds("prepared_reexec_s", reexec.seconds());
+  // Prepared re-execution must stay clearly ahead of a cold one-shot
+  // Execute, and it must really skip re-partitioning — otherwise the
+  // plan/partition reuse has regressed.
+  s.Ratio("speedup", bench::Quotient(cold.seconds(), reexec.seconds())).AtLeast(2.0);
+  s.Count("reexec_repartitions", repartitions).AtMost(0);
 }
 
 // ---- UDF / repair A/B: the function-registry subsystem must not tax the
 // engine. Two measurements on the customer table, pure compute:
 //   1. a GROUP BY with a *registered* monoid-annotated aggregate (usum, a
 //      user-written clone of sum) vs. the equivalent built-in aggregate —
-//      CI-gated at ≤ 1.3× (the registry dispatch must stay in the noise);
+//      gated on their ratio (the registry dispatch must stay in the noise);
 //   2. a registered repair function driving the detect→repair loop vs. a
 //      hand-rolled driver-side traversal computing the identical repairs.
 
@@ -263,55 +232,35 @@ const char* kRepairQuery =
     "FROM customer c GROUP BY c.address "
     "HAVING length(set(prefix(c.phone))) > 1";
 
-struct UdfAb {
-  double builtin_agg_s = 0;
-  double udf_agg_s = 0;
-  double agg_ratio = 0;          ///< udf / builtin (≤ 1.3 gated)
-  double repair_registered_s = 0;
-  double repair_manual_s = 0;
-  size_t repairs_applied = 0;
-  size_t repairs_manual = 0;
-};
-
 /// Best-of-reps execution time of `query` on a warm session. One-shot
 /// Executes on purpose: a transient plan keeps its Nest output out of the
 /// session cache, so every rep really re-runs the aggregation (scans stay
 /// cached — the A/B isolates aggregate compute, not partitioning).
-double TimeGroupByQuery(const Dataset& data, const char* query,
-                        size_t* violations = nullptr) {
-  CleanDB db(ManyOpOptions());
+double TimeGroupByQuery(const Dataset& data, const char* query) {
+  CleanDB db(bench::SessionOptions(/*nonet=*/true));
   RegisterBenchFunctions(db);
   db.RegisterTable("customer", data);
   (void)db.Execute(query).ValueOrDie();  // warm the scan cache
-  double best = -1;
+  bench::BestTime best;
   for (int rep = 0; rep < 7; rep++) {
-    Timer timer;
-    auto result = db.Execute(query).ValueOrDie();
-    const double s = timer.ElapsedSeconds();
-    if (best < 0 || s < best) best = s;
-    if (violations) *violations = result.ops.back().violations.size();
+    (void)best.Time([&] { return db.Execute(query).ValueOrDie(); });
   }
-  return best;
+  return best.seconds();
 }
 
-UdfAb RunUdfAb() {
+void RunUdfAb(bench::Section& s) {
   // A larger slice than the many-op table: aggregate throughput, not
-  // dispatch, is what the 1.3× gate compares.
-  datagen::CustomerOptions copts;
-  copts.base_rows = std::max<size_t>(g_base_rows, 2000);
-  copts.duplicate_fraction = 0.10;
-  copts.max_duplicates = 40;
-  copts.fd_violation_fraction = 0.05;
-  const Dataset data = datagen::MakeCustomer(copts);
+  // dispatch, is what the ratio gate compares.
+  const Dataset data = MakeCustomers(std::max<size_t>(g_base_rows, 2000));
 
-  UdfAb ab;
-  ab.builtin_agg_s = TimeGroupByQuery(data, kBuiltinAggQuery);
-  ab.udf_agg_s = TimeGroupByQuery(data, kUdfAggQuery);
-  ab.agg_ratio = ab.builtin_agg_s > 0 ? ab.udf_agg_s / ab.builtin_agg_s : 0;
+  const double builtin_s = TimeGroupByQuery(data, kBuiltinAggQuery);
+  const double udf_s = TimeGroupByQuery(data, kUdfAggQuery);
 
   // Registered repair loop: detect on the engine, apply + re-register.
+  double registered_s = 0;
+  size_t repairs_applied = 0;
   {
-    CleanDB db(ManyOpOptions());
+    CleanDB db(bench::SessionOptions(/*nonet=*/true));
     RegisterBenchFunctions(db);
     db.RegisterTable("customer", data);
     auto prepared = db.Prepare(kRepairQuery);
@@ -320,12 +269,14 @@ UdfAb RunUdfAb() {
     RepairSink sink(&db, prepared.value());
     CLEANM_CHECK(prepared.value().ExecuteInto(sink).ok());
     auto summary = sink.Commit().ValueOrDie();
-    ab.repair_registered_s = timer.ElapsedSeconds();
-    ab.repairs_applied = summary.cells_changed;
+    registered_s = timer.ElapsedSeconds();
+    repairs_applied = summary.cells_changed;
   }
 
   // Hand-rolled baseline: a driver-side traversal computing the identical
   // majority-prefix repair (group, pick min prefix, rewrite deviants).
+  double manual_s = 0;
+  size_t repairs_manual = 0;
   {
     Timer timer;
     const auto& schema = data.schema();
@@ -363,16 +314,25 @@ UdfAb RunUdfAb() {
       }
       repaired.Append(std::move(r));
     }
-    ab.repair_manual_s = timer.ElapsedSeconds();
-    ab.repairs_manual = cells;
+    manual_s = timer.ElapsedSeconds();
+    repairs_manual = cells;
   }
-  return ab;
+
+  s.Seconds("builtin_agg_s", builtin_s);
+  s.Seconds("udf_agg_s", udf_s);
+  s.Ratio("udf_vs_builtin_ratio", bench::Quotient(udf_s, builtin_s)).AtMost(1.3);
+  s.Seconds("repair_registered_s", registered_s);
+  s.Seconds("repair_manual_s", manual_s);
+  s.Count("repairs_applied", repairs_applied);
+  s.Count("repairs_manual", repairs_manual).PrintOnly();
+  s.Require("the registered repair loop fixes the hand-rolled baseline's cells",
+            repairs_applied == repairs_manual && repairs_applied > 0);
 }
 
 // ---- Pipeline gate: one cold run of the 8-FD unified plan, gated on an
 // absolute memory bound. QueryMetrics::peak_bytes_materialized is the
 // high-water mark of transient buffers (breaker outputs and in-flight
-// morsels); it must stay within 2x the table's logical footprint.
+// morsels); it is gated against the table's logical footprint.
 // Materializing every operator output instead (each FD's keyed Nest
 // expansion) peaks at several times the footprint, so a regression to
 // materialization fails the gate. The run pins morsel_rows so a morsel is
@@ -381,26 +341,13 @@ UdfAb RunUdfAb() {
 // (a morsel only bounds memory when it is smaller than the partition it
 // streams from).
 
-struct PipelineRun {
-  uint64_t peak_bytes = 0;
-  uint64_t footprint_bytes = 0;
-  double peak_over_footprint = 0;  ///< peak / footprint (≤ 2 gated)
-  uint64_t morsels = 0;
-  double seconds = 0;
-};
-
-PipelineRun RunPipelineGate() {
-  datagen::CustomerOptions copts;
-  copts.base_rows = std::max<size_t>(g_base_rows, 2000);
-  copts.duplicate_fraction = 0.10;
-  copts.max_duplicates = 40;
-  copts.fd_violation_fraction = 0.05;
-  const Dataset data = datagen::MakeCustomer(copts);
+/// Returns the run's wall-clock: the observability A/B's baseline.
+double RunPipelineGate(bench::Section& s) {
+  const Dataset data = MakeCustomers(std::max<size_t>(g_base_rows, 2000));
   const size_t kGateMorselRows = 32;
 
-  PipelineRun run;
-  run.footprint_bytes = data.ByteSize();
-  CleanDB db(ManyOpOptions());
+  const uint64_t footprint = data.ByteSize();
+  CleanDB db(bench::SessionOptions(/*nonet=*/true));
   db.RegisterTable("customer", data);
   auto prepared = db.Prepare(kManyOpQuery);
   CLEANM_CHECK(prepared.ok());
@@ -408,13 +355,18 @@ PipelineRun RunPipelineGate() {
   eo.morsel_rows = kGateMorselRows;
   Timer timer;
   auto result = prepared.value().Execute(eo).ValueOrDie();
-  run.seconds = timer.ElapsedSeconds();
+  const double seconds = timer.ElapsedSeconds();
   CLEANM_CHECK(result.ops.size() == 8);
-  run.peak_bytes = result.metrics.peak_bytes_materialized;
-  run.morsels = result.metrics.morsels_processed;
-  run.peak_over_footprint = static_cast<double>(run.peak_bytes) /
-                            static_cast<double>(run.footprint_bytes);
-  return run;
+  const uint64_t peak = result.metrics.peak_bytes_materialized;
+
+  s.Count("peak_materialized_bytes", peak);
+  s.Count("footprint_bytes", footprint);
+  s.Ratio("peak_over_footprint", static_cast<double>(peak) / static_cast<double>(footprint))
+      .AtMost(2.0);
+  // Zero morsels: operators no longer stream.
+  s.Count("morsels", result.metrics.morsels_processed).AtLeast(1);
+  s.Seconds("pipelined_s", seconds);
+  return seconds;
 }
 
 // ---- Out-of-core A/B: the 8-FD unified plan fully in-memory vs under a
@@ -424,40 +376,23 @@ PipelineRun RunPipelineGate() {
 // still produce *bit-identical* violations (same tuples, same order,
 // compared on the full rendered structure). Gates: identical violations,
 // bytes actually spilled (the budget really bit), pool peak residency
-// within the budget, and wall-clock within 2× of in-memory. Small pages
+// within the budget, and the slowdown over in-memory. Small pages
 // and morsels keep bench-scale data producing several spill generations.
 
-struct OutOfCoreAb {
-  uint64_t footprint_bytes = 0;
-  uint64_t budget_bytes = 0;
-  uint64_t bytes_spilled = 0;
-  uint64_t pages_evicted = 0;
-  uint64_t pool_peak_resident = 0;
-  bool within_budget = false;
-  double in_memory_s = 0;
-  double out_of_core_s = 0;
-  double slowdown = 0;  ///< out_of_core / in_memory (≤ 2 gated)
-  size_t violations = 0;
-  bool identical = false;
-};
-
-OutOfCoreAb RunOutOfCoreAb() {
-  datagen::CustomerOptions copts;
-  copts.base_rows = std::max<size_t>(g_base_rows, 2000);
-  copts.duplicate_fraction = 0.10;
-  copts.max_duplicates = 40;
-  copts.fd_violation_fraction = 0.05;
-  const Dataset data = datagen::MakeCustomer(copts);
+void RunOutOfCoreAb(bench::Section& s) {
+  const Dataset data = MakeCustomers(std::max<size_t>(g_base_rows, 2000));
   const size_t kPageBytes = 4096;
 
-  OutOfCoreAb ab;
-  ab.footprint_bytes = data.ByteSize();
-  ab.budget_bytes = ab.footprint_bytes / 8;
+  const uint64_t footprint = data.ByteSize();
+  const uint64_t budget = footprint / 8;
   std::vector<std::string> rendered[2];
+  double seconds[2] = {0, 0};
+  MetricsCounters spilled;  // the out-of-core run's
+  uint64_t pool_peak = 0;
   for (int ooc = 0; ooc <= 1; ooc++) {
-    CleanDBOptions options = ManyOpOptions();
+    CleanDBOptions options = bench::SessionOptions(/*nonet=*/true);
     if (ooc != 0) {
-      options.buffer_pool_bytes = ab.budget_bytes;
+      options.buffer_pool_bytes = budget;
       options.page_bytes = kPageBytes;
       options.morsel_rows = 512;  // several aggregator spill generations
     }
@@ -467,29 +402,37 @@ OutOfCoreAb RunOutOfCoreAb() {
     CLEANM_CHECK(prepared.ok());
     Timer timer;
     auto result = prepared.value().Execute().ValueOrDie();
-    const double s = timer.ElapsedSeconds();
+    seconds[ooc] = timer.ElapsedSeconds();
     CLEANM_CHECK(result.ops.size() == 8);
     for (const auto& op : result.ops) {
       for (const auto& v : op.violations) rendered[ooc].push_back(v.ToString());
     }
     if (ooc != 0) {
-      ab.out_of_core_s = s;
-      ab.bytes_spilled = result.metrics.bytes_spilled;
-      ab.pages_evicted = result.metrics.pages_evicted;
-      const BufferPool::Stats pool = db.buffer_pool()->stats();
-      ab.pool_peak_resident = pool.peak_resident_bytes;
-      // The pool admits a single over-budget payload alone, so the bound
-      // is max(budget, one oversized chunk).
-      ab.within_budget = pool.peak_resident_bytes <=
-                         std::max<uint64_t>(ab.budget_bytes, 2 * kPageBytes);
-    } else {
-      ab.in_memory_s = s;
+      spilled = result.metrics;
+      pool_peak = db.buffer_pool()->stats().peak_resident_bytes;
     }
   }
-  ab.violations = rendered[0].size();
-  ab.identical = rendered[0] == rendered[1];
-  ab.slowdown = ab.in_memory_s > 0 ? ab.out_of_core_s / ab.in_memory_s : 0;
-  return ab;
+
+  s.Count("footprint_bytes", footprint);
+  s.Count("budget_bytes", budget);
+  // Nothing spilled: the budget never bit, and the A/B proves nothing.
+  s.Count("bytes_spilled", spilled.bytes_spilled).AtLeast(1);
+  s.Count("pages_evicted", spilled.pages_evicted);
+  // The pool admits a single over-budget payload alone, so the bound is
+  // max(budget, one oversized chunk).
+  const uint64_t bound = std::max<uint64_t>(budget, 2 * kPageBytes);
+  s.Count("pool_peak_resident_bytes", pool_peak).AtMost(bound);
+  s.Flag("within_budget", pool_peak <= bound);
+  s.Seconds("in_memory_s", seconds[0]);
+  s.Seconds("out_of_core_s", seconds[1]);
+  s.Ratio("slowdown", bench::Quotient(seconds[1], seconds[0])).AtMost(2.0);
+  const bool identical = rendered[0] == rendered[1];
+  s.Flag("violations_identical", identical);
+  s.Count("violations", rendered[0].size()).PrintOnly();
+  // The spill generations' first-occurrence order must replay the
+  // in-memory aggregation exactly.
+  s.Require("violations bit-identical to the in-memory run",
+            identical && !rendered[0].empty());
 }
 
 // ---- Concurrency A/B: 8 prepared sessions serialized vs 8 concurrent
@@ -515,41 +458,25 @@ OutOfCoreAb RunOutOfCoreAb() {
 // merely measure the scheduler. The network-simulated regime is the
 // paper's cluster setting anyway.
 
-struct ConcurrencyAb {
-  size_t sessions = 8;
-  double serial_s = 0;
-  double concurrent_s = 0;
-  double speedup = 0;      ///< serial / concurrent (≥ 2 gated)
-  size_t violations = 0;   ///< per-execution violation tuples (baseline)
-  bool identical = false;  ///< all 16 executions bit-identical to baseline
-  size_t worker_pools = 0;  ///< pools the cluster created (≤ sessions gated)
-};
-
-ConcurrencyAb RunConcurrencyAb() {
-  ConcurrencyAb ab;
-  CleanDBOptions opts;
-  opts.num_nodes = 8;
+void RunConcurrencyAb(bench::Section& s) {
+  const size_t kSessions = 8;
+  CleanDBOptions opts = bench::SessionOptions(/*nonet=*/false);
   opts.shuffle_ns_per_byte = 150000.0;  // sleep-dominated on purpose (see above)
   CleanDB db(opts);
-  datagen::CustomerOptions copts;
-  copts.base_rows = std::min<size_t>(g_base_rows, 150);
-  copts.duplicate_fraction = 0.10;
-  copts.max_duplicates = 40;
-  copts.fd_violation_fraction = 0.05;
   // One identical table copy per session (datagen is deterministic, so all
   // eight carry the same rows and yield the same violations). Re-running
   // this before an arm bumps every generation, invalidating the partition
   // cache so the arm's executions re-partition from scratch.
   auto reseed = [&] {
-    for (size_t i = 0; i < ab.sessions; i++) {
+    for (size_t i = 0; i < kSessions; i++) {
       db.RegisterTable("customer" + std::to_string(i),
-                       datagen::MakeCustomer(copts));
+                       MakeCustomers(std::min<size_t>(g_base_rows, 150)));
     }
   };
   reseed();
   std::vector<PreparedQuery> sessions;
-  sessions.reserve(ab.sessions);
-  for (size_t i = 0; i < ab.sessions; i++) {
+  sessions.reserve(kSessions);
+  for (size_t i = 0; i < kSessions; i++) {
     std::string q = kQuery;
     const std::string from = "FROM customer";
     q.replace(q.find(from), from.size(), from + std::to_string(i));
@@ -570,76 +497,69 @@ ConcurrencyAb RunConcurrencyAb() {
   };
   auto warm = sessions[0].Execute().ValueOrDie();
   const std::string baseline = render(warm);
-  for (const auto& op : warm.ops) ab.violations += op.violations.size();
+  size_t violations = 0;  // per execution
+  for (const auto& op : warm.ops) violations += op.violations.size();
   bool all_identical = true;
+  double serial_s = 0, concurrent_s = 0;
 
   {
     reseed();  // all sessions cold: every execution pays the network
     Timer timer;
-    for (size_t i = 0; i < ab.sessions; i++) {
+    for (size_t i = 0; i < kSessions; i++) {
       auto result = sessions[i].Execute().ValueOrDie();
       if (render(result) != baseline) all_identical = false;
     }
-    ab.serial_s = timer.ElapsedSeconds();
+    serial_s = timer.ElapsedSeconds();
   }
   {
     reseed();  // cold again: the concurrent arm repartitions the same work
     std::atomic<int> mismatches{0};
     std::vector<std::thread> drivers;
-    drivers.reserve(ab.sessions);
+    drivers.reserve(kSessions);
     Timer timer;
-    for (size_t i = 0; i < ab.sessions; i++) {
+    for (size_t i = 0; i < kSessions; i++) {
       drivers.emplace_back([&, i] {
         auto result = sessions[i].Execute();
         if (!result.ok() || render(result.value()) != baseline) mismatches++;
       });
     }
     for (auto& t : drivers) t.join();
-    ab.concurrent_s = timer.ElapsedSeconds();
+    concurrent_s = timer.ElapsedSeconds();
     if (mismatches.load() != 0) all_identical = false;
   }
-  ab.identical = all_identical;
-  ab.speedup = ab.concurrent_s > 0 ? ab.serial_s / ab.concurrent_s : 0;
-  ab.worker_pools = db.cluster().worker_pools();
-  return ab;
+
+  s.Count("sessions", kSessions);
+  s.Seconds("serial_s", serial_s);
+  s.Seconds("concurrent_s", concurrent_s);
+  // Below it, the session layer has re-serialized (a stray exclusive lock).
+  s.Ratio("speedup", bench::Quotient(serial_s, concurrent_s)).AtLeast(2.0);
+  s.Flag("violations_identical", all_identical);
+  s.Count("violations", violations).PrintOnly();
+  // A mismatch means races are corrupting results.
+  s.Require("all 16 executions bit-identical to the serial baseline",
+            all_identical && violations > 0);
+  // More pools than sessions: a pool per dispatch (a leaked or
+  // never-returned lease).
+  s.Count("worker_pools", db.cluster().worker_pools()).AtMost(kSessions);
 }
 
 // ---- Fault-tolerance A/B: the recovery machinery must keep results exact
 // and cheap. Two arms:
 //   1. Injected failures: the 8-FD unified plan (pure compute) clean vs
 //      5% per-task injected kUnavailable with a fixed seed — retries must
-//      re-execute failed partitions to *bit-identical* violations at ≤1.5×
-//      the clean wall-clock (a failed attempt aborts before the task body,
-//      so the overhead is re-execution, not corruption).
+//      re-execute failed partitions to *bit-identical* violations at a
+//      small overhead over the clean wall-clock (a failed attempt aborts
+//      before the task body, so the overhead is re-execution, not
+//      corruption).
 //   2. Deadline: a network-simulated cold execution (this arm deliberately
 //      ignores --nonet — with zero network cost the run finishes before any
 //      realistic deadline) re-run with deadline_ns at 10% of its clean
 //      wall-clock must return kDeadlineExceeded promptly instead of running
 //      to completion.
 
-struct FaultAb {
-  double clean_s = 0;
-  double faulted_s = 0;
-  double overhead = 0;  ///< faulted / clean (≤ 1.5 gated)
-  uint64_t tasks_failed = 0;
-  uint64_t tasks_retried = 0;
-  size_t violations = 0;
-  bool identical = false;
-  double deadline_clean_s = 0;
-  double deadline_run_s = 0;
-  bool deadline_exceeded = false;
-  uint64_t executions_cancelled = 0;
-};
+void RunFaultAb(bench::Section& s) {
+  const Dataset data = MakeCustomers(std::max<size_t>(g_base_rows, 2000));
 
-FaultAb RunFaultAb() {
-  datagen::CustomerOptions copts;
-  copts.base_rows = std::max<size_t>(g_base_rows, 2000);
-  copts.duplicate_fraction = 0.10;
-  copts.max_duplicates = 40;
-  copts.fd_violation_fraction = 0.05;
-  const Dataset data = datagen::MakeCustomer(copts);
-
-  FaultAb ab;
   auto render = [](const QueryResult& r) {
     std::vector<std::string> out;
     for (const auto& op : r.ops) {
@@ -650,8 +570,10 @@ FaultAb RunFaultAb() {
 
   // Arm 1: clean vs 5% injected task failures on the 8-FD unified plan.
   std::vector<std::string> rendered[2];
+  bench::BestTime best[2];
+  uint64_t tasks_failed = 0, tasks_retried = 0;
   for (int faulty = 0; faulty <= 1; faulty++) {
-    CleanDBOptions opts = ManyOpOptions();
+    CleanDBOptions opts = bench::SessionOptions(/*nonet=*/true);
     if (faulty != 0) {
       opts.fault.failure_probability = 0.05;
       opts.fault.seed = 1234;  // fixed: the failure schedule is part of the A/B
@@ -660,55 +582,57 @@ FaultAb RunFaultAb() {
     }
     CleanDB db(opts);
     db.RegisterTable("customer", data);
-    double best = -1;
     for (int rep = 0; rep < 3; rep++) {
-      Timer timer;
-      auto result = db.Execute(kManyOpQuery).ValueOrDie();
-      const double s = timer.ElapsedSeconds();
-      if (best < 0 || s < best) best = s;
+      auto result = best[faulty].Time([&] { return db.Execute(kManyOpQuery).ValueOrDie(); });
       CLEANM_CHECK(result.ops.size() == 8);
       rendered[faulty] = render(result);
       if (faulty != 0) {
-        ab.tasks_failed += result.metrics.tasks_failed;
-        ab.tasks_retried += result.metrics.tasks_retried;
+        tasks_failed += result.metrics.tasks_failed;
+        tasks_retried += result.metrics.tasks_retried;
       }
     }
-    (faulty != 0 ? ab.faulted_s : ab.clean_s) = best;
   }
-  ab.violations = rendered[0].size();
-  ab.identical = rendered[0] == rendered[1];
-  ab.overhead = ab.clean_s > 0 ? ab.faulted_s / ab.clean_s : 0;
 
   // Arm 2: deadline at 10% of a cold network-simulated execution.
-  CleanDBOptions dopts;
-  dopts.num_nodes = 8;
+  CleanDBOptions dopts = bench::SessionOptions(/*nonet=*/false);
   dopts.shuffle_ns_per_byte = 150000.0;  // sleep-dominated (see concurrency A/B)
   CleanDB db(dopts);
-  datagen::CustomerOptions small = copts;
-  small.base_rows = std::min<size_t>(g_base_rows, 150);
-  db.RegisterTable("customer", datagen::MakeCustomer(small));
+  const size_t small_rows = std::min<size_t>(g_base_rows, 150);
+  db.RegisterTable("customer", MakeCustomers(small_rows));
   auto prepared = db.Prepare(kQuery);
   CLEANM_CHECK(prepared.ok());
-  {
-    Timer timer;
-    (void)prepared.value().Execute().ValueOrDie();
-    ab.deadline_clean_s = timer.ElapsedSeconds();
-  }
+  Timer clean_timer;
+  (void)prepared.value().Execute().ValueOrDie();
+  const double deadline_clean_s = clean_timer.ElapsedSeconds();
   // Re-register: the generation bump empties the partition cache, so the
   // deadline run pays the same network waits the clean timing did.
-  db.RegisterTable("customer", datagen::MakeCustomer(small));
+  db.RegisterTable("customer", MakeCustomers(small_rows));
   ExecOptions eo;
-  eo.deadline_ns = static_cast<uint64_t>(ab.deadline_clean_s * 0.1 * 1e9);
-  {
-    Timer timer;
-    auto r = prepared.value().Execute(eo);
-    ab.deadline_run_s = timer.ElapsedSeconds();
-    ab.deadline_exceeded =
-        !r.ok() && r.status().code() == StatusCode::kDeadlineExceeded;
-  }
-  ab.executions_cancelled =
-      db.cluster().session_metrics().executions_cancelled.load();
-  return ab;
+  eo.deadline_ns = static_cast<uint64_t>(deadline_clean_s * 0.1 * 1e9);
+  Timer run_timer;
+  auto r = prepared.value().Execute(eo);
+  const double deadline_run_s = run_timer.ElapsedSeconds();
+
+  s.Seconds("clean_s", best[0].seconds());
+  s.Seconds("faulted_s", best[1].seconds());
+  s.Ratio("overhead", bench::Quotient(best[1].seconds(), best[0].seconds())).AtMost(1.5);
+  s.Count("tasks_failed", tasks_failed);
+  // No retry at 5% failure probability: the injection or retry path is dead.
+  s.Count("tasks_retried", tasks_retried).AtLeast(1);
+  const bool identical = rendered[0] == rendered[1];
+  s.Flag("violations_identical", identical);
+  s.Count("violations", rendered[0].size()).PrintOnly();
+  // A retry is a per-partition re-execution, and the monoid merges make it
+  // reproduce the partials bit for bit: same violations, same order.
+  s.Require("violations bit-identical to the clean run", identical && !rendered[0].empty());
+  s.Seconds("deadline_clean_s", deadline_clean_s);
+  // The deadline must cut the execution off promptly instead of letting it
+  // run to completion.
+  s.Seconds("deadline_run_s", deadline_run_s).AtMost(0.6 * deadline_clean_s);
+  s.Flag("deadline_exceeded", !r.ok() && r.status().code() == StatusCode::kDeadlineExceeded)
+      .Equals(1);
+  s.Count("executions_cancelled", db.cluster().session_metrics().executions_cancelled.load())
+      .PrintOnly();
 }
 
 // ---- Observability A/B: the 8-FD unified plan with profiling off vs on,
@@ -716,90 +640,77 @@ FaultAb RunFaultAb() {
 // rep, morsel 32, best of 3). Tracing is compiled in unconditionally;
 // with no recorder installed every TraceScope is a few-branch no-op, so
 // the off arm must record literally zero spans and track the pipeline
-// gate run's wall-clock (≤2%, advisory — both run profiling-off, so the
-// ratio bounds instrumentation-plus-noise). The profiled arm pays span
-// recording and the profile build (≤10% over off, advisory) and must
+// gate run's wall-clock (advisory — both run profiling-off, so the ratio
+// bounds instrumentation-plus-noise). The profiled arm pays span
+// recording and the profile build (advisory) and must
 // reconcile exactly: Σ self_counters over the operator tree equals the
 // flat QueryResult::metrics for every row-moving counter (hard gate —
 // if attribution drifts, the ANALYZE tree lies).
 
-struct ObservabilityAb {
-  double off_s = 0;
-  double profile_s = 0;
-  double off_overhead = 0;      ///< off_s / pipeline gate run's s (≤1.02 advisory)
-  double profile_overhead = 0;  ///< profile_s / off_s (≤1.10 advisory)
-  uint64_t spans_off = 0;       ///< spans recorded during the off arm (0 gated)
-  size_t operator_spans = 0;    ///< operator-span instances, root excluded (≥6 gated)
-  size_t spans_total = 0;       ///< all spans in the profiled run
-  bool rows_reconciled = false; ///< profile totals() == flat metrics (gated)
-  uint64_t profile_rows_scanned = 0;
-  uint64_t flat_rows_scanned = 0;
-  std::string trace_path;       ///< set once a Chrome trace was written
-};
-
-ObservabilityAb RunObservabilityAb(double pipelined_baseline_s,
-                                   const std::string& trace_out) {
-  datagen::CustomerOptions copts;
-  copts.base_rows = std::max<size_t>(g_base_rows, 2000);
-  copts.duplicate_fraction = 0.10;
-  copts.max_duplicates = 40;
-  copts.fd_violation_fraction = 0.05;
-  const Dataset data = datagen::MakeCustomer(copts);
+void RunObservabilityAb(bench::Section& s, double pipelined_baseline_s,
+                        const std::string& trace_out) {
+  const Dataset data = MakeCustomers(std::max<size_t>(g_base_rows, 2000));
   const size_t kGateMorselRows = 32;
 
-  ObservabilityAb ab;
+  bench::BestTime best[2];
+  uint64_t spans_off = 0;      // spans recorded during the off arm
+  size_t operator_spans = 0;   // operator-span instances, root excluded
+  size_t spans_total = 0;      // all spans in the profiled run
+  MetricsCounters profile_totals, flat;
   for (int profiled = 0; profiled <= 1; profiled++) {
     const uint64_t spans_before = TraceRecorder::TotalSpansRecorded();
-    double best = -1;
     for (int rep = 0; rep < 3; rep++) {
-      CleanDB db(ManyOpOptions());
+      CleanDB db(bench::SessionOptions(/*nonet=*/true));
       db.RegisterTable("customer", data);
       auto prepared = db.Prepare(kManyOpQuery);
       CLEANM_CHECK(prepared.ok());
       ExecOptions eo;
       eo.morsel_rows = kGateMorselRows;
       eo.profile = profiled != 0;
-      Timer timer;
-      auto result = prepared.value().Execute(eo).ValueOrDie();
-      const double s = timer.ElapsedSeconds();
-      if (best < 0 || s < best) best = s;
+      auto result = best[profiled].Time([&] { return prepared.value().Execute(eo).ValueOrDie(); });
       CLEANM_CHECK(result.ops.size() == 8);
       if (profiled != 0 && rep == 2) {
         CLEANM_CHECK(result.profile != nullptr);
         const QueryProfile& prof = *result.profile;
         for (const auto& op : prof.operators()) {
-          if (op.name != "execute") ab.operator_spans++;
+          if (op.name != "execute") operator_spans++;
         }
-        ab.spans_total = prof.spans().size();
-        const MetricsCounters totals = prof.totals();
-        ab.profile_rows_scanned = totals.rows_scanned;
-        ab.flat_rows_scanned = result.metrics.rows_scanned;
-        // The out-of-core folds and cancellation counts land after the
-        // root span closes; the row-moving counters below are the ones
-        // attribution is exact for (see query_profile.h).
-        ab.rows_reconciled =
-            totals.rows_scanned == result.metrics.rows_scanned &&
-            totals.groups_built == result.metrics.groups_built &&
-            totals.rows_shuffled == result.metrics.rows_shuffled &&
-            totals.comparisons == result.metrics.comparisons &&
-            totals.morsels_processed == result.metrics.morsels_processed;
+        spans_total = prof.spans().size();
+        profile_totals = prof.totals();
+        flat = result.metrics;
         if (!trace_out.empty()) {
           CLEANM_CHECK(prof.WriteChromeTrace(trace_out).ok());
-          ab.trace_path = trace_out;
+          std::printf("[written] Chrome trace: %s (chrome://tracing / ui.perfetto.dev)\n",
+                      trace_out.c_str());
         }
       }
     }
-    if (profiled == 0) {
-      ab.off_s = best;
-      ab.spans_off = TraceRecorder::TotalSpansRecorded() - spans_before;
-    } else {
-      ab.profile_s = best;
-    }
+    if (profiled == 0) spans_off = TraceRecorder::TotalSpansRecorded() - spans_before;
   }
-  ab.off_overhead =
-      pipelined_baseline_s > 0 ? ab.off_s / pipelined_baseline_s : 0;
-  ab.profile_overhead = ab.off_s > 0 ? ab.profile_s / ab.off_s : 0;
-  return ab;
+
+  s.Seconds("off_s", best[0].seconds());
+  s.Seconds("profile_s", best[1].seconds());
+  // Wall-clock at bench scale is noisy, so the timing budgets only warn.
+  s.Ratio("off_overhead", bench::Quotient(best[0].seconds(), pipelined_baseline_s))
+      .AtMost(1.02, bench::Gate::kAdvisory);
+  s.Ratio("profile_overhead", bench::Quotient(best[1].seconds(), best[0].seconds()))
+      .AtMost(1.10, bench::Gate::kAdvisory);
+  // The disabled path must record none.
+  s.Count("spans_recorded_off", spans_off).AtMost(0);
+  // Fewer: the operator attribution path is dead.
+  s.Count("operator_spans", operator_spans).AtLeast(6);
+  s.Count("spans_total", spans_total);
+  // The out-of-core folds and cancellation counts land after the root span
+  // closes; the row-moving counters below are the ones attribution is
+  // exact for (see query_profile.h). If they drift, the ANALYZE tree lies.
+  s.Flag("rows_reconciled", profile_totals.rows_scanned == flat.rows_scanned &&
+                                profile_totals.groups_built == flat.groups_built &&
+                                profile_totals.rows_shuffled == flat.rows_shuffled &&
+                                profile_totals.comparisons == flat.comparisons &&
+                                profile_totals.morsels_processed == flat.morsels_processed)
+      .Equals(1);
+  s.Count("profile_rows_scanned", profile_totals.rows_scanned).PrintOnly();
+  s.Count("flat_rows_scanned", flat.rows_scanned).PrintOnly();
 }
 
 // ---- Delta-incremental A/B: full re-execution vs incremental
@@ -807,61 +718,20 @@ ObservabilityAb RunObservabilityAb(double pipelined_baseline_s,
 // compute). Both arms follow the same session pattern: register, prepare,
 // bootstrap execute (untimed — it seeds the incremental state), then per
 // round append the same 1% delta chunk and re-execute the prepared query.
-// The full arm pins ExecOptions::incremental=false, so every round
-// re-partitions the scan and rebuilds all eight Nest states from scratch;
-// the incremental arm is served entirely from the delta log (monoid-merged
-// group partials, touched keys re-finalized). Gates: the incremental arm's
-// merged violation multiset must equal a cold execution over the
-// post-delta table under canonical normalization (aggregated collections
-// are fold-order sensitive, so bit-identity is the wrong comparison here),
-// zero re-partitions and one incremental execution per round, the
-// delta-scaling row ratio (rows a full round scans / rows an incremental
-// round processes) ≥10 (deterministic), and wall-clock speedup ≥10
+// The full arm re-registers the mutated table after each append, outside
+// the timer: the new major generation leaves the delta path nothing to
+// serve, so every round re-partitions the scan and rebuilds all eight Nest
+// states from scratch; the incremental arm is served entirely from the
+// delta log (monoid-merged group partials, touched keys re-finalized).
+// Gates: the incremental arm's merged violation multiset must equal a cold
+// execution over the post-delta table under canonical normalization
+// (aggregated collections are fold-order sensitive, so bit-identity is the
+// wrong comparison here), zero re-partitions and one incremental execution
+// per round, the delta-scaling row ratio (rows a full round scans / rows an
+// incremental round processes, deterministic), and the wall-clock speedup
 // (machine-local at measure time; advisory in the cross-machine JSON diff).
 
-/// Renders a Value with struct fields sorted by name and list elements
-/// sorted lexicographically — equal results compare equal regardless of
-/// the merge-tree order that built an aggregated collection.
-std::string CanonicalString(const Value& v) {
-  if (v.type() == ValueType::kStruct) {
-    std::vector<std::pair<std::string, std::string>> fields;
-    for (const auto& [name, field] : v.AsStruct()) {
-      fields.emplace_back(name, CanonicalString(field));
-    }
-    std::sort(fields.begin(), fields.end());
-    std::string out = "{";
-    for (const auto& [name, repr] : fields) out += name + ":" + repr + ",";
-    return out + "}";
-  }
-  if (v.type() == ValueType::kList) {
-    std::vector<std::string> elems;
-    for (const auto& e : v.AsList()) elems.push_back(CanonicalString(e));
-    std::sort(elems.begin(), elems.end());
-    std::string out = "[";
-    for (const auto& e : elems) out += e + ",";
-    return out + "]";
-  }
-  return v.ToString();
-}
-
-struct DeltaIncrementalAb {
-  size_t base_rows = 0;
-  size_t delta_rows = 0;     ///< appended per round (1% of base)
-  size_t rounds = 3;
-  double full_reexec_s = 0;  ///< best full (incremental=false) round
-  double incremental_s = 0;  ///< best incremental round
-  double commit_s = 0;       ///< best AppendRows of one round's chunk
-  double speedup = 0;        ///< full / incremental (≥ 10 gated locally)
-  uint64_t full_rows_scanned = 0;     ///< per full round (average)
-  uint64_t delta_rows_processed = 0;  ///< per incremental round (average)
-  double row_ratio = 0;  ///< full_rows_scanned / delta_rows_processed (≥ 10)
-  uint64_t groups_remerged = 0;
-  uint64_t incremental_executions = 0;  ///< across timed rounds (== rounds)
-  uint64_t incremental_repartitions = 0;  ///< scan+nest misses (0 gated)
-  bool identical = false;  ///< merged set == cold post-delta execution
-};
-
-DeltaIncrementalAb RunDeltaIncrementalAb() {
+void RunDeltaIncrementalAb(bench::Section& s) {
   // Mostly-clean table: the incremental arm's cost is O(delta + touched
   // groups + emitted violations), so a low violation rate keeps the
   // emission term from washing out the delta scaling at bench size.
@@ -886,10 +756,8 @@ DeltaIncrementalAb RunDeltaIncrementalAb() {
   }
   const Dataset base = std::move(dirty);
   const size_t nation_idx = base.schema().IndexOf("nationkey").ValueOrDie();
-
-  DeltaIncrementalAb ab;
-  ab.base_rows = base.rows().size();
-  ab.delta_rows = std::max<size_t>(1, ab.base_rows / 100);
+  const size_t rounds = 3;
+  const size_t delta_rows = std::max<size_t>(1, base.rows().size() / 100);
 
   // Round r's chunk: mostly clean inserts (fresh singleton groups under
   // every FD key) plus ~10% nationkey-bumped copies of existing rows that
@@ -898,18 +766,18 @@ DeltaIncrementalAb RunDeltaIncrementalAb() {
   // violation sets, but the violation count — whose emission cost both
   // arms pay identically — stays proportional to the table's dirtiness
   // instead of compounding every round.
-  const size_t violating = std::max<size_t>(1, ab.delta_rows / 10);
+  const size_t violating = std::max<size_t>(1, delta_rows / 10);
   auto chunk = [&](size_t r) {
     std::vector<Row> rows;
-    rows.reserve(ab.delta_rows);
+    rows.reserve(delta_rows);
     for (size_t i = 0; i < violating; i++) {
       Row row = base.rows()[(r * violating + i) % base.rows().size()];
       row[nation_idx] =
           Value(row[nation_idx].AsInt() + static_cast<int64_t>(100 + r));
       rows.push_back(std::move(row));
     }
-    for (size_t i = violating; i < ab.delta_rows; i++) {
-      const uint64_t uid = 1000000000ull + r * ab.delta_rows + i;
+    for (size_t i = violating; i < delta_rows; i++) {
+      const uint64_t uid = 1000000000ull + r * delta_rows + i;
       const std::string tag = std::to_string(uid);
       rows.push_back({Value(static_cast<int64_t>(uid)),
                       Value("delta customer " + tag),
@@ -920,51 +788,48 @@ DeltaIncrementalAb RunDeltaIncrementalAb() {
   };
 
   QueryResult last_incremental;
+  bench::BestTime best[2];
+  bench::BestTime commit;  // the incremental arm's AppendRows of one chunk
+  uint64_t full_rows_scanned = 0, delta_rows_processed = 0, groups_remerged = 0;
+  uint64_t incremental_executions = 0, incremental_repartitions = 0;
   for (int incremental = 0; incremental <= 1; incremental++) {
-    CleanDB db(ManyOpOptions());
+    CleanDB db(bench::SessionOptions(/*nonet=*/true));
     db.RegisterTable("customer", base);
     auto prepared = db.Prepare(kManyOpQuery);
     CLEANM_CHECK(prepared.ok());
     (void)prepared.value().Execute().ValueOrDie();  // bootstrap (untimed)
-    double best = -1;
-    for (size_t r = 0; r < ab.rounds; r++) {
+    for (size_t r = 0; r < rounds; r++) {
       std::vector<Row> rows = chunk(r);
-      Timer commit_timer;
-      const bool appended = db.AppendRows("customer", std::move(rows)).ok();
-      const double commit_s = commit_timer.ElapsedSeconds();
-      CLEANM_CHECK(appended);
-      if (ab.commit_s == 0 || commit_s < ab.commit_s) ab.commit_s = commit_s;
-      ExecOptions eo;
-      eo.incremental = incremental != 0;
-      Timer timer;
-      auto result = prepared.value().Execute(eo).ValueOrDie();
-      const double s = timer.ElapsedSeconds();
-      if (best < 0 || s < best) best = s;
+      if (incremental != 0) {
+        CLEANM_CHECK(commit.Time([&] { return db.AppendRows("customer", std::move(rows)).ok(); }));
+      } else {
+        CLEANM_CHECK(db.AppendRows("customer", std::move(rows)).ok());
+        db.RegisterTable("customer", *db.GetTableShared("customer").ValueOrDie());
+      }
+      auto result = best[incremental].Time([&] { return prepared.value().Execute().ValueOrDie(); });
       CLEANM_CHECK(result.ops.size() == 8);
       if (incremental != 0) {
-        ab.delta_rows_processed += result.metrics.delta_rows_processed;
-        ab.groups_remerged += result.metrics.groups_remerged;
-        ab.incremental_executions += result.metrics.incremental_executions;
-        ab.incremental_repartitions +=
-            result.cache.scan_misses + result.cache.nest_misses;
-        if (r == ab.rounds - 1) last_incremental = std::move(result);
+        delta_rows_processed += result.metrics.delta_rows_processed;
+        groups_remerged += result.metrics.groups_remerged;
+        incremental_executions += result.metrics.incremental_executions;
+        incremental_repartitions += result.cache.scan_misses + result.cache.nest_misses;
+        if (r == rounds - 1) last_incremental = std::move(result);
       } else {
-        ab.full_rows_scanned += result.metrics.rows_scanned;
+        full_rows_scanned += result.metrics.rows_scanned;
       }
     }
-    (incremental != 0 ? ab.incremental_s : ab.full_reexec_s) = best;
   }
-  ab.full_rows_scanned /= ab.rounds;
-  ab.delta_rows_processed /= ab.rounds;
+  full_rows_scanned /= rounds;
+  delta_rows_processed /= rounds;
 
   // Merged-result identity: the incremental arm's final violation multiset
   // must equal a cold execution over the post-delta table.
   Dataset post(base.schema());
   for (const auto& row : base.rows()) post.Append(row);
-  for (size_t r = 0; r < ab.rounds; r++) {
+  for (size_t r = 0; r < rounds; r++) {
     for (auto& row : chunk(r)) post.Append(std::move(row));
   }
-  CleanDB cold_db(ManyOpOptions());
+  CleanDB cold_db(bench::SessionOptions(/*nonet=*/true));
   cold_db.RegisterTable("customer", std::move(post));
   auto cold = cold_db.Execute(kManyOpQuery).ValueOrDie();
   auto canon = [](const QueryResult& r) {
@@ -978,60 +843,23 @@ DeltaIncrementalAb RunDeltaIncrementalAb() {
     return out;
   };
   const auto merged = canon(last_incremental);
-  ab.identical = !merged.empty() && merged == canon(cold);
 
-  ab.speedup = ab.incremental_s > 0 ? ab.full_reexec_s / ab.incremental_s : 0;
-  ab.row_ratio = ab.delta_rows_processed > 0
-                     ? static_cast<double>(ab.full_rows_scanned) /
-                           static_cast<double>(ab.delta_rows_processed)
-                     : 0;
-  return ab;
-}
-
-/// Inserts/replaces `"key": object` in the flat JSON file at `path`
-/// (written by bench_cluster_primitives), preserving the other sections.
-/// Sections written this way live on a single line, so replacement is a
-/// line drop. A missing or empty file yields {"key": object}.
-void MergeJsonSection(const std::string& path, const std::string& key,
-                      const std::string& object) {
-  std::string text;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      text = buf.str();
-    }
-  }
-  // Drop any previous line carrying this key.
-  std::string kept;
-  std::istringstream lines(text);
-  for (std::string line; std::getline(lines, line);) {
-    if (line.find("\"" + key + "\"") == std::string::npos) kept += line + "\n";
-  }
-  auto rstrip = [](std::string* s) {
-    while (!s->empty() && std::isspace(static_cast<unsigned char>(s->back()))) {
-      s->pop_back();
-    }
-  };
-  rstrip(&kept);
-  if (!kept.empty() && kept.back() == '}') kept.pop_back();
-  rstrip(&kept);
-  if (!kept.empty() && kept.back() == ',') kept.pop_back();
-  rstrip(&kept);
-
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return;
-  }
-  if (kept.empty() || kept == "{") {
-    out << "{\n";
-  } else {
-    out << kept << ",\n";
-  }
-  out << "  \"" << key << "\": " << object << "\n}\n";
-  std::printf("[written] %s (section \"%s\")\n", path.c_str(), key.c_str());
+  s.Count("base_rows", base.rows().size());
+  s.Count("delta_rows", delta_rows);
+  s.Seconds("full_reexec_s", best[0].seconds());
+  s.Seconds("incremental_s", best[1].seconds());
+  s.Seconds("commit_s", commit.seconds());
+  s.Ratio("speedup", bench::Quotient(best[0].seconds(), best[1].seconds())).AtLeast(10);
+  s.Count("full_rows_scanned", full_rows_scanned);
+  s.Count("delta_rows_processed", delta_rows_processed);
+  s.Ratio("row_ratio", bench::Quotient(static_cast<double>(full_rows_scanned),
+                                       static_cast<double>(delta_rows_processed)))
+      .AtLeast(10);
+  s.Count("groups_remerged", groups_remerged);
+  // Fewer: the other rounds fell back to full execution.
+  s.Count("incremental_executions", incremental_executions).PrintOnly().Equals(rounds);
+  s.Count("incremental_repartitions", incremental_repartitions).AtMost(0);
+  s.Flag("violations_identical", !merged.empty() && merged == canon(cold)).Equals(1);
 }
 
 void PrintRow(const char* name, const SystemTimes& t, double separate_total) {
@@ -1054,17 +882,10 @@ void PrintRow(const char* name, const SystemTimes& t, double separate_total) {
 
 int main(int argc, char** argv) {
   using namespace cleanm;
-  bool check = false;
-  std::string out_path;
-  std::string trace_out;
-  for (int i = 1; i < argc; i++) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") g_base_rows = 400;
-    if (arg == "--nonet") g_nonet = true;
-    if (arg == "--check") check = true;
-    if (arg == "--out" && i + 1 < argc) out_path = argv[++i];
-    if (arg == "--trace-out" && i + 1 < argc) trace_out = argv[++i];
-  }
+  bench::Report report(bench::ParseFlags(
+      argc, argv, {"--smoke", "--nonet", "--check", "--out", "--trace-out"}));
+  if (report.flags().smoke) g_base_rows = 400;
+  g_nonet = report.flags().nonet;
   std::printf("=== E4 — Figure 5: unified cleaning (FD1 + FD2 + DEDUP on customer) ===\n");
   std::printf("paper: CleanDB merges the three ops into one aggregation "
               "(unified < separate); Spark SQL's unified run costs more than "
@@ -1092,526 +913,29 @@ int main(int argc, char** argv) {
               "operations; verify unified(CleanDB) < separate-total(CleanDB) and "
               "unified(SparkSQL) > separate-total(SparkSQL).\n");
 
-  std::printf("\n=== prepared-query A/B: cold Execute vs prepared re-execute "
-              "(8 FDs, pure compute) ===\n");
-  const PreparedAb ab = RunPreparedAb();
-  std::printf("cold one-shot Execute (fresh session)   %8.4f s\n", ab.cold_s);
-  std::printf("prepared re-execute (plans+cache warm)  %8.4f s\n", ab.reexec_s);
-  std::printf("[measured] prepared re-execution speedup %.2fx; re-partitions "
-              "during timed re-executions: %llu\n",
-              ab.speedup, static_cast<unsigned long long>(ab.reexec_repartitions));
-
-  std::printf("\n=== pipeline gate: peak transient memory vs table footprint "
-              "(8 FDs, fresh session, pure compute) ===\n");
-  const PipelineRun pipe = RunPipelineGate();
-  std::printf("table footprint %12llu bytes; peak transient %llu bytes "
-              "(%8.4f s, %llu morsels)\n",
-              static_cast<unsigned long long>(pipe.footprint_bytes),
-              static_cast<unsigned long long>(pipe.peak_bytes), pipe.seconds,
-              static_cast<unsigned long long>(pipe.morsels));
-  std::printf("[measured] peak transient memory %.2fx the table footprint\n",
-              pipe.peak_over_footprint);
-
-  std::printf("\n=== out-of-core A/B: in-memory vs 1/8-footprint buffer pool "
-              "(8 FDs, fresh sessions, pure compute) ===\n");
-  const OutOfCoreAb oab = RunOutOfCoreAb();
-  std::printf("dataset footprint %12llu bytes; pool budget %llu bytes\n",
-              static_cast<unsigned long long>(oab.footprint_bytes),
-              static_cast<unsigned long long>(oab.budget_bytes));
-  std::printf("fully in-memory               %8.4f s\n", oab.in_memory_s);
-  std::printf("1/8-footprint pool            %8.4f s  (%.2fx, %llu bytes "
-              "spilled, %llu pages evicted)\n",
-              oab.out_of_core_s, oab.slowdown,
-              static_cast<unsigned long long>(oab.bytes_spilled),
-              static_cast<unsigned long long>(oab.pages_evicted));
-  std::printf("[measured] pool peak residency %llu bytes (%s budget); %zu "
-              "violations %s across the two runs\n",
-              static_cast<unsigned long long>(oab.pool_peak_resident),
-              oab.within_budget ? "within" : "OVER",
-              oab.violations, oab.identical ? "bit-identical" : "DIFFER");
-
-  std::printf("\n=== concurrency A/B: 8 prepared sessions, serialized vs "
-              "concurrent drivers (network-simulated) ===\n");
-  const ConcurrencyAb cab = RunConcurrencyAb();
-  std::printf("8 executions serialized               %8.4f s\n", cab.serial_s);
-  std::printf("8 executions on concurrent drivers    %8.4f s\n", cab.concurrent_s);
-  std::printf("[measured] concurrent-session throughput %.2fx; %zu violations "
-              "per execution, all runs %s; %zu worker pools\n",
-              cab.speedup, cab.violations,
-              cab.identical ? "bit-identical" : "DIFFER", cab.worker_pools);
-
-  std::printf("\n=== UDF / repair A/B: registered functions vs built-ins "
-              "(pure compute) ===\n");
-  const UdfAb udf = RunUdfAb();
-  std::printf("builtin aggregate GROUP BY             %8.4f s\n", udf.builtin_agg_s);
-  std::printf("registered (usum) aggregate GROUP BY   %8.4f s  (%.2fx)\n",
-              udf.udf_agg_s, udf.agg_ratio);
-  std::printf("repair loop, registered fn + sink      %8.4f s  (%zu cells)\n",
-              udf.repair_registered_s, udf.repairs_applied);
-  std::printf("repair loop, hand-rolled traversal     %8.4f s  (%zu cells)\n",
-              udf.repair_manual_s, udf.repairs_manual);
-  std::printf("[measured] registered-vs-builtin aggregate ratio %.2fx; both "
-              "repair paths fixed %s cell sets\n",
-              udf.agg_ratio,
-              udf.repairs_applied == udf.repairs_manual ? "identical" : "DIFFERENT");
-
-  std::printf("\n=== fault-tolerance A/B: 5%% injected failures (8 FDs, pure "
-              "compute) + deadline (network-simulated) ===\n");
-  const FaultAb fab = RunFaultAb();
-  std::printf("clean unified plan                    %8.4f s\n", fab.clean_s);
-  std::printf("5%% injected failures, retried        %8.4f s  (%.2fx, %llu "
-              "failed / %llu retried tasks)\n",
-              fab.faulted_s, fab.overhead,
-              static_cast<unsigned long long>(fab.tasks_failed),
-              static_cast<unsigned long long>(fab.tasks_retried));
-  std::printf("deadline: clean %8.4f s, 10%% deadline run %8.4f s (%s)\n",
-              fab.deadline_clean_s, fab.deadline_run_s,
-              fab.deadline_exceeded ? "kDeadlineExceeded" : "NOT CUT OFF");
-  std::printf("[measured] %zu violations %s under injected faults; deadline "
-              "cancelled %llu execution(s)\n",
-              fab.violations, fab.identical ? "bit-identical" : "DIFFER",
-              static_cast<unsigned long long>(fab.executions_cancelled));
-
-  std::printf("\n=== observability A/B: profiling off vs on (8 FDs, pipelined, "
-              "fresh sessions, pure compute) ===\n");
-  const ObservabilityAb obs = RunObservabilityAb(pipe.seconds, trace_out);
-  std::printf("profiling off                         %8.4f s  (%.3fx vs "
-              "pipeline gate run, %llu spans recorded)\n",
-              obs.off_s, obs.off_overhead,
-              static_cast<unsigned long long>(obs.spans_off));
-  std::printf("profiling on                          %8.4f s  (%.3fx vs off; "
-              "%zu operator spans, %zu spans total)\n",
-              obs.profile_s, obs.profile_overhead, obs.operator_spans,
-              obs.spans_total);
-  std::printf("[measured] profile row counters %s the flat metrics "
-              "(rows_scanned %llu vs %llu)\n",
-              obs.rows_reconciled ? "reconcile exactly with" : "DIVERGE from",
-              static_cast<unsigned long long>(obs.profile_rows_scanned),
-              static_cast<unsigned long long>(obs.flat_rows_scanned));
-  if (!obs.trace_path.empty()) {
-    std::printf("[written] Chrome trace: %s (chrome://tracing / "
-                "ui.perfetto.dev)\n",
-                obs.trace_path.c_str());
-  }
-
-  std::printf("\n=== delta-incremental A/B: full re-execution vs incremental "
-              "re-validation at a 1%% delta (8 FDs, pure compute) ===\n");
-  const DeltaIncrementalAb dab = RunDeltaIncrementalAb();
-  std::printf("table %zu rows, %zu appended per round (%zu rounds)\n",
-              dab.base_rows, dab.delta_rows, dab.rounds);
-  std::printf("full re-execution per delta round     %8.4f s  (%llu rows "
-              "scanned)\n",
-              dab.full_reexec_s,
-              static_cast<unsigned long long>(dab.full_rows_scanned));
-  std::printf("incremental re-validation per round   %8.4f s  (%llu delta "
-              "rows, %llu groups re-merged)\n",
-              dab.incremental_s,
-              static_cast<unsigned long long>(dab.delta_rows_processed),
-              static_cast<unsigned long long>(dab.groups_remerged));
-  std::printf("AppendRows of one round's rows        %8.6f s  (best)\n",
-              dab.commit_s);
-  std::printf("[measured] incremental speedup %.2fx, delta-scaling row ratio "
-              "%.1fx; %llu re-partitions; merged violation set %s the cold "
-              "post-delta run\n",
-              dab.speedup, dab.row_ratio,
-              static_cast<unsigned long long>(dab.incremental_repartitions),
-              dab.identical ? "identical to" : "DIFFERS from");
-
-  if (!out_path.empty()) {
-    char object[256];
-    std::snprintf(object, sizeof(object),
-                  "{\"cold_execute_s\": %.6f, \"prepared_reexec_s\": %.6f, "
-                  "\"speedup\": %.3f, \"reexec_repartitions\": %llu}",
-                  ab.cold_s, ab.reexec_s, ab.speedup,
-                  static_cast<unsigned long long>(ab.reexec_repartitions));
-    MergeJsonSection(out_path, "prepared_reexec", object);
-    char udf_object[384];
-    std::snprintf(udf_object, sizeof(udf_object),
-                  "{\"builtin_agg_s\": %.6f, \"udf_agg_s\": %.6f, "
-                  "\"udf_vs_builtin_ratio\": %.3f, "
-                  "\"repair_registered_s\": %.6f, \"repair_manual_s\": %.6f, "
-                  "\"repairs_applied\": %zu}",
-                  udf.builtin_agg_s, udf.udf_agg_s, udf.agg_ratio,
-                  udf.repair_registered_s, udf.repair_manual_s,
-                  udf.repairs_applied);
-    MergeJsonSection(out_path, "udf_repair", udf_object);
-    char pipe_object[256];
-    std::snprintf(pipe_object, sizeof(pipe_object),
-                  "{\"peak_materialized_bytes\": %llu, "
-                  "\"footprint_bytes\": %llu, \"peak_over_footprint\": %.3f, "
-                  "\"morsels\": %llu, \"pipelined_s\": %.6f}",
-                  static_cast<unsigned long long>(pipe.peak_bytes),
-                  static_cast<unsigned long long>(pipe.footprint_bytes),
-                  pipe.peak_over_footprint,
-                  static_cast<unsigned long long>(pipe.morsels), pipe.seconds);
-    MergeJsonSection(out_path, "pipeline", pipe_object);
-    char ooc_object[384];
-    std::snprintf(ooc_object, sizeof(ooc_object),
-                  "{\"footprint_bytes\": %llu, \"budget_bytes\": %llu, "
-                  "\"bytes_spilled\": %llu, \"pages_evicted\": %llu, "
-                  "\"pool_peak_resident_bytes\": %llu, \"within_budget\": %d, "
-                  "\"in_memory_s\": %.6f, \"out_of_core_s\": %.6f, "
-                  "\"slowdown\": %.3f, \"violations_identical\": %d}",
-                  static_cast<unsigned long long>(oab.footprint_bytes),
-                  static_cast<unsigned long long>(oab.budget_bytes),
-                  static_cast<unsigned long long>(oab.bytes_spilled),
-                  static_cast<unsigned long long>(oab.pages_evicted),
-                  static_cast<unsigned long long>(oab.pool_peak_resident),
-                  oab.within_budget ? 1 : 0, oab.in_memory_s,
-                  oab.out_of_core_s, oab.slowdown, oab.identical ? 1 : 0);
-    MergeJsonSection(out_path, "out_of_core", ooc_object);
-    char conc_object[256];
-    std::snprintf(conc_object, sizeof(conc_object),
-                  "{\"sessions\": %zu, \"serial_s\": %.6f, "
-                  "\"concurrent_s\": %.6f, \"speedup\": %.3f, "
-                  "\"violations_identical\": %d, \"worker_pools\": %zu}",
-                  cab.sessions, cab.serial_s, cab.concurrent_s, cab.speedup,
-                  cab.identical ? 1 : 0, cab.worker_pools);
-    MergeJsonSection(out_path, "concurrency", conc_object);
-    char fault_object[384];
-    std::snprintf(fault_object, sizeof(fault_object),
-                  "{\"clean_s\": %.6f, \"faulted_s\": %.6f, "
-                  "\"overhead\": %.3f, \"tasks_failed\": %llu, "
-                  "\"tasks_retried\": %llu, \"violations_identical\": %d, "
-                  "\"deadline_clean_s\": %.6f, \"deadline_run_s\": %.6f, "
-                  "\"deadline_exceeded\": %d}",
-                  fab.clean_s, fab.faulted_s, fab.overhead,
-                  static_cast<unsigned long long>(fab.tasks_failed),
-                  static_cast<unsigned long long>(fab.tasks_retried),
-                  fab.identical ? 1 : 0, fab.deadline_clean_s,
-                  fab.deadline_run_s, fab.deadline_exceeded ? 1 : 0);
-    MergeJsonSection(out_path, "fault_tolerance", fault_object);
-    char obs_object[384];
-    std::snprintf(obs_object, sizeof(obs_object),
-                  "{\"off_s\": %.6f, \"profile_s\": %.6f, "
-                  "\"off_overhead\": %.3f, \"profile_overhead\": %.3f, "
-                  "\"spans_recorded_off\": %llu, \"operator_spans\": %zu, "
-                  "\"spans_total\": %zu, \"rows_reconciled\": %d}",
-                  obs.off_s, obs.profile_s, obs.off_overhead,
-                  obs.profile_overhead,
-                  static_cast<unsigned long long>(obs.spans_off),
-                  obs.operator_spans, obs.spans_total,
-                  obs.rows_reconciled ? 1 : 0);
-    MergeJsonSection(out_path, "observability", obs_object);
-    char delta_object[512];
-    std::snprintf(delta_object, sizeof(delta_object),
-                  "{\"base_rows\": %zu, \"delta_rows\": %zu, "
-                  "\"full_reexec_s\": %.6f, \"incremental_s\": %.6f, "
-                  "\"commit_s\": %.6f, "
-                  "\"speedup\": %.3f, \"full_rows_scanned\": %llu, "
-                  "\"delta_rows_processed\": %llu, \"row_ratio\": %.3f, "
-                  "\"groups_remerged\": %llu, "
-                  "\"incremental_repartitions\": %llu, "
-                  "\"violations_identical\": %d}",
-                  dab.base_rows, dab.delta_rows, dab.full_reexec_s,
-                  dab.incremental_s, dab.commit_s, dab.speedup,
-                  static_cast<unsigned long long>(dab.full_rows_scanned),
-                  static_cast<unsigned long long>(dab.delta_rows_processed),
-                  dab.row_ratio,
-                  static_cast<unsigned long long>(dab.groups_remerged),
-                  static_cast<unsigned long long>(dab.incremental_repartitions),
-                  dab.identical ? 1 : 0);
-    MergeJsonSection(out_path, "delta_incremental", delta_object);
-  }
-
-  if (check) {
-    // CI gate: prepared re-execution must stay clearly ahead of a cold
-    // one-shot Execute (target ≥2×), and it must really skip
-    // re-partitioning — otherwise the plan/partition reuse has regressed.
-    const double kMinSpeedup = 2.0;
-    if (ab.speedup < kMinSpeedup) {
-      std::fprintf(stderr,
-                   "[check] FAILED: prepared re-execution speedup %.2fx is below "
-                   "the %.1fx gate\n",
-                   ab.speedup, kMinSpeedup);
-      return 1;
-    }
-    if (ab.reexec_repartitions != 0) {
-      std::fprintf(stderr,
-                   "[check] FAILED: %llu re-partitions during prepared "
-                   "re-executions (expected 0: cache misses have crept in)\n",
-                   static_cast<unsigned long long>(ab.reexec_repartitions));
-      return 1;
-    }
-    std::printf("[check] prepared re-execution gate passed (%.2fx, 0 re-partitions)\n",
-                ab.speedup);
-
-    // UDF gate: a registered monoid-annotated aggregate must stay within
-    // 1.3× of the equivalent built-in (registry dispatch in the noise),
-    // and the registered repair loop must compute the same repairs as the
-    // hand-rolled baseline.
-    const double kMaxUdfRatio = 1.3;
-    if (udf.agg_ratio > kMaxUdfRatio) {
-      std::fprintf(stderr,
-                   "[check] FAILED: registered aggregate is %.2fx the builtin "
-                   "(gate %.1fx)\n",
-                   udf.agg_ratio, kMaxUdfRatio);
-      return 1;
-    }
-    if (udf.repairs_applied != udf.repairs_manual || udf.repairs_applied == 0) {
-      std::fprintf(stderr,
-                   "[check] FAILED: registered repair fixed %zu cell(s), "
-                   "hand-rolled baseline fixed %zu\n",
-                   udf.repairs_applied, udf.repairs_manual);
-      return 1;
-    }
-    std::printf("[check] UDF aggregate gate passed (%.2fx ≤ %.1fx; %zu repairs "
-                "match the baseline)\n",
-                udf.agg_ratio, kMaxUdfRatio, udf.repairs_applied);
-
-    // Pipeline gate: morsel-driven execution must hold peak transient
-    // memory within 2× the table's logical footprint on the 8-FD unified
-    // plan, with morsels really flowing — otherwise operator-level
-    // pipelining has regressed to materialization.
-    const double kMaxPeakOverFootprint = 2.0;
-    if (pipe.morsels == 0) {
-      std::fprintf(stderr,
-                   "[check] FAILED: execution processed 0 morsels (operators "
-                   "no longer stream)\n");
-      return 1;
-    }
-    if (pipe.peak_over_footprint > kMaxPeakOverFootprint) {
-      std::fprintf(stderr,
-                   "[check] FAILED: peak transient memory is %.2fx the table "
-                   "footprint, above the %.1fx gate (%llu vs %llu bytes)\n",
-                   pipe.peak_over_footprint, kMaxPeakOverFootprint,
-                   static_cast<unsigned long long>(pipe.peak_bytes),
-                   static_cast<unsigned long long>(pipe.footprint_bytes));
-      return 1;
-    }
-    std::printf("[check] pipeline gate passed (peak %.2fx ≤ %.1fx the table "
-                "footprint, %llu morsels)\n",
-                pipe.peak_over_footprint, kMaxPeakOverFootprint,
-                static_cast<unsigned long long>(pipe.morsels));
-
-    // Out-of-core gates: under a pool budgeted at 1/8 of the dataset
-    // footprint the unified plan must spill (otherwise the budget isn't
-    // binding and the A/B proves nothing), hold pool residency within the
-    // budget, stay within 2× of the in-memory wall-clock, and produce
-    // bit-identical violations — the spill generations' first-occurrence
-    // order must replay the in-memory aggregation exactly.
-    const double kMaxOutOfCoreSlowdown = 2.0;
-    if (!oab.identical || oab.violations == 0) {
-      std::fprintf(stderr,
-                   "[check] FAILED: out-of-core violations %s the in-memory "
-                   "run (%zu tuples)\n",
-                   oab.identical ? "match" : "DIFFER from", oab.violations);
-      return 1;
-    }
-    if (oab.bytes_spilled == 0) {
-      std::fprintf(stderr,
-                   "[check] FAILED: 0 bytes spilled under a 1/8-footprint "
-                   "pool budget (%llu of %llu bytes) — the budget never bit\n",
-                   static_cast<unsigned long long>(oab.budget_bytes),
-                   static_cast<unsigned long long>(oab.footprint_bytes));
-      return 1;
-    }
-    if (!oab.within_budget) {
-      std::fprintf(stderr,
-                   "[check] FAILED: pool peak residency %llu bytes exceeds "
-                   "the %llu-byte budget\n",
-                   static_cast<unsigned long long>(oab.pool_peak_resident),
-                   static_cast<unsigned long long>(oab.budget_bytes));
-      return 1;
-    }
-    if (oab.slowdown > kMaxOutOfCoreSlowdown) {
-      std::fprintf(stderr,
-                   "[check] FAILED: out-of-core slowdown %.2fx exceeds the "
-                   "%.1fx gate (%.4f s vs %.4f s in-memory)\n",
-                   oab.slowdown, kMaxOutOfCoreSlowdown, oab.out_of_core_s,
-                   oab.in_memory_s);
-      return 1;
-    }
-    std::printf("[check] out-of-core gate passed (%.2fx ≤ %.1fx slowdown, "
-                "%llu bytes spilled, peak residency %llu ≤ %llu budget, %zu "
-                "bit-identical violations)\n",
-                oab.slowdown, kMaxOutOfCoreSlowdown,
-                static_cast<unsigned long long>(oab.bytes_spilled),
-                static_cast<unsigned long long>(oab.pool_peak_resident),
-                static_cast<unsigned long long>(oab.budget_bytes),
-                oab.violations);
-
-    // Concurrency gate: 8 concurrent prepared sessions must clear ≥2× the
-    // serialized throughput in the network-simulated regime (the waits
-    // overlap), with every execution bit-identical to the serial baseline —
-    // otherwise the session layer has re-serialized (a stray exclusive
-    // lock) or, worse, races are corrupting results. The cluster must also
-    // have created no more worker pools than there were sessions: a pool
-    // per dispatch (a leaked or never-returned lease) shows up here.
-    const double kMinConcurrentSpeedup = 2.0;
-    if (!cab.identical || cab.violations == 0) {
-      std::fprintf(stderr,
-                   "[check] FAILED: concurrent executions %s the serial "
-                   "baseline (%zu violations per execution)\n",
-                   cab.identical ? "match" : "DIFFER from", cab.violations);
-      return 1;
-    }
-    if (cab.speedup < kMinConcurrentSpeedup) {
-      std::fprintf(stderr,
-                   "[check] FAILED: concurrent-session throughput %.2fx is "
-                   "below the %.1fx gate (%.4f s serial vs %.4f s concurrent)\n",
-                   cab.speedup, kMinConcurrentSpeedup, cab.serial_s,
-                   cab.concurrent_s);
-      return 1;
-    }
-    if (cab.worker_pools > cab.sessions) {
-      std::fprintf(stderr,
-                   "[check] FAILED: %zu worker pools for %zu concurrent "
-                   "sessions (expected at most one per session)\n",
-                   cab.worker_pools, cab.sessions);
-      return 1;
-    }
-    std::printf("[check] concurrency gate passed (%.2fx ≥ %.1fx, %zu "
-                "bit-identical violations per execution, %zu worker pools)\n",
-                cab.speedup, kMinConcurrentSpeedup, cab.violations,
-                cab.worker_pools);
-
-    // Fault-tolerance gates: retried executions must stay exact (same
-    // violations in the same order — a retry is a per-partition
-    // re-execution, and the monoid merges make it reproduce the partials
-    // bit for bit) and cheap (≤1.5× clean); the retry path must actually
-    // fire; and a deadline 10× shorter than the clean wall-clock must cut
-    // the execution off with kDeadlineExceeded instead of letting it run
-    // to completion.
-    const double kMaxFaultOverhead = 1.5;
-    if (!fab.identical || fab.violations == 0) {
-      std::fprintf(stderr,
-                   "[check] FAILED: violations under injected faults %s the "
-                   "clean run (%zu tuples)\n",
-                   fab.identical ? "match" : "DIFFER from", fab.violations);
-      return 1;
-    }
-    if (fab.tasks_retried == 0) {
-      std::fprintf(stderr,
-                   "[check] FAILED: 0 tasks retried at 5%% injected failure "
-                   "probability (injection or retry path is dead)\n");
-      return 1;
-    }
-    if (fab.overhead > kMaxFaultOverhead) {
-      std::fprintf(stderr,
-                   "[check] FAILED: injected-fault overhead %.2fx exceeds the "
-                   "%.1fx gate (%.4f s clean vs %.4f s faulted)\n",
-                   fab.overhead, kMaxFaultOverhead, fab.clean_s, fab.faulted_s);
-      return 1;
-    }
-    if (!fab.deadline_exceeded) {
-      std::fprintf(stderr,
-                   "[check] FAILED: execution with a 10%% deadline did not "
-                   "return kDeadlineExceeded (%.4f s clean, %.4f s run)\n",
-                   fab.deadline_clean_s, fab.deadline_run_s);
-      return 1;
-    }
-    if (fab.deadline_run_s > fab.deadline_clean_s * 0.6) {
-      std::fprintf(stderr,
-                   "[check] FAILED: deadline run took %.4f s — not prompt "
-                   "against a %.4f s clean wall-clock (gate: ≤60%%)\n",
-                   fab.deadline_run_s, fab.deadline_clean_s);
-      return 1;
-    }
-    std::printf("[check] fault-tolerance gate passed (%.2fx ≤ %.1fx overhead, "
-                "%llu retries, %zu bit-identical violations, deadline cut at "
-                "%.4f s / %.4f s clean)\n",
-                fab.overhead, kMaxFaultOverhead,
-                static_cast<unsigned long long>(fab.tasks_retried),
-                fab.violations, fab.deadline_run_s, fab.deadline_clean_s);
-
-    // Observability gates: with no recorder installed the compiled-in
-    // instrumentation must record literally zero spans (hard); the
-    // profile's per-operator self-counters must sum exactly to the flat
-    // execution metrics (hard — the ANALYZE tree must not lie about row
-    // movement); and the 8-FD plan must resolve at least 6 operator-span
-    // instances (hard — the operator attribution path is alive). The
-    // timing ratios are advisory: a WARNING, not a failure, because
-    // wall-clock at bench scale is noisy.
-    if (obs.spans_off != 0) {
-      std::fprintf(stderr,
-                   "[check] FAILED: %llu spans recorded with profiling off "
-                   "(the disabled path must record none)\n",
-                   static_cast<unsigned long long>(obs.spans_off));
-      return 1;
-    }
-    if (!obs.rows_reconciled) {
-      std::fprintf(stderr,
-                   "[check] FAILED: profile operator counters do not sum to "
-                   "the flat metrics (rows_scanned %llu vs %llu)\n",
-                   static_cast<unsigned long long>(obs.profile_rows_scanned),
-                   static_cast<unsigned long long>(obs.flat_rows_scanned));
-      return 1;
-    }
-    if (obs.operator_spans < 6) {
-      std::fprintf(stderr,
-                   "[check] FAILED: only %zu operator spans in the profile "
-                   "of the 8-FD plan (expected ≥6)\n",
-                   obs.operator_spans);
-      return 1;
-    }
-    if (obs.off_overhead > 1.02) {
-      std::printf("[check] WARNING: profiling-off wall-clock is %.3fx the "
-                  "pipeline gate run (advisory budget 1.02x)\n",
-                  obs.off_overhead);
-    }
-    if (obs.profile_overhead > 1.10) {
-      std::printf("[check] WARNING: profiling-on wall-clock is %.3fx the "
-                  "profiling-off run (advisory budget 1.10x)\n",
-                  obs.profile_overhead);
-    }
-    std::printf("[check] observability gate passed (0 spans when off, "
-                "%zu operator spans, row counters reconciled; overhead "
-                "%.3fx off / %.3fx profiled, advisory)\n",
-                obs.operator_spans, obs.off_overhead, obs.profile_overhead);
-
-    // Delta-incremental gates: the merged (violations − retractions + new)
-    // multiset must equal a cold execution over the post-delta table under
-    // canonical normalization; every timed round must actually take the
-    // incremental path with zero re-partitions; the delta-scaling row
-    // ratio is deterministic and must clear 10×; and the wall-clock
-    // speedup must clear 10× at a 1% delta (machine-local — the JSON diff
-    // treats it as advisory across machines).
-    const double kMinIncrementalSpeedup = 10.0;
-    if (!dab.identical) {
-      std::fprintf(stderr,
-                   "[check] FAILED: incremental merged violation set differs "
-                   "from the cold post-delta execution\n");
-      return 1;
-    }
-    if (dab.incremental_executions != dab.rounds) {
-      std::fprintf(stderr,
-                   "[check] FAILED: %llu of %zu delta rounds took the "
-                   "incremental path (the rest fell back to full execution)\n",
-                   static_cast<unsigned long long>(dab.incremental_executions),
-                   dab.rounds);
-      return 1;
-    }
-    if (dab.incremental_repartitions != 0) {
-      std::fprintf(stderr,
-                   "[check] FAILED: %llu re-partitions during incremental "
-                   "delta rounds (expected 0)\n",
-                   static_cast<unsigned long long>(dab.incremental_repartitions));
-      return 1;
-    }
-    if (dab.row_ratio < kMinIncrementalSpeedup) {
-      std::fprintf(stderr,
-                   "[check] FAILED: delta-scaling row ratio %.1fx is below "
-                   "the %.0fx gate (%llu rows scanned per full round vs %llu "
-                   "delta rows processed)\n",
-                   dab.row_ratio, kMinIncrementalSpeedup,
-                   static_cast<unsigned long long>(dab.full_rows_scanned),
-                   static_cast<unsigned long long>(dab.delta_rows_processed));
-      return 1;
-    }
-    if (dab.speedup < kMinIncrementalSpeedup) {
-      std::fprintf(stderr,
-                   "[check] FAILED: incremental re-validation speedup %.2fx "
-                   "is below the %.0fx gate (%.4f s full vs %.4f s "
-                   "incremental)\n",
-                   dab.speedup, kMinIncrementalSpeedup, dab.full_reexec_s,
-                   dab.incremental_s);
-      return 1;
-    }
-    std::printf("[check] delta-incremental gate passed (%.2fx ≥ %.0fx "
-                "speedup, row ratio %.1fx, 0 re-partitions, merged set "
-                "identical to cold)\n",
-                dab.speedup, kMinIncrementalSpeedup, dab.row_ratio);
-  }
-  return 0;
+  RunPreparedAb(report.Add("prepared_reexec",
+                           "prepared-query A/B: cold Execute vs prepared re-execute "
+                           "(8 FDs, pure compute)"));
+  const double pipelined_s = RunPipelineGate(
+      report.Add("pipeline", "pipeline gate: peak transient memory vs table footprint "
+                             "(8 FDs, fresh session, pure compute)"));
+  RunOutOfCoreAb(report.Add("out_of_core",
+                            "out-of-core A/B: in-memory vs 1/8-footprint buffer pool "
+                            "(8 FDs, fresh sessions, pure compute)"));
+  RunConcurrencyAb(report.Add("concurrency",
+                              "concurrency A/B: 8 prepared sessions, serialized vs "
+                              "concurrent drivers (network-simulated)"));
+  RunUdfAb(report.Add("udf_repair",
+                      "UDF / repair A/B: registered functions vs built-ins (pure compute)"));
+  RunFaultAb(report.Add("fault_tolerance",
+                        "fault-tolerance A/B: 5% injected failures (8 FDs, pure compute) "
+                        "+ deadline (network-simulated)"));
+  RunObservabilityAb(report.Add("observability",
+                                "observability A/B: profiling off vs on (8 FDs, pipelined, "
+                                "fresh sessions, pure compute)"),
+                     pipelined_s, report.flags().trace_out);
+  RunDeltaIncrementalAb(report.Add("delta_incremental",
+                                   "delta-incremental A/B: full re-execution vs incremental "
+                                   "re-validation at a 1% delta (8 FDs, pure compute)"));
+  return report.Finish();
 }

@@ -418,8 +418,8 @@ Result<OpResult> CleanDB::RunProgrammaticOp(CleaningPlan cp) {
   // once: wrap the plan in a transient PreparedQuery and run it through the
   // shared ExecutePrepared path (snapshot, admission, config lock, metrics
   // scope, out-of-core wiring, sink emission — one code path, not two).
-  // Cache persistence is off because the plan's nodes are never seen again;
-  // incremental_ stays null, so these one-shots never take the delta path.
+  // Cache persistence is off because the plan's nodes are never seen
+  // again, and with it the delta path.
   PreparedQuery pq;
   pq.db_ = this;
   pq.status_ = Status::OK();

@@ -52,9 +52,6 @@ struct CleanDBOptions {
   //   unify_operations   — Nest-coalesced plan forms (Figure-5 ablation).
   //   shuffle_*          — simulated interconnect model.
   //   morsel_rows        — morsel size of the execution below the sink.
-  //   incremental        — serve minor-generation (mutation) re-executions
-  //     of exact-key Nest plans with the incremental validator instead of
-  //     a full engine run.
   //   buffer_pool_bytes / spill_dir / page_bytes — out-of-core storage
   //     (DESIGN.md, "Out-of-core storage & spill"); buffer_pool_bytes > 0
   //     additionally ingests registered tables into a paged store.

@@ -19,16 +19,6 @@
 //   morsel_rows — rows per morsel of the morsel-driven execution below the
 //     sink (clamped to ≥ 1). Violation sets are bit-identical at every size
 //     (CI-gated).
-//   incremental — serve a re-execution whose table snapshot differs from
-//     the cached state only by *minor* generations (mutations via
-//     AppendRows/UpdateRows/DeleteRows) with the incremental validator,
-//     the delta log's only consumer: only delta rows are processed and
-//     cached Nest group partials are merged/re-folded per the monoid
-//     annotation, with retractions and additions tagged through
-//     ViolationSink::OnViolationRetracted / OnViolationNew. Plans it does
-//     not serve (join-rooted, Reduce, tf/k-means grouping) and every plan
-//     under false run the engine, whose scan-cache misses re-partition.
-//     See DESIGN.md, "Incremental validation & the delta log".
 //   buffer_pool_bytes — buffer-pool byte budget for this execution.
 //     Overriding away from the session value runs the call under an
 //     execution-local pool; 0 disables spilling for this call even on an

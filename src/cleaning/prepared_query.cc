@@ -650,8 +650,9 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   // an eligible query is served entirely from the delta log — no engine
   // work, no scan/Nest cache traffic. Ineligible or cold states fall
   // through to the ordinary loop below, whose scan-cache misses
-  // re-partition.
-  if (knobs.incremental && pq.incremental_) {
+  // re-partition. One-shots never enter: state bootstrapped for a single
+  // execution would die with it.
+  if (pq.persist_cache_ && pq.incremental_) {
     std::vector<AlgOpPtr> inc_roots;
     inc_roots.reserve(pq.plans_.size());
     for (size_t i = 0; i < pq.plans_.size(); i++) {

@@ -102,18 +102,18 @@ class PreparedQuery {
   /// Repair bookkeeping of the SELECT plan (see accessors above).
   std::vector<std::string> repair_fields_;
   std::string repair_table_;
-  /// False for the one-shot Execute convenience: the plans die with this
-  /// object, so their Nest outputs must not persist in (and pollute) the
-  /// session cache.
+  /// False for one-shots (Execute(text), ExecuteQuery, the programmatic
+  /// ops): the plans die with this object, so their Nest outputs must not
+  /// persist in (and pollute) the session cache, and they never take the
+  /// incremental delta path.
   bool persist_cache_ = true;
   /// Shared so the token survives moves of the PreparedQuery while another
   /// thread holds a reference to cancel through.
   std::shared_ptr<engine::CancelToken> cancel_token_ =
       std::make_shared<engine::CancelToken>();
   /// Cached per-Nest group state of the incremental delta path (see
-  /// cleaning/incremental.h). Null when this preparation never takes the
-  /// incremental path (transient programmatic wrappers); allocated by
-  /// PrepareQueryImpl / PrepareDenialConstraint.
+  /// cleaning/incremental.h). Allocated by PrepareQueryImpl /
+  /// PrepareDenialConstraint; null for the programmatic ops.
   std::shared_ptr<IncrementalState> incremental_;
 };
 

@@ -1,5 +1,6 @@
 #include "storage/value.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -261,6 +262,28 @@ std::string Value::ToString() const {
   std::string out;
   Render(*this, /*quote_strings=*/false, &out);
   return out;
+}
+
+std::string CanonicalString(const Value& v) {
+  if (v.type() == ValueType::kStruct) {
+    std::vector<std::pair<std::string, std::string>> fields;
+    for (const auto& [name, field] : v.AsStruct()) {
+      fields.emplace_back(name, CanonicalString(field));
+    }
+    std::sort(fields.begin(), fields.end());
+    std::string out = "{";
+    for (const auto& [name, repr] : fields) out += name + ":" + repr + ",";
+    return out + "}";
+  }
+  if (v.type() == ValueType::kList) {
+    std::vector<std::string> elems;
+    for (const auto& e : v.AsList()) elems.push_back(CanonicalString(e));
+    std::sort(elems.begin(), elems.end());
+    std::string out = "[";
+    for (const auto& e : elems) out += e + ",";
+    return out + "]";
+  }
+  return v.ToString();
 }
 
 uint64_t HashRow(const Row& row) {

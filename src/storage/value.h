@@ -158,6 +158,12 @@ struct ValueEq {
 /// A row is a flat vector of values, positionally aligned with a Schema.
 using Row = std::vector<Value>;
 
+/// Renders `v` like ToString but with struct fields sorted by name and list
+/// elements sorted lexicographically, so results compare equal regardless
+/// of field order or of the merge-tree order that built an aggregated
+/// collection.
+std::string CanonicalString(const Value& v);
+
 /// Deep hash of a full row.
 uint64_t HashRow(const Row& row);
 

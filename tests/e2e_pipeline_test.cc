@@ -43,32 +43,6 @@ using testsupport::SnapshotsEqual;
 
 // ---- Cross-evaluator comparison helpers ----
 
-/// Renders a Value with struct fields sorted by name and list elements
-/// sorted lexicographically, so that two evaluators' tuples compare equal
-/// regardless of field ordering or of the merge-tree shape that built an
-/// aggregated collection.
-std::string CanonicalString(const Value& v) {
-  if (v.type() == ValueType::kStruct) {
-    std::vector<std::pair<std::string, std::string>> fields;
-    for (const auto& [name, field] : v.AsStruct()) {
-      fields.emplace_back(name, CanonicalString(field));
-    }
-    std::sort(fields.begin(), fields.end());
-    std::string out = "{";
-    for (const auto& [name, repr] : fields) out += name + ":" + repr + ",";
-    return out + "}";
-  }
-  if (v.type() == ValueType::kList) {
-    std::vector<std::string> elems;
-    for (const auto& e : v.AsList()) elems.push_back(CanonicalString(e));
-    std::sort(elems.begin(), elems.end());
-    std::string out = "[";
-    for (const auto& e : elems) out += e + ",";
-    return out + "]";
-  }
-  return v.ToString();
-}
-
 std::multiset<std::string> CanonicalTuples(const Value& list_value) {
   std::multiset<std::string> tuples;
   for (const auto& t : list_value.AsList()) tuples.insert(CanonicalString(t));

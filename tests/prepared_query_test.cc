@@ -61,31 +61,6 @@ void ExpectResultsBitIdentical(const QueryResult& a, const QueryResult& b) {
   EXPECT_EQ(entity_set(a), entity_set(b));
 }
 
-/// Renders a Value with struct fields sorted by name and list elements
-/// sorted lexicographically, so results compare equal regardless of the
-/// merge-tree order that built an aggregated collection.
-std::string CanonicalString(const Value& v) {
-  if (v.type() == ValueType::kStruct) {
-    std::vector<std::pair<std::string, std::string>> fields;
-    for (const auto& [name, field] : v.AsStruct()) {
-      fields.emplace_back(name, CanonicalString(field));
-    }
-    std::sort(fields.begin(), fields.end());
-    std::string out = "{";
-    for (const auto& [name, repr] : fields) out += name + ":" + repr + ",";
-    return out + "}";
-  }
-  if (v.type() == ValueType::kList) {
-    std::vector<std::string> elems;
-    for (const auto& e : v.AsList()) elems.push_back(CanonicalString(e));
-    std::sort(elems.begin(), elems.end());
-    std::string out = "[";
-    for (const auto& e : elems) out += e + ",";
-    return out + "]";
-  }
-  return v.ToString();
-}
-
 /// Order-insensitive equality of the violation/dirty-entity *sets* — for
 /// comparisons across different partition widths, where output order (and
 /// the internal order of aggregated collections) may legitimately differ.
@@ -1118,33 +1093,40 @@ TEST(PreparedQueryTest, IncrementalDedupChargesComparisonsForReChainedPairs) {
   ExpectSameViolationSets(updated, cold_db.Execute(query).ValueOrDie());
 }
 
-TEST(PreparedQueryTest, IncrementalKnobOffAndIneligiblePlansFallBackCorrectly) {
+TEST(PreparedQueryTest, OneShotExecuteAfterMutationRunsTheEngine) {
+  // A one-shot dies with its plans: bootstrapping validator state from the
+  // registered base would serve one diff and drop the state. So after a
+  // mutation Execute(text) and ExecuteQuery run the engine, re-partition
+  // the table, and match a cold session.
   datagen::CustomerOptions copts;
   copts.base_rows = 150;
   copts.duplicate_fraction = 0;
   copts.fd_violation_fraction = 0.05;
   Dataset v1 = datagen::MakeCustomer(copts);
+  const char* query = "SELECT * FROM customer c FD(c.address, c.nationkey)";
 
   CleanDB db(FastOptions());
   db.RegisterTable("customer", v1);
-  auto prepared = db.Prepare("SELECT * FROM customer c FD(c.address, c.nationkey)");
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  PreparedQuery& pq = prepared.value();
-  auto before = pq.Execute().ValueOrDie();
+  auto before = db.Execute(query).ValueOrDie();
+  for (const bool parsed : {false, true}) {
+    // Every call appends to the same fresh address group: one new violation.
+    AppendFreshFdViolation(db, "customer", v1);
+    auto one_shot = parsed ? db.ExecuteQuery(ParseCleanM(query).ValueOrDie()).ValueOrDie()
+                           : db.Execute(query).ValueOrDie();
+    EXPECT_EQ(one_shot.metrics.incremental_executions, 0u);
+    EXPECT_GT(one_shot.metrics.rows_scanned, 0u);
+    EXPECT_EQ(one_shot.ops[0].violations.size(), before.ops[0].violations.size() + 1);
 
-  AppendFreshFdViolation(db, "customer", v1);
+    CleanDB cold_db(FastOptions());
+    cold_db.RegisterTable("customer", *db.GetTableShared("customer").ValueOrDie());
+    ExpectSameViolationSets(one_shot, cold_db.Execute(query).ValueOrDie());
+  }
+}
 
-  // incremental=false forces the full engine path, so the table
-  // re-partitions.
-  ExecOptions full;
-  full.incremental = false;
-  auto cold = pq.Execute(full).ValueOrDie();
-  EXPECT_EQ(cold.metrics.incremental_executions, 0u);
-  EXPECT_GT(cold.metrics.rows_scanned, 0u);
-  EXPECT_EQ(cold.ops[0].violations.size(), before.ops[0].violations.size() + 1);
-
+TEST(PreparedQueryTest, IneligiblePlansFallBackToTheEngine) {
+  CleanDB db(FastOptions());
   // A join-rooted plan (denial constraint) is structurally ineligible for
-  // driver-side serving: after a further mutation it runs the engine path,
+  // driver-side serving: after a mutation it runs the engine path,
   // which re-partitions the table (the delta log has no other consumer).
   datagen::LineitemOptions lopts;
   lopts.rows = 120;

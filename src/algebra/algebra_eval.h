@@ -16,17 +16,11 @@
 
 namespace cleanm {
 
-class PagedTable;
 class DeltaLog;
 
 /// Name → table binding used to resolve Scan operators.
 struct Catalog {
   std::map<std::string, const Dataset*> tables;
-  /// Page-backed copies of registered tables (may be empty): when a table
-  /// has one and the executor carries a buffer pool, the physical scan
-  /// streams chunks through the pool instead of walking the resident
-  /// Dataset. The reference evaluator ignores this map.
-  std::map<std::string, const PagedTable*> paged;
   /// Monotonic per-table versions, bumped by the owning session on every
   /// (re-)registration *and* every mutation (AppendRows / UpdateRows /
   /// DeleteRows). The physical layer keys its partition cache on them; 0
@@ -66,12 +60,6 @@ struct Catalog {
   uint64_t GenerationOf(const std::string& name) const {
     auto it = generations.find(name);
     return it == generations.end() ? 0 : it->second;
-  }
-
-  /// The paged copy of `name`, or null when the table is resident-only.
-  const PagedTable* FindPaged(const std::string& name) const {
-    auto it = paged.find(name);
-    return it == paged.end() ? nullptr : it->second;
   }
 
   uint64_t MajorOf(const std::string& name) const {

@@ -57,11 +57,6 @@ CleanDB::CleanDB(CleanDBOptions options)
   cluster_ = std::make_unique<engine::Cluster>(copts);
   if (options_.buffer_pool_bytes > 0) {
     pool_ = std::make_unique<BufferPool>(options_.buffer_pool_bytes);
-    // The table page store is best-effort: if the temp file cannot be
-    // created (e.g. unwritable spill_dir) the session stays resident-only.
-    auto store = SingleFileStore::CreateTemp(options_.spill_dir, "tables",
-                                             options_.page_bytes);
-    if (store.ok()) page_store_ = std::move(store.MoveValue());
     session_spill_ = std::make_unique<SpillContext>(
         options_.spill_dir, options_.page_bytes, options_.buffer_pool_bytes,
         pool_.get());
@@ -81,46 +76,19 @@ std::shared_ptr<const Dataset> CleanDB::Lease(
 
 void CleanDB::RegisterTable(const std::string& name, Dataset dataset) {
   auto version = std::make_shared<TableVersion>(std::move(dataset));
-  // The registered version is the epoch's base: mutations never rewrite it
-  // in place, so it may be read below without the lock.
-  std::shared_ptr<const Dataset> table(version, &version->data);
   {
     std::unique_lock<std::shared_mutex> lock(table_mu_);
     tables_[name] = version;
     generations_[name]++;
     // A registration opens a new major epoch: the registered dataset is the
-    // base future incremental bootstraps fold from, the minor counter
-    // restarts, and the previous epoch's delta log is dropped (snapshot
-    // holders keep theirs alive through their leases).
-    base_tables_[name] = table;
+    // base future incremental bootstraps fold from (mutations never rewrite
+    // it in place), the minor counter restarts, and the previous epoch's
+    // delta log is dropped (snapshot holders keep theirs alive through
+    // their leases).
+    base_tables_[name] = std::shared_ptr<const Dataset>(version, &version->data);
     majors_[name]++;
     minors_[name] = 0;
     delta_logs_.erase(name);
-    // The old paged copy is stale the moment the new registration is
-    // visible; drop it in the same critical section so no snapshot can
-    // pair the new resident table with old pages. The fresh copy is
-    // ingested (and published) below, outside the lock.
-    paged_tables_.erase(name);
-  }
-  if (pool_ && page_store_) {
-    PagedTableBuilder builder(page_store_);
-    Status st = Status::OK();
-    for (const auto& row : table->rows()) {
-      st = builder.Append(row);
-      if (!st.ok()) break;
-    }
-    if (st.ok()) {
-      Result<PagedTable> finished = builder.Finish(table->schema());
-      if (finished.ok()) {
-        auto paged = std::make_shared<const PagedTable>(finished.MoveValue());
-        std::unique_lock<std::shared_mutex> lock(table_mu_);
-        // Publish only if this registration is still current (a concurrent
-        // re-registration may have won the race and re-ingested).
-        if (tables_[name] == version) paged_tables_[name] = std::move(paged);
-      }
-    }
-    // Ingestion failure leaves the table resident-only — an optimization
-    // lost, never a correctness problem.
   }
   // Invalidation happens after the lock drops (cache has its own mutex).
   // In the window between, the bumped generation is already visible and
@@ -132,13 +100,12 @@ void CleanDB::RegisterTable(const std::string& name, Dataset dataset) {
 
 void CleanDB::UnregisterTable(const std::string& name) {
   {
-    // One exclusive critical section drops the table, its paged copy, its
-    // base, its delta log, and its minor counter together (and closes the
-    // major epoch), so a mutation racing the drop either completed before
-    // it or observes the table as gone — never a log without its table.
+    // One exclusive critical section drops the table, its base, its delta
+    // log, and its minor counter together (and closes the major epoch), so
+    // a mutation racing the drop either completed before it or observes
+    // the table as gone — never a log without its table.
     std::unique_lock<std::shared_mutex> lock(table_mu_);
     if (tables_.erase(name) == 0) return;
-    paged_tables_.erase(name);
     base_tables_.erase(name);
     delta_logs_.erase(name);
     minors_.erase(name);
@@ -209,10 +176,6 @@ Result<CleanDB::MutationResult> CleanDB::MutateTable(const std::string& table,
   log->Append(std::move(delta));
   delta_logs_[table] = std::move(log);
   it->second = std::move(target);
-  // The paged copy describes the pre-mutation rows; it is not rebuilt here
-  // (mutations stay cheap), so the table reverts to resident scans until
-  // the next registration re-ingests it.
-  paged_tables_.erase(table);
   return result;
 }
 
@@ -342,11 +305,6 @@ CleanDB::TableSnapshot CleanDB::SnapshotTables() const {
   for (const auto& [name, version] : tables_) {
     snapshot.catalog.tables[name] = &version->data;
     snapshot.leases.push_back(Lease(version));
-  }
-  snapshot.paged_leases.reserve(paged_tables_.size());
-  for (const auto& [name, paged] : paged_tables_) {
-    snapshot.catalog.paged[name] = paged.get();
-    snapshot.paged_leases.push_back(paged);
   }
   snapshot.base_leases.reserve(base_tables_.size());
   for (const auto& [name, base] : base_tables_) {

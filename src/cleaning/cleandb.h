@@ -34,7 +34,6 @@
 #include "physical/planner.h"
 #include "storage/delta.h"
 #include "storage/pagestore/buffer_pool.h"
-#include "storage/pagestore/paged_table.h"
 #include "storage/pagestore/spill.h"
 
 namespace cleanm {
@@ -53,8 +52,8 @@ struct CleanDBOptions {
   //   shuffle_*          — simulated interconnect model.
   //   morsel_rows        — morsel size of the execution below the sink.
   //   buffer_pool_bytes / spill_dir / page_bytes — out-of-core storage
-  //     (DESIGN.md, "Out-of-core storage & spill"); buffer_pool_bytes > 0
-  //     additionally ingests registered tables into a paged store.
+  //     (DESIGN.md, "Out-of-core storage & spill"): breaker state and
+  //     cached partitionings spill; registered tables stay resident.
   //   profile / trace_path — operator-level tracing spans + QueryProfile.
 #define CLEANM_X(type, name, default_value) type name = default_value;
   CLEANM_SESSION_KNOBS(CLEANM_X)
@@ -331,9 +330,6 @@ class CleanDB {
   struct TableSnapshot {
     Catalog catalog;
     std::vector<std::shared_ptr<const Dataset>> leases;
-    /// Leases on the paged copies bound in catalog.paged (out-of-core
-    /// sessions only) — same survival rule as `leases`.
-    std::vector<std::shared_ptr<const PagedTable>> paged_leases;
     /// Leases on the base (as-registered) datasets bound in catalog.bases
     /// and on the mutation delta logs bound in catalog.deltas — same
     /// survival rule as `leases`.
@@ -426,10 +422,6 @@ class CleanDB {
   /// Immutable delta-log snapshots; a mutation publishes a copied+extended
   /// log so snapshot holders keep reading a frozen one.
   std::map<std::string, std::shared_ptr<const DeltaLog>> delta_logs_;
-  /// Paged copies of registered tables (out-of-core sessions; guarded by
-  /// table_mu_ like tables_). A table may lack one — paged ingestion is an
-  /// optimization, never a correctness dependency.
-  std::map<std::string, std::shared_ptr<const PagedTable>> paged_tables_;
 
   /// Read-modify-write commit serialization (see LockCommits). Ordered
   /// before table_mu_.
@@ -451,10 +443,8 @@ class CleanDB {
 
   /// Out-of-core state (null on fully in-memory sessions). Declared before
   /// cache_ so the cache (whose pager writes through session_spill_) is
-  /// destroyed first. The page store is shared-owned by every PagedTable
-  /// built over it.
+  /// destroyed first.
   std::unique_ptr<BufferPool> pool_;
-  std::shared_ptr<SingleFileStore> page_store_;
   /// Session spill context backing the partition-cache pager (per-execution
   /// breaker spills use their own, stack-owned in ExecutePrepared).
   std::unique_ptr<SpillContext> session_spill_;

@@ -19,11 +19,10 @@
 //   morsel_rows — rows per morsel of the morsel-driven execution below the
 //     sink (clamped to ≥ 1). Violation sets are bit-identical at every size
 //     (CI-gated).
-//   buffer_pool_bytes — buffer-pool byte budget for this execution.
-//     Overriding away from the session value runs the call under an
-//     execution-local pool; 0 disables spilling for this call even on an
-//     out-of-core session (paged table scans also revert to the resident
-//     datasets).
+//   buffer_pool_bytes — buffer-pool byte budget for this execution's
+//     breaker spills. Overriding away from the session value runs the call
+//     under an execution-local pool; 0 disables spilling for this call even
+//     on an out-of-core session.
 //   spill_dir — directory for this execution's spill file (empty = system
 //     temp dir); created lazily on first spill, removed on close on every
 //     exit path.

@@ -606,7 +606,7 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   // Out-of-core wiring: resolve the effective pool budget (per-call
   // override, else session default). The session pool serves unless the
   // budget is overridden, in which case an execution-local pool applies it;
-  // budget 0 disables paged scans and breaker spilling for this call. The
+  // budget 0 disables breaker spilling (the pool's only use) for this call. The
   // spill context is stack-owned, so its lazily-created temp file is
   // unlinked on every exit path — success, sink abort, cancellation or
   // deadline unwind, retry exhaustion — purely by scope exit.
@@ -633,7 +633,6 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   Executor exec{cluster_.get(), &snapshot.catalog, options_.physical, &cache_,
                 pq.persist_cache_};
   exec.quarantine = max_quarantined > 0 ? &quarantine : nullptr;
-  exec.pool = pool;
   exec.spill = spill ? &*spill : nullptr;
 
   ViolationReport report(sink);

@@ -18,27 +18,6 @@ const char* AggregateStrategyName(AggregateStrategy s) {
   return "?";
 }
 
-Value RowsAccInit(const Row& row) {
-  ValueList one;
-  ValueList row_vals(row.begin(), row.end());
-  one.push_back(Value(std::move(row_vals)));
-  return Value(std::move(one));
-}
-
-Value RowsAccMerge(Value a, const Value& b) {
-  auto& list = a.MutableList();
-  const auto& other = b.AsList();
-  list.insert(list.end(), other.begin(), other.end());
-  return a;
-}
-
-std::function<Value(const Row&)> DistinctAccInit(
-    std::function<Value(const Row&)> project) {
-  return [project = std::move(project)](const Row& row) {
-    return Value(ValueList{project(row)});
-  };
-}
-
 Value DistinctAccMerge(Value a, const Value& b) {
   auto& list = a.MutableList();
   for (const auto& v : b.AsList()) {

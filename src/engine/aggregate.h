@@ -66,16 +66,9 @@ struct AggregateSpec {
       on_row_error;
 };
 
-/// Common accumulator helpers used by the cleaning operators.
-
-/// unit: row → list-of-one-row (collects whole groups; ⊕ = list concat).
-Value RowsAccInit(const Row& row);
-/// ⊕ for RowsAccInit.
-Value RowsAccMerge(Value a, const Value& b);
-
-/// unit: row → singleton list of one projected value; merge keeps the list
-/// *distinct* (set semantics), so the accumulator stays small for FD checks.
-std::function<Value(const Row&)> DistinctAccInit(std::function<Value(const Row&)> project);
+/// ⊕ over list accumulators that keeps the list *distinct* (set
+/// semantics): `b`'s elements not already in `a` are appended, so the
+/// accumulator stays small for FD checks.
 Value DistinctAccMerge(Value a, const Value& b);
 
 /// \brief Runs the aggregation under the chosen strategy.

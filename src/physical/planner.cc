@@ -3,7 +3,6 @@
 #include "functions/function_registry.h"
 #include "monoid/monoid.h"
 #include "physical/tuple.h"
-#include "storage/pagestore/paged_table.h"
 #include "storage/pagestore/spill.h"
 
 namespace cleanm {
@@ -42,25 +41,11 @@ Result<PartitionPin> Executor::WrappedScan(const AlgOp& scan) {
   if (base) {
     cache->CountScanHit();
   } else {
+    CLEANM_ASSIGN_OR_RETURN(const Dataset* table, catalog->Find(scan.table));
     std::vector<Row> rows;
-    // Page-backed scan: stream chunks through the pool instead of walking
-    // the resident Dataset. Both paths build the identical row vector and
-    // hand it to the same Parallelize, so the partition layout (and hence
-    // every downstream result) is bit-identical.
-    const PagedTable* paged = pool ? catalog->FindPaged(scan.table) : nullptr;
-    if (paged) {
-      rows.reserve(paged->num_rows());
-      const Schema& schema = paged->schema();
-      Status st = paged->ScanRows(pool, [&](Row&& row) {
-        rows.push_back(MakePhysicalTuple(RowToRecord(schema, row)));
-      });
-      CLEANM_RETURN_NOT_OK(st);
-    } else {
-      CLEANM_ASSIGN_OR_RETURN(const Dataset* table, catalog->Find(scan.table));
-      rows.reserve(table->num_rows());
-      for (const auto& row : table->rows()) {
-        rows.push_back(MakePhysicalTuple(RowToRecord(table->schema(), row)));
-      }
+    rows.reserve(table->num_rows());
+    for (const auto& row : table->rows()) {
+      rows.push_back(MakePhysicalTuple(RowToRecord(table->schema(), row)));
     }
     Partitioned scanned = cluster->Parallelize(rows);
     cache->CountScanMiss();

@@ -38,7 +38,6 @@
 
 namespace cleanm {
 
-class BufferPool;
 class SpillContext;
 
 /// Knobs distinguishing CleanDB from the baseline systems.
@@ -90,9 +89,6 @@ struct Executor {
   /// instead of failing the execution; past the sink's cap the execution
   /// aborts.
   engine::QuarantineSink* quarantine = nullptr;
-  /// Buffer pool for page-backed table scans (null = scans use the
-  /// resident Dataset). Set by the session/execution alongside `spill`.
-  BufferPool* pool = nullptr;
   /// Per-execution spill context (null = breakers never spill). When set
   /// and over budget, Nest partials and hash-join build sides go to the
   /// spill file and are re-read for the merge/probe phase.

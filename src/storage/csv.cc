@@ -3,10 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <sstream>
-
-#include "storage/pagestore/paged_table.h"
 
 namespace cleanm {
 
@@ -102,14 +99,12 @@ void WriteCell(const Value& v, char delim, std::ostream& os) {
   os << '"';
 }
 
-/// Streaming parse core shared by the resident and paged readers: hands
-/// each accepted row to `emit` (which may move it straight into a page
-/// store) and returns the inferred schema. Column types are tracked online
-/// — first non-null value per column — so no row needs to be retained for
-/// a second schema pass.
-Result<Schema> ParseCsvCore(const std::string& text, const CsvOptions& options,
-                            ReadReport* report,
-                            const std::function<Status(Row&&)>& emit) {
+}  // namespace
+
+// Column types are tracked online — first non-null value per column — so
+// no second pass over the rows is needed to build the schema.
+Result<Dataset> ParseCsvString(const std::string& text, const CsvOptions& options,
+                               ReadReport* report) {
   if (report) *report = ReadReport{};
   std::vector<BadRow> bad_rows;
   // Skips one malformed record (recording it) while under the cap; over
@@ -142,7 +137,7 @@ Result<Schema> ParseCsvCore(const std::string& text, const CsvOptions& options,
   }
 
   size_t width = header.size();
-  size_t rows_loaded = 0;
+  std::vector<Row> rows;
   std::vector<ValueType> col_types(width, ValueType::kString);
   std::vector<bool> col_typed(width, false);
   while (pos < text.size()) {
@@ -175,12 +170,11 @@ Result<Schema> ParseCsvCore(const std::string& text, const CsvOptions& options,
         col_typed[i] = true;
       }
     }
-    CLEANM_RETURN_NOT_OK(emit(std::move(row)));
-    rows_loaded++;
+    rows.push_back(std::move(row));
   }
   if (report) {
     report->bad_rows = std::move(bad_rows);
-    report->rows_loaded = rows_loaded;
+    report->rows_loaded = rows.size();
   }
 
   // Schema: header names (or f0..fn), types from the first non-null value
@@ -192,20 +186,7 @@ Result<Schema> ParseCsvCore(const std::string& text, const CsvOptions& options,
     f.type = col_types[i];
     fields.push_back(std::move(f));
   }
-  return Schema(std::move(fields));
-}
-
-}  // namespace
-
-Result<Dataset> ParseCsvString(const std::string& text, const CsvOptions& options,
-                               ReadReport* report) {
-  std::vector<Row> rows;
-  CLEANM_ASSIGN_OR_RETURN(
-      Schema schema, ParseCsvCore(text, options, report, [&](Row&& row) {
-        rows.push_back(std::move(row));
-        return Status::OK();
-      }));
-  return Dataset(std::move(schema), std::move(rows));
+  return Dataset(Schema(std::move(fields)), std::move(rows));
 }
 
 Result<Dataset> ReadCsv(const std::string& path, const CsvOptions& options,
@@ -215,25 +196,6 @@ Result<Dataset> ReadCsv(const std::string& path, const CsvOptions& options,
   std::ostringstream buf;
   buf << in.rdbuf();
   return ParseCsvString(buf.str(), options, report);
-}
-
-Result<PagedTable> ReadCsvPaged(const std::string& path, const CsvOptions& options,
-                                ReadReport* report) {
-  if (!options.read.page_store) {
-    return Status::InvalidArgument(
-        "ReadCsvPaged requires ReadOptions::page_store (see ReadOptions)");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  // Accepted rows stream into the page store a page-sized chunk at a time;
-  // only the builder's current open chunk is resident.
-  PagedTableBuilder builder(options.read.page_store);
-  CLEANM_ASSIGN_OR_RETURN(
-      Schema schema, ParseCsvCore(buf.str(), options, report,
-                                  [&](Row&& row) { return builder.Append(row); }));
-  return builder.Finish(std::move(schema));
 }
 
 Status WriteCsv(const Dataset& dataset, const std::string& path,

@@ -11,7 +11,6 @@
 
 #include "common/status.h"
 #include "storage/dataset.h"
-#include "storage/pagestore/paged_table.h"
 #include "storage/read_options.h"
 
 namespace cleanm {
@@ -38,16 +37,6 @@ Result<Dataset> ReadCsv(const std::string& path, const CsvOptions& options = {},
 /// Parses CSV text held in memory (used by tests).
 Result<Dataset> ParseCsvString(const std::string& text, const CsvOptions& options = {},
                                ReadReport* report = nullptr);
-
-/// Out-of-core ingestion: parses the file and streams each accepted row
-/// into `options.read.page_store` a page-sized chunk at a time — the
-/// parsed rows are never all resident at once (only the raw text and the
-/// builder's open chunk are). Schema inference, bad-row tolerance, and
-/// ReadReport contents match ReadCsv exactly. Fails with InvalidArgument
-/// when no page store is supplied.
-Result<PagedTable> ReadCsvPaged(const std::string& path,
-                                const CsvOptions& options = {},
-                                ReadReport* report = nullptr);
 
 /// Serializes a flat dataset to a CSV file.
 Status WriteCsv(const Dataset& dataset, const std::string& path,

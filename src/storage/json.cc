@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <sstream>
 
 namespace cleanm {
@@ -316,121 +315,6 @@ Result<Dataset> ReadJsonLines(const std::string& path, const ReadOptions& option
   std::ostringstream buf;
   buf << in.rdbuf();
   return ParseJsonLinesString(buf.str(), options, report);
-}
-
-Result<PagedTable> ReadJsonLinesPaged(const std::string& path,
-                                      const ReadOptions& options,
-                                      ReadReport* report) {
-  if (!options.page_store) {
-    return Status::InvalidArgument(
-        "ReadJsonLinesPaged requires ReadOptions::page_store (see ReadOptions)");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  if (report) *report = ReadReport{};
-  std::vector<BadRow> bad_rows;
-  auto skip_or_fail = [&](size_t line_no, std::string error) -> Status {
-    if (bad_rows.size() < options.max_bad_rows) {
-      bad_rows.push_back({line_no, std::move(error)});
-      return Status::OK();
-    }
-    std::string prefix = options.max_bad_rows
-                             ? "more than " + std::to_string(options.max_bad_rows) +
-                                   " bad rows; "
-                             : "";
-    return Status::ParseError(prefix + "line " + std::to_string(line_no) + ": " +
-                              std::move(error));
-  };
-  auto for_each_line = [&text](const std::function<Status(size_t, const std::string&)>& fn)
-      -> Status {
-    size_t line_start = 0;
-    size_t line_no = 0;  // 1-based once inside the loop
-    while (line_start < text.size()) {
-      size_t line_end = text.find('\n', line_start);
-      if (line_end == std::string::npos) line_end = text.size();
-      const std::string line = text.substr(line_start, line_end - line_start);
-      line_start = line_end + 1;
-      line_no++;
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      CLEANM_RETURN_NOT_OK(fn(line_no, line));
-    }
-    return Status::OK();
-  };
-
-  // Pass 1: unify the object keys. Each parsed object is discarded as soon
-  // as its keys are recorded, so no row set accumulates. Malformed lines
-  // are ignored here and charged against max_bad_rows on pass 2, which
-  // revisits every line with the same tolerance logic as ReadJsonLines.
-  std::vector<std::string> key_order;
-  CLEANM_RETURN_NOT_OK(
-      for_each_line([&](size_t, const std::string& line) -> Status {
-        Result<Value> parsed = ParseJson(line);
-        if (!parsed.ok() || parsed.value().type() != ValueType::kStruct) {
-          return Status::OK();
-        }
-        for (const auto& [key, val] : parsed.value().AsStruct()) {
-          (void)val;
-          bool seen = false;
-          for (const auto& k : key_order) {
-            if (k == key) {
-              seen = true;
-              break;
-            }
-          }
-          if (!seen) key_order.push_back(key);
-        }
-        return Status::OK();
-      }));
-
-  // Pass 2: re-parse, align each object to the unified key order (missing
-  // keys → null), and stream it into the page store; only the builder's
-  // open chunk is resident. Column types track the first non-null value.
-  PagedTableBuilder builder(options.page_store);
-  std::vector<ValueType> col_types(key_order.size(), ValueType::kString);
-  std::vector<bool> col_typed(key_order.size(), false);
-  size_t rows_loaded = 0;
-  CLEANM_RETURN_NOT_OK(
-      for_each_line([&](size_t line_no, const std::string& line) -> Status {
-        Result<Value> parsed = ParseJson(line);
-        if (!parsed.ok()) return skip_or_fail(line_no, parsed.status().message());
-        Value v = parsed.MoveValue();
-        if (v.type() != ValueType::kStruct) {
-          return skip_or_fail(line_no, "JSON-lines row is not an object");
-        }
-        Row row;
-        row.reserve(key_order.size());
-        for (size_t i = 0; i < key_order.size(); i++) {
-          Value found = Value::Null();
-          for (auto& [key, val] : v.AsStruct()) {
-            if (key == key_order[i]) {
-              found = val;
-              break;
-            }
-          }
-          if (!col_typed[i] && !found.is_null()) {
-            col_types[i] = found.type();
-            col_typed[i] = true;
-          }
-          row.push_back(std::move(found));
-        }
-        CLEANM_RETURN_NOT_OK(builder.Append(row));
-        rows_loaded++;
-        return Status::OK();
-      }));
-
-  std::vector<Field> fields;
-  for (size_t i = 0; i < key_order.size(); i++) {
-    fields.push_back({key_order[i], col_types[i]});
-  }
-  if (report) {
-    report->bad_rows = std::move(bad_rows);
-    report->rows_loaded = rows_loaded;
-  }
-  return builder.Finish(Schema{std::move(fields)});
 }
 
 namespace {

@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "storage/dataset.h"
-#include "storage/pagestore/paged_table.h"
 #include "storage/read_options.h"
 
 namespace cleanm {
@@ -32,16 +31,6 @@ Result<Dataset> ReadJsonLines(const std::string& path,
 Result<Dataset> ParseJsonLinesString(const std::string& text,
                                      const ReadOptions& options = {},
                                      ReadReport* report = nullptr);
-
-/// Out-of-core ingestion: reads the file in two streaming passes — one to
-/// unify the object keys into the schema, one to align each object to that
-/// key order and append it to `options.page_store` a page-sized chunk at a
-/// time — so the parsed rows are never all resident at once. Bad-row
-/// tolerance and ReadReport contents match ReadJsonLines exactly. Fails
-/// with InvalidArgument when no page store is supplied.
-Result<PagedTable> ReadJsonLinesPaged(const std::string& path,
-                                      const ReadOptions& options = {},
-                                      ReadReport* report = nullptr);
 
 /// Serializes one Value as JSON text (strings escaped). Non-ASCII bytes
 /// pass through raw, so UTF-8 produced by ParseJson's \uXXXX decoding

@@ -5,7 +5,7 @@
 // each. A logical page is one checksummed payload written at a slot
 // boundary; a payload larger than one slot spans ceil(size / page_bytes)
 // consecutive slots (so the page size is a granularity, not a hard cap —
-// a single oversized row never wedges ingestion). Every page starts with
+// a single oversized row never wedges a spill). Every page starts with
 // a PageHeader whose FNV-1a checksum covers the payload, making torn or
 // corrupted reads detectable as a positioned kIOError instead of UB.
 #pragma once
@@ -34,7 +34,7 @@ struct PageHeader {
 static_assert(sizeof(PageHeader) == 32, "page header layout");
 
 /// A contiguous run of encoded rows inside a store: the unit a spilled
-/// partition or a paged-table chunk is addressed by.
+/// partition chunk is addressed by.
 struct PageSpan {
   uint64_t page_id = 0;  ///< first slot of the chunk's page
   uint32_t rows = 0;     ///< decoded row count (redundant with the chunk

@@ -2,7 +2,7 @@
 // of the dynamic Value model.
 //
 // Exactness is load-bearing, not cosmetic: spilled Nest partials and
-// page-backed partitionings re-enter the same monoid merges and
+// paged-out cached partitionings re-enter the same monoid merges and
 // Equals/Hash-keyed maps as their resident twins, and the engine's
 // bit-identical-violations contract (CI-gated) requires a decoded value to
 // be indistinguishable from the original — int 1 must come back as int 1
@@ -25,7 +25,7 @@ void EncodeValue(const Value& v, std::string* out);
 void EncodeRow(const Row& row, std::string* out);
 
 /// Appends a row chunk (u32 row count + rows) — the page payload format
-/// shared by spilled partitions and paged-table chunks.
+/// of every spilled partition.
 void EncodeRowChunk(const Row* rows, size_t count, std::string* out);
 
 /// Decodes a value starting at `*pos`; advances `*pos`. Truncated or

@@ -1,7 +1,7 @@
 // Single-file page store: append-only checksummed pages in one flat file.
 //
-// The store is scratch storage for one session (paged table registrations,
-// partition-cache write-back) or one execution (breaker spill): pages are
+// The store is scratch storage for one session (partition-cache
+// write-back) or one execution (breaker spill): pages are
 // immutable once written, ids are never recycled, and the whole file is
 // unlinked when the store closes (remove-on-close) — there is no recovery
 // story, by design, because everything in it can be recomputed from the

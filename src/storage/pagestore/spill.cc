@@ -58,13 +58,7 @@ Status SpillContext::ReadBack(const std::vector<PageSpan>& chunks,
                           : Status::Internal("spill read-back before any spill");
   }
   for (const PageSpan& chunk : chunks) {
-    PagePin pin;
-    if (pool_ != nullptr) {
-      CLEANM_ASSIGN_OR_RETURN(pin, pool_->Pin(*store, chunk.page_id));
-    } else {
-      CLEANM_ASSIGN_OR_RETURN(std::string payload, store->ReadPage(chunk.page_id));
-      pin = std::make_shared<const std::string>(std::move(payload));
-    }
+    CLEANM_ASSIGN_OR_RETURN(PagePin pin, pool_->Pin(*store, chunk.page_id));
     const size_t before = out->size();
     CLEANM_RETURN_NOT_OK(DecodeRowChunk(*pin, out));
     if (out->size() - before != chunk.rows) {

@@ -34,8 +34,8 @@ namespace cleanm {
 class SpillContext {
  public:
   /// `budget_bytes` is the pool byte budget spill decisions compare
-  /// against (0 disables spilling); `pool` serves the read-back pins and
-  /// must outlive the context.
+  /// against (0 disables spilling); `pool` (non-null) serves the read-back
+  /// pins and must outlive the context.
   SpillContext(std::string spill_dir, size_t page_bytes, uint64_t budget_bytes,
                BufferPool* pool)
       : spill_dir_(std::move(spill_dir)),
@@ -62,8 +62,6 @@ class SpillContext {
                   std::vector<Row>* out) const;
 
   uint64_t bytes_spilled() const { return bytes_spilled_.load(); }
-  BufferPool* pool() const { return pool_; }
-  uint64_t budget_bytes() const { return budget_bytes_; }
 
  private:
   const std::string spill_dir_;

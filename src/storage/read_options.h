@@ -10,13 +10,10 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace cleanm {
-
-class SingleFileStore;
 
 /// One malformed input row skipped during a load.
 struct BadRow {
@@ -40,12 +37,6 @@ struct ReadOptions {
   /// row fails the whole load. When the count would exceed the cap, the
   /// load fails with a ParseError naming the cap and the offending line.
   size_t max_bad_rows = 0;
-
-  /// Out-of-core ingestion target (storage/pagestore/): the paged read
-  /// entry points (ReadCsvPaged / ReadJsonLinesPaged) append accepted rows
-  /// to this store in page-sized chunks as they parse, so the file's rows
-  /// are never all resident at once. Ignored by the plain Dataset readers.
-  std::shared_ptr<SingleFileStore> page_store;
 };
 
 }  // namespace cleanm

@@ -2,8 +2,7 @@
 // bit-faithful row codec, the checksummed single-file page store (including
 // positioned corruption errors and remove-on-close), the byte-budget buffer
 // pool (LRU eviction, pin-survives-eviction, stats, concurrent pin stress —
-// run under tsan in CI), paged table build/scan order, spill round trips,
-// and the paged CSV/JSON readers' equivalence with the resident readers.
+// run under tsan in CI), and spill round trips across multi-page chunks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,10 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "storage/csv.h"
-#include "storage/json.h"
 #include "storage/pagestore/buffer_pool.h"
-#include "storage/pagestore/paged_table.h"
 #include "storage/pagestore/row_codec.h"
 #include "storage/pagestore/single_file_store.h"
 #include "storage/pagestore/spill.h"
@@ -271,38 +267,6 @@ TEST(BufferPoolTest, ConcurrentPinStressStaysConsistent) {
   EXPECT_LE(s.resident_bytes, pool.byte_budget());
 }
 
-// ---- Paged table ----
-
-TEST(PagedTableTest, BuilderScanReplaysIngestionOrderAcrossChunks) {
-  TempDir dir("table");
-  auto store = std::shared_ptr<SingleFileStore>(
-      SingleFileStore::CreateTemp(dir.path().string(), "t", 256).MoveValue());
-  Rng rng(7);
-  Dataset data = testsupport::RandomFlatDataset(&rng, 200);
-
-  PagedTableBuilder builder(store);
-  for (const auto& row : data.rows()) ASSERT_TRUE(builder.Append(row).ok());
-  PagedTable table = builder.Finish(data.schema()).ValueOrDie();
-  EXPECT_EQ(table.num_rows(), data.num_rows());
-  EXPECT_GT(table.chunks().size(), 1u)  // actually exercises chunk spanning
-      << "payload too small for page_bytes=256?";
-  EXPECT_GT(table.logical_bytes(), 0u);
-
-  BufferPool pool(/*byte_budget=*/512);  // forces eviction churn mid-scan
-  std::vector<Row> scanned;
-  ASSERT_TRUE(
-      table.ScanRows(&pool, [&](Row&& r) { scanned.push_back(std::move(r)); })
-          .ok());
-  ASSERT_EQ(scanned.size(), data.num_rows());
-  for (size_t i = 0; i < scanned.size(); i++) {
-    ASSERT_EQ(scanned[i].size(), data.rows()[i].size());
-    for (size_t c = 0; c < scanned[i].size(); c++) {
-      EXPECT_TRUE(scanned[i][c].Equals(data.rows()[i][c]))
-          << "row " << i << " col " << c;
-    }
-  }
-}
-
 // ---- Spill context ----
 
 TEST(SpillContextTest, SpillReadBackRoundTripsAndCleansUp) {
@@ -335,122 +299,31 @@ TEST(SpillContextTest, SpillReadBackRoundTripsAndCleansUp) {
   }
   // Destruction removes the spill file — the RAII exit-path guarantee.
   EXPECT_EQ(dir.FileCount(), 0u);
-}
 
-// ---- Paged readers ----
-
-TEST(PagedReaderTest, CsvPagedMatchesResidentReaderIncludingBadRows) {
-  TempDir dir("csv");
-  const std::string path = (dir.path() / "input.csv").string();
+  // Every flat value kind (nulls, ints, doubles, strings carrying the
+  // format escapers' characters) crosses multi-page chunks and reads back
+  // in spill order while the pool evicts under its budget.
+  Rng rng(7);
+  const Dataset data = testsupport::RandomFlatDataset(&rng, 200);
+  BufferPool churn(/*byte_budget=*/512);
   {
-    std::ofstream out(path, std::ios::binary);
-    out << "id,name,score\n";
-    out << "1,alice,3.5\n";
-    out << "2,\"bob,jr\",4.0\n";
-    out << "3,carol\n";             // wrong arity → bad row under tolerance
-    out << "4,dave,oops,extra\n";   // wrong arity
-    out << "5,eve,2.5\n";
-    out << "\n";                    // blank line, skipped silently
-    out << "6,frank,\n";            // trailing null score
-  }
-  CsvOptions options;
-  options.read.max_bad_rows = 2;
-  ReadReport resident_report;
-  Dataset resident = ReadCsv(path, options, &resident_report).ValueOrDie();
-
-  auto store = std::shared_ptr<SingleFileStore>(
-      SingleFileStore::CreateTemp(dir.path().string(), "csv", 256).MoveValue());
-  options.read.page_store = store;
-  ReadReport paged_report;
-  PagedTable paged = ReadCsvPaged(path, options, &paged_report).ValueOrDie();
-
-  EXPECT_EQ(paged_report.rows_loaded, resident_report.rows_loaded);
-  ASSERT_EQ(paged_report.bad_rows.size(), resident_report.bad_rows.size());
-  for (size_t i = 0; i < paged_report.bad_rows.size(); i++) {
-    EXPECT_EQ(paged_report.bad_rows[i].line, resident_report.bad_rows[i].line);
-    EXPECT_EQ(paged_report.bad_rows[i].error, resident_report.bad_rows[i].error);
-  }
-  ASSERT_EQ(paged.schema().num_fields(), resident.schema().num_fields());
-  for (size_t i = 0; i < resident.schema().num_fields(); i++) {
-    EXPECT_EQ(paged.schema().field(i).name, resident.schema().field(i).name);
-    EXPECT_EQ(paged.schema().field(i).type, resident.schema().field(i).type);
-  }
-  BufferPool pool(/*byte_budget=*/1024);
-  std::vector<Row> scanned;
-  ASSERT_TRUE(
-      paged.ScanRows(&pool, [&](Row&& r) { scanned.push_back(std::move(r)); })
-          .ok());
-  ASSERT_EQ(scanned.size(), resident.num_rows());
-  for (size_t i = 0; i < scanned.size(); i++) {
-    for (size_t c = 0; c < scanned[i].size(); c++) {
-      EXPECT_TRUE(scanned[i][c].Equals(resident.rows()[i][c]))
-          << "row " << i << " col " << c;
+    SpillContext spill(dir.path().string(), /*page_bytes=*/256,
+                       /*budget_bytes=*/512, &churn);
+    auto spans = spill.SpillRows(data.rows()).ValueOrDie();
+    EXPECT_GT(spans.size(), 1u);
+    std::vector<Row> back;
+    ASSERT_TRUE(spill.ReadBack(spans, &back).ok());
+    EXPECT_GT(churn.stats().evictions, 0u);
+    ASSERT_EQ(back.size(), data.num_rows());
+    for (size_t i = 0; i < back.size(); i++) {
+      ASSERT_EQ(back[i].size(), data.rows()[i].size());
+      for (size_t c = 0; c < back[i].size(); c++) {
+        EXPECT_TRUE(back[i][c].Equals(data.rows()[i][c]))
+            << "row " << i << " col " << c;
+      }
     }
   }
-
-  // Strict mode fails the paged reader at the same record.
-  CsvOptions strict;
-  strict.read.page_store = store;
-  Status st = ReadCsvPaged(path, strict).status();
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kParseError);
-  EXPECT_EQ(st.message(), ReadCsv(path, CsvOptions{}).status().message());
-}
-
-TEST(PagedReaderTest, JsonLinesPagedMatchesResidentReader) {
-  TempDir dir("json");
-  const std::string path = (dir.path() / "input.jsonl").string();
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "{\"a\":1,\"b\":\"x\"}\n";
-    out << "{\"b\":\"y\",\"c\":[1,2]}\n";   // widens the schema with c
-    out << "not json at all\n";             // bad line
-    out << "[1,2,3]\n";                     // not an object
-    out << "{\"a\":2.5}\n";
-  }
-  ReadOptions options;
-  options.max_bad_rows = 2;
-  ReadReport resident_report;
-  Dataset resident = ReadJsonLines(path, options, &resident_report).ValueOrDie();
-
-  auto store = std::shared_ptr<SingleFileStore>(
-      SingleFileStore::CreateTemp(dir.path().string(), "json", 256).MoveValue());
-  options.page_store = store;
-  ReadReport paged_report;
-  PagedTable paged = ReadJsonLinesPaged(path, options, &paged_report).ValueOrDie();
-
-  EXPECT_EQ(paged_report.rows_loaded, resident_report.rows_loaded);
-  ASSERT_EQ(paged_report.bad_rows.size(), resident_report.bad_rows.size());
-  for (size_t i = 0; i < paged_report.bad_rows.size(); i++) {
-    EXPECT_EQ(paged_report.bad_rows[i].line, resident_report.bad_rows[i].line);
-    EXPECT_EQ(paged_report.bad_rows[i].error, resident_report.bad_rows[i].error);
-  }
-  ASSERT_EQ(paged.schema().num_fields(), resident.schema().num_fields());
-  for (size_t i = 0; i < resident.schema().num_fields(); i++) {
-    EXPECT_EQ(paged.schema().field(i).name, resident.schema().field(i).name);
-    EXPECT_EQ(paged.schema().field(i).type, resident.schema().field(i).type);
-  }
-  BufferPool pool(/*byte_budget=*/1024);
-  std::vector<Row> scanned;
-  ASSERT_TRUE(
-      paged.ScanRows(&pool, [&](Row&& r) { scanned.push_back(std::move(r)); })
-          .ok());
-  ASSERT_EQ(scanned.size(), resident.num_rows());
-  for (size_t i = 0; i < scanned.size(); i++) {
-    for (size_t c = 0; c < scanned[i].size(); c++) {
-      EXPECT_TRUE(scanned[i][c].Equals(resident.rows()[i][c]))
-          << "row " << i << " col " << c;
-    }
-  }
-}
-
-TEST(PagedReaderTest, PagedReadersRequireAPageStore) {
-  Status csv = ReadCsvPaged("/nonexistent.csv").status();
-  ASSERT_FALSE(csv.ok());
-  EXPECT_EQ(csv.code(), StatusCode::kInvalidArgument);
-  Status json = ReadJsonLinesPaged("/nonexistent.jsonl").status();
-  ASSERT_FALSE(json.ok());
-  EXPECT_EQ(json.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dir.FileCount(), 0u);
 }
 
 }  // namespace

@@ -13,7 +13,11 @@
 //       own `having` over the merged output. One grouping pass instead of N.
 //
 // Shared-scan detection (the DAG of Figure 1's overall plan) is also
-// reported here; the physical layer uses it to scan each table once.
+// reported here, as a diagnostic: at execution time the session partition
+// cache is what scans each table once.
+//
+// CleanDB's Prepare runs only A4 (CoalesceNests): its plan builders emit
+// filters below joins directly, so A1–A3 serve hand-built plans.
 #pragma once
 
 #include <vector>
@@ -49,8 +53,8 @@ struct CoalescedPlans {
 CoalescedPlans CoalesceNests(const std::vector<AlgOpPtr>& plans,
                              RewriteStats* stats = nullptr);
 
-/// Tables scanned by more than one of the given plans (shared-scan
-/// opportunities for the physical layer's scan cache).
+/// Tables scanned by more than one of the given plans (the scans the
+/// partition cache shares at execution time).
 std::vector<std::string> SharedScanTables(const std::vector<AlgOpPtr>& plans);
 
 }  // namespace cleanm

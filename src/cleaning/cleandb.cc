@@ -374,8 +374,8 @@ std::vector<std::string> CleanDB::SampleCenters(const std::string& table,
 Result<OpResult> CleanDB::RunProgrammaticOp(CleaningPlan cp) {
   // A programmatic op is exactly a one-operation prepared query executed
   // once: wrap the plan in a transient PreparedQuery and run it through the
-  // shared ExecutePrepared path (snapshot, admission, config lock, metrics
-  // scope, out-of-core wiring, sink emission — one code path, not two).
+  // shared ExecutePrepared path (snapshot, admission, metrics scope,
+  // out-of-core wiring, sink emission — one code path, not two).
   // Cache persistence is off because the plan's nodes are never seen
   // again, and with it the delta path.
   PreparedQuery pq;

@@ -2,9 +2,9 @@
 // Figure 2).
 //
 // Pipeline per query: Parser → (Monoid Rewriter) cleaning clauses desugar to
-// canonical plans → Monoid/algebra optimizer (normalization + CoalesceNests
-// + RewritePlan) → physical executor on the virtual cluster → unified
-// violation report (the top-level outer join of Section 4.4).
+// canonical plans → Monoid/algebra optimizer (normalization + CoalesceNests)
+// → physical executor on the virtual cluster → unified violation report
+// (the top-level outer join of Section 4.4).
 //
 // Query lifecycle: Prepare(text) performs the parse/normalize/rewrite work
 // once and returns a PreparedQuery whose Execute(ExecOptions) runs the
@@ -26,7 +26,6 @@
 
 #include "algebra/rewriter.h"
 #include "cleaning/plan_builder.h"
-#include "cleaning/session_knobs.h"
 #include "common/timer.h"
 #include "functions/function_registry.h"
 #include "language/parser.h"
@@ -43,23 +42,32 @@ class QueryProfile;
 class ViolationSink;
 struct ExecOptions;
 
+/// Session configuration, fixed when the CleanDB is built. The first four
+/// fields are defaults that one execution may override through the
+/// ExecOptions field of the same name (see exec_options.h); the rest hold
+/// for every execution of the session.
 struct CleanDBOptions {
-  // Shared session knobs, generated from CLEANM_SESSION_KNOBS
-  // (cleaning/session_knobs.h) so the session default, the per-call
-  // ExecOptions optional, and the per-execution resolution stay one list.
-  // In brief (see exec_options.h for the full per-knob documentation):
-  //   unify_operations   — Nest-coalesced plan forms (Figure-5 ablation).
-  //   shuffle_*          — simulated interconnect model.
-  //   morsel_rows        — morsel size of the execution below the sink.
-  //   buffer_pool_bytes / spill_dir / page_bytes — out-of-core storage
-  //     (DESIGN.md, "Out-of-core storage & spill"): breaker state and
-  //     cached partitionings spill; registered tables stay resident.
-  //   profile / trace_path — operator-level tracing spans + QueryProfile.
-#define CLEANM_X(type, name, default_value) type name = default_value;
-  CLEANM_SESSION_KNOBS(CLEANM_X)
-#undef CLEANM_X
+  /// Nest-coalesced plan forms (the Figure-5 ablation).
+  bool unify_operations = true;
+  /// Morsel size of the execution below the sink.
+  size_t morsel_rows = 4096;
+  /// Operator-level tracing spans + QueryProfile; with trace_path set, the
+  /// spans are also written as Chrome/Perfetto trace_event JSON.
+  bool profile = false;
+  std::string trace_path;
 
   size_t num_nodes = 4;
+  /// Simulated interconnect model (see engine::ClusterOptions).
+  double shuffle_ns_per_byte = 1.0;
+  size_t shuffle_batch_rows = 1024;
+  /// Out-of-core storage (DESIGN.md, "Out-of-core storage & spill"): with a
+  /// buffer-pool budget > 0, breaker state and cached partitionings spill
+  /// to page files under spill_dir (empty = system temp dir), created
+  /// lazily and removed on every exit path; registered tables stay
+  /// resident. 0 = fully in memory.
+  uint64_t buffer_pool_bytes = 0;
+  std::string spill_dir;
+  size_t page_bytes = kDefaultPageBytes;
   PhysicalOptions physical;
   /// Defaults for token filtering / k-means parameters (q, k, delta, seed).
   FilteringOptions filtering;
@@ -72,9 +80,8 @@ struct CleanDBOptions {
   /// queue FIFO; an oversized execution is admitted once it is alone.
   /// 0 = unlimited (no queueing, the default).
   uint64_t max_inflight_bytes = 0;
-  /// Session defaults for fault injection, task retry/backoff, and node
-  /// blacklisting (see engine::FaultOptions; off by default). Probability /
-  /// seed / retry knobs are overridable per call via ExecOptions.
+  /// Fault injection, task retry/backoff, and node blacklisting (see
+  /// engine::FaultOptions; off by default).
   engine::FaultOptions fault;
 };
 
@@ -125,9 +132,9 @@ struct QueryResult {
 /// tables visible when it starts: re-registering a table (RegisterTable,
 /// repair Commit) bumps the generation for executions that start later,
 /// while in-flight executions keep reading the datasets they snapshotted
-/// (counted leases keep them alive and unchanged). Cluster-reconfiguring
-/// ExecOptions (max_nodes, shuffle_*) take the session's config lock
-/// exclusively and so run alone; plain executions share it.
+/// (counted leases keep them alive and unchanged). The cluster and the
+/// out-of-core storage are fixed at construction, so executions share them
+/// without a lock.
 class CleanDB {
  public:
   explicit CleanDB(CleanDBOptions options = {});
@@ -340,8 +347,8 @@ class CleanDB {
 
   /// Shared execution wrapper of the programmatic ops: wraps `cp` in a
   /// transient single-operation PreparedQuery and runs it through
-  /// ExecutePrepared — the same code path (snapshot, admission, config
-  /// lock, metrics scope, sink emission) as Prepare→Execute, with cache
+  /// ExecutePrepared — the same code path (snapshot, admission, metrics
+  /// scope, sink emission) as Prepare→Execute, with cache
   /// persistence off so the throwaway plan's Nest outputs never pollute
   /// the session cache.
   Result<OpResult> RunProgrammaticOp(CleaningPlan cp);
@@ -398,8 +405,8 @@ class CleanDB {
 
   /// Guards tables_, generations_, and the mutation state (base_tables_,
   /// majors_, minors_, delta_logs_) — shared: lookups/snapshots; exclusive:
-  /// registrations and mutations. Lock order: commit_mu_ → config_mu_ →
-  /// table_mu_ → the cache's internal mutex; never held while executing.
+  /// registrations and mutations. Lock order: commit_mu_ → table_mu_ → the
+  /// cache's internal mutex; never held while executing.
   /// UnregisterTable drops the table, its counters, and its delta log in
   /// one exclusive critical section, so a concurrent mutation either
   /// completes before the drop or fails with kKeyError — a log can never
@@ -427,12 +434,6 @@ class CleanDB {
   /// before table_mu_.
   mutable std::mutex commit_mu_;
 
-  /// Cluster-configuration lock: executions that apply cluster-mutating
-  /// ExecOptions hold it exclusively for their whole run; every other
-  /// execution holds it shared, so the shared cluster's knobs never change
-  /// under a running plan.
-  mutable std::shared_mutex config_mu_;
-
   // Admission-control state (see AdmitExecution).
   std::mutex admission_mu_;
   std::condition_variable admission_cv_;
@@ -446,7 +447,8 @@ class CleanDB {
   /// destroyed first.
   std::unique_ptr<BufferPool> pool_;
   /// Session spill context backing the partition-cache pager (per-execution
-  /// breaker spills use their own, stack-owned in ExecutePrepared).
+  /// breaker spills use their own, stack-owned in ExecutePrepared, over the
+  /// same pool).
   std::unique_ptr<SpillContext> session_spill_;
 
   /// Session-owned partition cache shared by every execution.

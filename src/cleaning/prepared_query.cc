@@ -18,56 +18,6 @@ namespace cleanm {
 
 namespace {
 
-/// True when `opts` overrides any fault-injection / retry knob.
-bool HasFaultOverrides(const ExecOptions& opts) {
-  return opts.fault_probability.has_value() || opts.fault_seed.has_value() ||
-         opts.max_task_retries.has_value() || opts.retry_backoff_ns.has_value();
-}
-
-/// Applies ExecOptions' cluster overrides on construction and restores the
-/// session configuration on destruction, so per-call knobs can never leak
-/// into later executions (or into another PreparedQuery on the same
-/// session).
-class ScopedClusterConfig {
- public:
-  ScopedClusterConfig(engine::Cluster* cluster, const ExecOptions& opts)
-      : cluster_(cluster),
-        saved_(cluster->options()),
-        saved_active_(cluster->num_nodes()) {
-    if (opts.max_nodes) cluster_->SetActiveNodes(*opts.max_nodes);
-    if (opts.shuffle_ns_per_byte) cluster_->SetShuffleCost(*opts.shuffle_ns_per_byte);
-    if (opts.shuffle_batch_rows) cluster_->SetShuffleBatchRows(*opts.shuffle_batch_rows);
-    if (HasFaultOverrides(opts)) {
-      engine::FaultOptions fo = saved_.fault;
-      if (opts.fault_probability) fo.failure_probability = *opts.fault_probability;
-      if (opts.fault_seed) fo.seed = *opts.fault_seed;
-      if (opts.max_task_retries) fo.max_task_retries = *opts.max_task_retries;
-      if (opts.retry_backoff_ns) fo.retry_backoff_ns = *opts.retry_backoff_ns;
-      cluster_->SetFaultOptions(fo);
-    }
-  }
-
-  ~ScopedClusterConfig() {
-    cluster_->SetActiveNodes(saved_active_);
-    cluster_->SetShuffleCost(saved_.shuffle_ns_per_byte);
-    cluster_->SetShuffleBatchRows(saved_.shuffle_batch_rows);
-    cluster_->SetFaultOptions(saved_.fault);
-  }
-
- private:
-  engine::Cluster* cluster_;
-  engine::ClusterOptions saved_;
-  size_t saved_active_;
-};
-
-/// True when `opts` carries any override that mutates the shared cluster —
-/// exactly the fields ScopedClusterConfig applies. Such an execution must
-/// run alone (it takes the session config lock exclusively).
-bool ReconfiguresCluster(const ExecOptions& opts) {
-  return opts.max_nodes.has_value() || opts.shuffle_ns_per_byte.has_value() ||
-         opts.shuffle_batch_rows.has_value() || HasFaultOverrides(opts);
-}
-
 /// Default admission charge of an execution: the summed logical ByteSize of
 /// every distinct table the plans scan — the same RowByteSize accounting
 /// that backs the peak_bytes_materialized gauge, so the in-flight budget
@@ -521,13 +471,7 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
                                 ViolationSink& sink, QueryResult* summary) {
   CLEANM_RETURN_NOT_OK(pq.status_);
   if (!pq.db_) return Status::Internal("PreparedQuery is not bound to a CleanDB");
-  // All CLEANM_SESSION_KNOBS shared between the session and the per-call
-  // overrides resolve once, here. (The cluster-reconfiguration knobs —
-  // shuffle model, fault injection — are applied from the raw optionals by
-  // ScopedClusterConfig below because "unset" means "leave the cluster
-  // alone", not "re-apply the session value".)
-  const ResolvedExecOptions knobs = ResolveExecOptions(opts, options_);
-  const bool unify = knobs.unify_operations;
+  const bool unify = opts.unify_operations.value_or(options_.unify_operations);
 
   // Registration snapshot: the catalog binds the tables and generations
   // visible right now, and the snapshot's leases keep those datasets alive
@@ -551,19 +495,6 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   } release{this, admitted};
 
   Timer total;
-  // Plain executions run under the session cluster configuration and share
-  // the config lock; an execution carrying cluster overrides mutates the
-  // shared cluster, so it takes the lock exclusively and runs alone (the
-  // override is applied after the lock and restored before it drops).
-  std::shared_lock<std::shared_mutex> shared_config(config_mu_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> exclusive_config(config_mu_, std::defer_lock);
-  std::optional<ScopedClusterConfig> config;
-  if (ReconfiguresCluster(opts)) {
-    exclusive_config.lock();
-    config.emplace(cluster_.get(), opts);
-  } else {
-    shared_config.lock();
-  }
 
   // Per-execution metrics: the scope travels with this execution's engine
   // calls (workers re-install it), so concurrent executions never mix
@@ -577,7 +508,7 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   // scope — and is drained into a QueryProfile after the run. Off (the
   // default), no recorder is installed and every TraceScope in the engine
   // is a thread-local load + null check.
-  const bool profile_on = knobs.profile;
+  const bool profile_on = opts.profile.value_or(options_.profile);
   std::optional<TraceRecorder> trace_recorder;
   std::optional<TraceRecorderScope> trace_install;
   if (profile_on) {
@@ -603,28 +534,17 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   const size_t max_quarantined = opts.max_quarantined_rows.value_or(0);
   engine::QuarantineSink quarantine(max_quarantined);
 
-  // Out-of-core wiring: resolve the effective pool budget (per-call
-  // override, else session default). The session pool serves unless the
-  // budget is overridden, in which case an execution-local pool applies it;
-  // budget 0 disables breaker spilling (the pool's only use) for this call. The
-  // spill context is stack-owned, so its lazily-created temp file is
-  // unlinked on every exit path — success, sink abort, cancellation or
-  // deadline unwind, retry exhaustion — purely by scope exit.
-  const uint64_t pool_bytes = knobs.buffer_pool_bytes;
-  const size_t page_bytes = knobs.page_bytes;
-  const std::string spill_dir = knobs.spill_dir;
-  std::unique_ptr<BufferPool> local_pool;
-  BufferPool* pool = nullptr;
-  if (pool_bytes > 0) {
-    if (pool_ && !opts.buffer_pool_bytes.has_value()) {
-      pool = pool_.get();
-    } else {
-      local_pool = std::make_unique<BufferPool>(pool_bytes);
-      pool = local_pool.get();
-    }
-  }
+  // Out-of-core wiring: on an out-of-core session, this execution's breaker
+  // spills go through the session pool. The spill context is stack-owned,
+  // so its lazily-created temp file is unlinked on every exit path —
+  // success, sink abort, cancellation or deadline unwind, retry exhaustion
+  // — purely by scope exit.
+  BufferPool* const pool = pool_.get();
   std::optional<SpillContext> spill;
-  if (pool != nullptr) spill.emplace(spill_dir, page_bytes, pool_bytes, pool);
+  if (pool != nullptr) {
+    spill.emplace(options_.spill_dir, options_.page_bytes,
+                  options_.buffer_pool_bytes, pool);
+  }
   const BufferPool::Stats pool_before = pool ? pool->stats() : BufferPool::Stats{};
   const uint64_t session_spilled_before =
       session_spill_ ? session_spill_->bytes_spilled() : 0;
@@ -636,7 +556,8 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   exec.spill = spill ? &*spill : nullptr;
 
   ViolationReport report(sink);
-  const size_t morsel_rows = std::max<size_t>(1, knobs.morsel_rows);
+  const size_t morsel_rows =
+      std::max<size_t>(1, opts.morsel_rows.value_or(options_.morsel_rows));
 
   // The engine propagates worker failures as exceptions (see
   // engine/fault.h): retries exhausted (kUnavailable), cancellation and
@@ -747,7 +668,7 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
     }
     auto qp = std::make_shared<QueryProfile>(QueryProfile::Build(
         trace_recorder->Drain(), op_labels, kSkewWarnFactor));
-    const std::string trace_path = knobs.trace_path;
+    const std::string trace_path = opts.trace_path.value_or(options_.trace_path);
     if (!trace_path.empty()) {
       const Status trace_status = qp->WriteChromeTrace(trace_path);
       if (status.ok() && !trace_status.ok()) status = trace_status;

@@ -26,8 +26,7 @@ QueryMetrics& Cluster::metrics() const {
   return tls_metrics ? *tls_metrics : metrics_;
 }
 
-Cluster::Cluster(ClusterOptions options)
-    : options_(options), active_nodes_(options.num_nodes) {
+Cluster::Cluster(ClusterOptions options) : options_(options) {
   CLEANM_CHECK(options_.num_nodes > 0);
   CLEANM_CHECK(options_.shuffle_batch_rows > 0);
   pools_.push_back(std::make_unique<WorkerPool>(options_.num_nodes));
@@ -66,11 +65,6 @@ Cluster::PoolLease::~PoolLease() {
   if (nested_) return;
   std::lock_guard<std::mutex> lock(cluster_.pools_mu_);
   cluster_.idle_pools_.push_back(pool_);
-}
-
-void Cluster::SetFaultOptions(const FaultOptions& options) {
-  options_.fault = options;
-  fault_->SetOptions(options);
 }
 
 void Cluster::RunWithFaults(size_t n,
@@ -115,7 +109,7 @@ void Cluster::RunWithFaults(size_t n,
 
 size_t Cluster::SurvivorFor(size_t dst) const {
   if (!fault_->AnyBlacklisted()) return dst;
-  const size_t n = active_nodes_;
+  const size_t n = options_.num_nodes;
   for (size_t k = 0; k < n; k++) {
     const size_t candidate = (dst + k) % n;
     if (!fault_->blacklisted(candidate)) return candidate;
@@ -123,24 +117,7 @@ size_t Cluster::SurvivorFor(size_t dst) const {
   return dst;  // every node blacklisted: keep the original routing
 }
 
-void Cluster::SetActiveNodes(size_t n) {
-  if (n < 1) n = 1;
-  if (n > options_.num_nodes) n = options_.num_nodes;
-  active_nodes_ = n;
-}
-
-void Cluster::SetShuffleCost(double ns_per_byte) {
-  options_.shuffle_ns_per_byte = ns_per_byte;
-}
-
-void Cluster::SetShuffleBatchRows(size_t rows) {
-  // Clamp like SetActiveNodes: a 0 from ExecOptions means row-at-a-time,
-  // not a session abort.
-  options_.shuffle_batch_rows = rows < 1 ? 1 : rows;
-}
-
 void Cluster::RunOnNodes(const std::function<void(size_t)>& fn) const {
-  const size_t active = active_nodes_;
   // Workers run the dispatching driver's closures, so they must charge that
   // driver's per-execution metrics (and observe its cancellation sources),
   // not whatever the worker thread last saw.
@@ -152,13 +129,13 @@ void Cluster::RunOnNodes(const std::function<void(size_t)>& fn) const {
   TraceScope dispatch_span("cluster", "dispatch");
   TraceRecorder* driver_rec = TraceRecorderScope::Current();
   const uint64_t trace_parent = TraceRecorderScope::CurrentParent();
-  const auto task = [this, &fn, active, driver_metrics, driver_control,
-                     driver_rec, trace_parent](size_t n) {
+  const auto task = [this, &fn, driver_metrics, driver_control, driver_rec,
+                     trace_parent](size_t n) {
     MetricsScope scope(driver_metrics);
     ExecControlScope control_scope(driver_control);
     TraceRecorderScope trace_scope(driver_rec, trace_parent);
     TraceScope task_span("cluster", "task", nullptr, static_cast<int>(n));
-    if (n < active) RunWithFaults(n, fn);
+    RunWithFaults(n, fn);
   };
   PoolLease lease(*this);
   lease.pool().Run(task);
@@ -177,11 +154,12 @@ uint64_t PartitionedLogicalBytes(const Partitioned& data) {
 }
 
 Partitioned Cluster::Parallelize(const std::vector<Row>& rows) const {
-  Partitioned out(active_nodes_);
-  const size_t per_node = rows.size() / active_nodes_ + 1;
+  const size_t n_nodes = options_.num_nodes;
+  Partitioned out(n_nodes);
+  const size_t per_node = rows.size() / n_nodes + 1;
   for (auto& p : out) p.reserve(per_node);
   for (size_t i = 0; i < rows.size(); i++) {
-    out[SurvivorFor(i % active_nodes_)].push_back(rows[i]);
+    out[SurvivorFor(i % n_nodes)].push_back(rows[i]);
   }
   metrics().rows_scanned += rows.size();
   return out;
@@ -265,7 +243,7 @@ Partitioned Cluster::Shuffle(const Partitioned& in,
                              const std::function<uint64_t(const Row&)>& route) {
   TraceScope shuffle_span("cluster", "shuffle");
   shuffle_span.SetRows(TotalRows(in), TotalRows(in));
-  const size_t n_nodes = active_nodes_;
+  const size_t n_nodes = options_.num_nodes;
   const size_t batch_rows = options_.shuffle_batch_rows;
   // staged[src][dst] holds the flushed batches in routing order, so the
   // destination splice below reproduces the exact row order of an
@@ -322,7 +300,7 @@ Partitioned Cluster::Shuffle(const Partitioned& in,
 Partition Cluster::BroadcastAll(const Partitioned& in) {
   TraceScope broadcast_span("cluster", "broadcast");
   broadcast_span.SetRows(TotalRows(in), TotalRows(in));
-  const size_t n_nodes = active_nodes_;
+  const size_t n_nodes = options_.num_nodes;
   const size_t receivers = n_nodes - 1;
   // Offsets let every source copy its slice into the shared result
   // concurrently (the "receive work" of the broadcast).

@@ -109,11 +109,9 @@ class Cluster {
  public:
   explicit Cluster(ClusterOptions options = {});
 
-  /// Nodes participating in execution right now (≤ max_nodes; see
-  /// SetActiveNodes). All Partitioned widths follow this value.
-  size_t num_nodes() const { return active_nodes_; }
-  /// Physical pool width, fixed at construction.
-  size_t max_nodes() const { return options_.num_nodes; }
+  /// Nodes, fixed at construction. All Partitioned widths follow this
+  /// value.
+  size_t num_nodes() const { return options_.num_nodes; }
   const ClusterOptions& options() const { return options_; }
 
   /// The calling thread's metrics destination: the MetricsScope override
@@ -124,31 +122,6 @@ class Cluster {
   /// The session-cumulative counters, bypassing any MetricsScope override —
   /// where completed executions fold their per-execution totals.
   QueryMetrics& session_metrics() const { return metrics_; }
-
-  // ---- Per-execution reconfiguration (the session API's ExecOptions) ----
-  //
-  // These mutate the shared cluster and must only be called from the
-  // driver between operator calls — never while an epoch is in flight.
-  // Callers are expected to restore the previous values afterwards (see
-  // cleaning/prepared_query.cc, ScopedClusterConfig).
-
-  /// Caps execution to the first `n` nodes (clamped to [1, max_nodes]).
-  /// Workers above the cap idle through their epochs; partitionings built
-  /// under a different cap are not interchangeable (the partition cache
-  /// keys on the active width).
-  void SetActiveNodes(size_t n);
-
-  /// Re-points the simulated interconnect cost model.
-  void SetShuffleCost(double ns_per_byte);
-
-  /// Re-sizes the per-destination shuffle batches (clamped to ≥ 1).
-  void SetShuffleBatchRows(size_t rows);
-
-  /// Re-points the fault-injection / retry knobs. Per-node attempt counters
-  /// and blacklist state survive (a node blacklisted earlier in the session
-  /// stays out of service).
-  void SetFaultOptions(const FaultOptions& options);
-  const FaultOptions& fault_options() const { return fault_->options(); }
 
   /// True when `node` was blacklisted after node_blacklist_threshold
   /// consecutive failures. New partitionings route around such nodes.
@@ -228,9 +201,7 @@ class Cluster {
                      const std::function<void(size_t node, Partition&&)>& consume) const;
 
  private:
-  ClusterOptions options_;
-  /// Nodes participating in execution (≤ options_.num_nodes).
-  size_t active_nodes_;
+  const ClusterOptions options_;
   mutable QueryMetrics metrics_;
   /// Guards pools_ and idle_pools_.
   mutable std::mutex pools_mu_;

@@ -54,8 +54,8 @@ class NodeUnavailableError : public StatusException {
   size_t node_;
 };
 
-/// Fault-injection and recovery knobs (ClusterOptions::fault; overridable
-/// per execution through ExecOptions).
+/// Fault-injection and recovery knobs (ClusterOptions::fault, fixed for the
+/// cluster's lifetime).
 struct FaultOptions {
   /// Probability that any one task attempt fails with kUnavailable.
   double failure_probability = 0.0;
@@ -90,15 +90,12 @@ struct FaultOptions {
 };
 
 /// \brief Seeded per-node fault state owned by Cluster. Thread-safe for
-/// concurrent task attempts; option changes are driver-only (the session
-/// layer serializes them behind its exclusive config lock).
+/// concurrent task attempts; its options are fixed at construction, and a
+/// blacklisted node stays out of service for the injector's lifetime.
 class FaultInjector {
  public:
   explicit FaultInjector(size_t num_nodes, FaultOptions options = {});
 
-  /// Driver-only, between epochs. Keeps per-node counters and blacklist
-  /// state (a blacklisted node stays out of service for the session).
-  void SetOptions(const FaultOptions& options) { options_ = options; }
   const FaultOptions& options() const { return options_; }
 
   struct AttemptOutcome {
@@ -126,7 +123,7 @@ class FaultInjector {
     std::atomic<bool> blacklisted{false};
   };
 
-  FaultOptions options_;
+  const FaultOptions options_;
   size_t nodes_;
   std::unique_ptr<NodeState[]> state_;
   std::atomic<size_t> blacklisted_count_{0};

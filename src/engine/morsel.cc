@@ -94,7 +94,7 @@ void Cluster::PumpOnWorkers(
     const std::function<void(size_t node, Partition&&)>& consume) const {
   const size_t morsel_rows = spec.morsel_rows < 1 ? 1 : spec.morsel_rows;
   TraceScope pump_span("pipeline", "pump_workers");
-  std::vector<MorselStats> stats(active_nodes_);
+  std::vector<MorselStats> stats(options_.num_nodes);
   RunOnNodes([&](size_t n) {
     if (n >= source.size()) return;
     ProduceNode(source[n], morsel_rows, expand, n, &stats[n], nullptr,
@@ -110,7 +110,7 @@ void Cluster::PumpOnWorkers(
 Status Cluster::PumpToDriver(
     const Partitioned& source, const MorselSpec& spec, const MorselExpand& expand,
     const std::function<Status(size_t node, Partition&&)>& consume) {
-  const size_t n_nodes = active_nodes_;
+  const size_t n_nodes = options_.num_nodes;
   const size_t morsel_rows = spec.morsel_rows < 1 ? 1 : spec.morsel_rows;
   const size_t window = spec.queue_window < 1 ? 1 : spec.queue_window;
   TraceScope pump_span("pipeline", "pump");
@@ -160,7 +160,6 @@ Status Cluster::PumpToDriver(
     MetricsScope metrics_scope(driver_metrics);
     ExecControlScope control_scope(exec_control);
     TraceRecorderScope trace_scope(driver_rec, trace_parent);
-    if (n >= n_nodes) return;
     TraceScope produce_span("pipeline", "produce", nullptr,
                             static_cast<int>(n));
     auto mark_done = [&] {

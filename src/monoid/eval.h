@@ -3,7 +3,8 @@
 // This is the *executable semantics* of CleanM: a direct, driver-side
 // evaluation of comprehensions over in-memory collections. The distributed
 // path (algebra → physical plan → engine) must agree with it; the test
-// suite checks normalized and translated plans against this interpreter.
+// suite checks normalized comprehensions and the algebra plans built for
+// them against this interpreter.
 //
 // It also owns the builtin function table ({name, arity, function}), the
 // one description of the builtins: the physical compiler resolves a call's

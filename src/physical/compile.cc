@@ -272,8 +272,8 @@ Result<CompiledExpr> CompileExpr(const ExprPtr& e, const TupleLayout& layout,
     }
     case ExprKind::kComprehension:
       return Status::NotImplemented(
-          "nested comprehension reached the physical compiler; normalize and "
-          "translate it to algebra first");
+          "nested comprehension reached the physical compiler; normalize it "
+          "and build its algebra plan first");
   }
   return Status::Internal("unhandled expression kind");
 }

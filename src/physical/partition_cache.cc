@@ -95,47 +95,47 @@ PartitionPin PartitionCache::ReviveLocked(std::map<Key, Entry>::iterator it) {
 }
 
 PartitionPin PartitionCache::FindScan(const std::string& table,
-                                      uint64_t generation, size_t nodes) {
+                                      uint64_t generation) {
   std::lock_guard<std::mutex> lock(mu_);
-  return FindLocked(Key{Kind::kScan, nullptr, table, "", generation, nodes});
+  return FindLocked(Key{Kind::kScan, nullptr, table, "", generation});
 }
 
 PartitionPin PartitionCache::PutScan(const std::string& table,
-                                     uint64_t generation, size_t nodes,
+                                     uint64_t generation,
                                      engine::Partitioned data) {
   Entry entry;
   entry.bytes = PartitionedBytes(data);
   entry.data = std::make_shared<const engine::Partitioned>(std::move(data));
   entry.deps = {{table, generation}};
   std::lock_guard<std::mutex> lock(mu_);
-  return PutLocked(Key{Kind::kScan, nullptr, table, "", generation, nodes},
+  return PutLocked(Key{Kind::kScan, nullptr, table, "", generation},
                    std::move(entry));
 }
 
 PartitionPin PartitionCache::FindWrap(const std::string& table,
                                       const std::string& var,
-                                      uint64_t generation, size_t nodes) {
+                                      uint64_t generation) {
   std::lock_guard<std::mutex> lock(mu_);
-  return FindLocked(Key{Kind::kWrap, nullptr, table, var, generation, nodes});
+  return FindLocked(Key{Kind::kWrap, nullptr, table, var, generation});
 }
 
 PartitionPin PartitionCache::PutWrap(const std::string& table,
                                      const std::string& var,
-                                     uint64_t generation, size_t nodes,
+                                     uint64_t generation,
                                      engine::Partitioned data) {
   Entry entry;
   entry.bytes = PartitionedBytes(data);
   entry.data = std::make_shared<const engine::Partitioned>(std::move(data));
   entry.deps = {{table, generation}};
   std::lock_guard<std::mutex> lock(mu_);
-  return PutLocked(Key{Kind::kWrap, nullptr, table, var, generation, nodes},
+  return PutLocked(Key{Kind::kWrap, nullptr, table, var, generation},
                    std::move(entry));
 }
 
 PartitionPin PartitionCache::FindNest(
-    const AlgOp* node, size_t nodes,
+    const AlgOp* node,
     const std::function<uint64_t(const std::string&)>& generation_of) {
-  const Key key{Kind::kNest, node, "", "", 0, nodes};
+  const Key key{Kind::kNest, node, "", "", 0};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -163,16 +163,15 @@ PartitionPin PartitionCache::FindNest(
 }
 
 PartitionPin PartitionCache::PutNest(
-    const AlgOpPtr& node, size_t nodes,
-    std::vector<std::pair<std::string, uint64_t>> deps, engine::Partitioned data) {
+    const AlgOpPtr& node, std::vector<std::pair<std::string, uint64_t>> deps,
+    engine::Partitioned data) {
   Entry entry;
   entry.bytes = PartitionedBytes(data);
   entry.data = std::make_shared<const engine::Partitioned>(std::move(data));
   entry.deps = std::move(deps);
   entry.pinned = node;
   std::lock_guard<std::mutex> lock(mu_);
-  return PutLocked(Key{Kind::kNest, node.get(), "", "", 0, nodes},
-                   std::move(entry));
+  return PutLocked(Key{Kind::kNest, node.get(), "", "", 0}, std::move(entry));
 }
 
 PartitionPin PartitionCache::PutLocked(Key key, Entry entry) {

@@ -3,15 +3,15 @@
 //
 // A CleanDB session owns one PartitionCache; every Executor the session
 // creates shares it. Entries are keyed by (kind, table, var, node identity,
-// table generation, partition count), so
+// table generation), so
 //   * repeated executions of a PreparedQuery reuse the parallelized scans,
 //     the {var: record} wrapped scans, and the outputs of coalesced Nest
 //     stages instead of re-partitioning,
 //   * a re-registered table (generation bump) can never be served stale —
 //     RegisterTable invalidates eagerly AND the stale generation no longer
-//     matches the key,
-//   * executions under a different active-node cap (ExecOptions::max_nodes)
-//     never see partitionings of the wrong width.
+//     matches the key.
+// Every partitioning has the session cluster's width, fixed when the
+// session is built, so the width needs no place in the key.
 //
 // Memory is bounded by a byte budget with LRU eviction (ROADMAP
 // "Scan-cache memory"): each Put charges the deep row bytes of the inserted
@@ -100,22 +100,20 @@ class PartitionCache {
   PartitionCache(const PartitionCache&) = delete;
   PartitionCache& operator=(const PartitionCache&) = delete;
 
-  // ---- Scans (a table parallelized across `nodes` partitions) ----
+  // ---- Scans (a table parallelized across the cluster's nodes) ----
 
-  PartitionPin FindScan(const std::string& table, uint64_t generation,
-                        size_t nodes);
+  PartitionPin FindScan(const std::string& table, uint64_t generation);
   /// Returns a pin on the admitted entry.
   PartitionPin PutScan(const std::string& table, uint64_t generation,
-                       size_t nodes, engine::Partitioned data);
+                       engine::Partitioned data);
 
   // ---- Wrapped scans (the {var: record} tuple wrap of a scan) ----
 
   PartitionPin FindWrap(const std::string& table, const std::string& var,
-                        uint64_t generation, size_t nodes);
+                        uint64_t generation);
   /// Returns a pin on the admitted entry.
   PartitionPin PutWrap(const std::string& table, const std::string& var,
-                       uint64_t generation, size_t nodes,
-                       engine::Partitioned data);
+                       uint64_t generation, engine::Partitioned data);
 
   // ---- Nest outputs (keyed by node identity; the node is pinned) ----
 
@@ -124,14 +122,14 @@ class PartitionCache {
   /// called while the cache lock is held — it must not call back into the
   /// cache (resolving against a Catalog snapshot satisfies this).
   PartitionPin FindNest(
-      const AlgOp* node, size_t nodes,
+      const AlgOp* node,
       const std::function<uint64_t(const std::string&)>& generation_of);
   /// `node` is retained (shared ownership) while the entry lives, so a
   /// recycled heap address can never alias a cached result. `deps` lists
   /// every (table, generation) the Nest's input subtree read. Returns a pin
   /// on the admitted entry (never evicted by its own budget pass), so the
   /// pipelined executor can stream from it without copying.
-  PartitionPin PutNest(const AlgOpPtr& node, size_t nodes,
+  PartitionPin PutNest(const AlgOpPtr& node,
                        std::vector<std::pair<std::string, uint64_t>> deps,
                        engine::Partitioned data);
 
@@ -158,8 +156,8 @@ class PartitionCache {
 
  private:
   enum class Kind { kScan, kWrap, kNest };
-  /// (kind, nest-node identity, table, var, generation, partition count).
-  using Key = std::tuple<Kind, const AlgOp*, std::string, std::string, uint64_t, size_t>;
+  /// (kind, nest-node identity, table, var, generation).
+  using Key = std::tuple<Kind, const AlgOp*, std::string, std::string, uint64_t>;
 
   struct Entry {
     /// Resident copy; null while the entry is paged out (`!paged.empty()`).

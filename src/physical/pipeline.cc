@@ -255,7 +255,6 @@ Result<engine::MorselExpand> CompileChain(const std::vector<const AlgOp*>& chain
 
 Result<PartitionPin> Executor::PipelinedNest(const AlgOpPtr& plan,
                                              size_t morsel_rows) {
-  const size_t nodes = cluster->num_nodes();
   // The breaker's operator span; cache hits record too (near-zero duration,
   // which is exactly what a profile should show for a shared Nest).
   TraceScope op_span("operator", AlgKindName(plan->kind), plan.get(), -1,
@@ -278,7 +277,7 @@ Result<PartitionPin> Executor::PipelinedNest(const AlgOpPtr& plan,
   if (persist_nests) {
     const Catalog& cat = *catalog;
     if (PartitionPin cached = cache->FindNest(
-            plan.get(), nodes,
+            plan.get(),
             [&cat](const std::string& t) { return cat.GenerationOf(t); })) {
       op_span.SetRowsOut(engine::Cluster::TotalRows(*cached));
       return cached;
@@ -332,7 +331,7 @@ Result<PartitionPin> Executor::PipelinedNest(const AlgOpPtr& plan,
   }
   std::vector<std::pair<std::string, uint64_t>> deps;
   CollectScanDeps(plan, *catalog, &deps);
-  return cache->PutNest(plan, nodes, std::move(deps), std::move(result));
+  return cache->PutNest(plan, std::move(deps), std::move(result));
 }
 
 Result<Executor::PipelineSegment> Executor::BuildSegment(const AlgOpPtr& plan,

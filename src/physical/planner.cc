@@ -30,14 +30,12 @@ void CollectScanDeps(const AlgOpPtr& plan, const Catalog& catalog,
 
 Result<PartitionPin> Executor::WrappedScan(const AlgOp& scan) {
   const uint64_t generation = catalog->GenerationOf(scan.table);
-  const size_t nodes = cluster->num_nodes();
-  if (PartitionPin wrapped =
-          cache->FindWrap(scan.table, scan.var, generation, nodes)) {
+  if (PartitionPin wrapped = cache->FindWrap(scan.table, scan.var, generation)) {
     cache->CountScanHit();
     return wrapped;
   }
 
-  PartitionPin base = cache->FindScan(scan.table, generation, nodes);
+  PartitionPin base = cache->FindScan(scan.table, generation);
   if (base) {
     cache->CountScanHit();
   } else {
@@ -49,7 +47,7 @@ Result<PartitionPin> Executor::WrappedScan(const AlgOp& scan) {
     }
     Partitioned scanned = cluster->Parallelize(rows);
     cache->CountScanMiss();
-    base = cache->PutScan(scan.table, generation, nodes, std::move(scanned));
+    base = cache->PutScan(scan.table, generation, std::move(scanned));
   }
   // Wrap each record into the {var: record} tuple. The pin keeps `base`
   // alive even if PutWrap (or a concurrent execution) evicts it from the
@@ -58,7 +56,7 @@ Result<PartitionPin> Executor::WrappedScan(const AlgOp& scan) {
   Partitioned wrapped = cluster->Map(*base, [var](const Row& r) {
     return MakePhysicalTuple(Value(ValueStruct{{var, PhysicalTupleOf(r)}}));
   });
-  return cache->PutWrap(scan.table, scan.var, generation, nodes, std::move(wrapped));
+  return cache->PutWrap(scan.table, scan.var, generation, std::move(wrapped));
 }
 
 Result<engine::Partitioned> Executor::ExecJoin(const AlgOpPtr& plan,

@@ -73,7 +73,8 @@ struct Executor {
   const FunctionRegistry* functions = nullptr;
   /// Session-owned partition cache (required): scans, wrapped scans, and
   /// Nest outputs are looked up and published here, keyed by table
-  /// generation and active partition count.
+  /// generation. Every executor sharing one cache runs on the same
+  /// cluster, so cached partitionings always have its width.
   PartitionCache* cache = nullptr;
   /// When false, Nest outputs go into `local_nests` instead of the session
   /// cache. Nest entries are keyed by plan-node identity, so outputs of

@@ -100,9 +100,11 @@ void EncodeRow(const Row& row, std::string* out) {
   for (const auto& v : row) EncodeValue(v, out);
 }
 
-void EncodeRowChunk(const Row* rows, size_t count, std::string* out) {
-  PutU32(static_cast<uint32_t>(count), out);
-  for (size_t i = 0; i < count; i++) EncodeRow(rows[i], out);
+void EncodeRowChunk(uint32_t count, const std::string& encoded_rows,
+                    std::string* out) {
+  out->reserve(out->size() + 4 + encoded_rows.size());
+  PutU32(count, out);
+  out->append(encoded_rows);
 }
 
 Result<Value> DecodeValue(const std::string& buf, size_t* pos) {

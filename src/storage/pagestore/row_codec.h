@@ -10,6 +10,7 @@
 // order is preserved.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,8 +26,11 @@ void EncodeValue(const Value& v, std::string* out);
 void EncodeRow(const Row& row, std::string* out);
 
 /// Appends a row chunk (u32 row count + rows) — the page payload format
-/// of every spilled partition.
-void EncodeRowChunk(const Row* rows, size_t count, std::string* out);
+/// of every spilled partition. `encoded_rows` holds the `count` rows
+/// already encoded back to back by EncodeRow, so a writer can cut pages by
+/// encoded size without encoding a row twice.
+void EncodeRowChunk(uint32_t count, const std::string& encoded_rows,
+                    std::string* out);
 
 /// Decodes a value starting at `*pos`; advances `*pos`. Truncated or
 /// malformed input is a kIOError (corrupt page payload), never UB.

@@ -1,7 +1,5 @@
 #include "storage/pagestore/spill.h"
 
-#include <cstring>
-
 #include "common/trace.h"
 
 namespace cleanm {
@@ -22,11 +20,7 @@ Result<std::vector<PageSpan>> SpillContext::SpillRows(
   auto flush = [&]() -> Status {
     if (pending == 0) return Status::OK();
     std::string chunk;
-    chunk.reserve(4 + payload.size());
-    char count[4];
-    std::memcpy(count, &pending, 4);
-    chunk.append(count, 4);
-    chunk.append(payload);
+    EncodeRowChunk(pending, payload, &chunk);
     CLEANM_ASSIGN_OR_RETURN(uint64_t page_id, store_->AppendPage(chunk));
     spans.push_back(PageSpan{page_id, pending});
     bytes_spilled_.fetch_add(chunk.size());

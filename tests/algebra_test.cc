@@ -1,14 +1,12 @@
 // Tests for the nested relational algebra: operator semantics (reference
-// evaluator), comprehension→algebra translation equivalence, and the
-// rewriter rules including the Figure-1 Nest coalescing.
+// evaluator) and the rewriter rules including the Figure-1 Nest
+// coalescing.
 #include <gtest/gtest.h>
 
 #include "algebra/algebra.h"
 #include "algebra/algebra_eval.h"
 #include "algebra/rewriter.h"
-#include "algebra/translate.h"
 #include "monoid/eval.h"
-#include "monoid/normalize.h"
 #include "support/fixtures.h"
 
 namespace cleanm {
@@ -145,9 +143,9 @@ TEST(AlgebraEvalTest, KMeansNestRequiresCenters) {
   EXPECT_TRUE(EvalPlanTuples(plan, catalog).ok());
 }
 
-// ---- Translation ----
+// ---- Rewriter ----
 
-TEST(TranslateTest, SelectJoinReduceAgreesWithInterpreter) {
+TEST(RewriterTest, PushesOneSidedSelectAndFindsEquiJoinAgreeingWithInterpreter) {
   auto customers = MakeCustomers();
   Dataset nations(Schema{{"nationkey", ValueType::kInt}, {"nation", ValueType::kString}});
   nations.Append({Value(int64_t{1}), Value("CH")});
@@ -156,66 +154,40 @@ TEST(TranslateTest, SelectJoinReduceAgreesWithInterpreter) {
 
   // bag{ {name, nation} | c <- customer, n <- nation,
   //                       c.nationkey = n.nationkey, c.nationkey < 2 }
+  auto head = Record({"name", "nation"},
+                     {FieldAccess(Var("c"), "name"), FieldAccess(Var("n"), "nation")});
+  auto join_pred = Binary(BinaryOp::kEq, FieldAccess(Var("c"), "nationkey"),
+                          FieldAccess(Var("n"), "nationkey"));
+  auto filter = Binary(BinaryOp::kLt, FieldAccess(Var("c"), "nationkey"), ConstInt(2));
   auto comp = Comprehension(
-      "bag",
-      Record({"name", "nation"},
-             {FieldAccess(Var("c"), "name"), FieldAccess(Var("n"), "nation")}),
+      "bag", head,
       {Generator("c", Var("customer")), Generator("n", Var("nation")),
-       Predicate(Binary(BinaryOp::kEq, FieldAccess(Var("c"), "nationkey"),
-                        FieldAccess(Var("n"), "nationkey"))),
-       Predicate(Binary(BinaryOp::kLt, FieldAccess(Var("c"), "nationkey"), ConstInt(2)))});
+       Predicate(join_pred), Predicate(filter)});
 
   // Interpreter result: bind table contents as env collections.
   Env env{{"customer", DatasetToRecords(customers)},
           {"nation", DatasetToRecords(nations)}};
   auto expected = EvalExpr(comp, env).ValueOrDie();
 
-  auto plan = TranslateComprehension(Normalize(comp)).ValueOrDie();
-  auto actual = EvalPlan(plan, catalog).ValueOrDie();
-  ASSERT_EQ(actual.AsList().size(), expected.AsList().size());
+  // The unnormalized plan of the comprehension: both predicates above a
+  // cross join.
+  auto plan = ReduceOp(
+      SelectOp(SelectOp(JoinOp(Scan("customer", "c"), Scan("nation", "n"), nullptr),
+                        join_pred),
+               filter),
+      "bag", head);
+  auto before = EvalPlan(plan, catalog).ValueOrDie();
+  ASSERT_EQ(before.AsList().size(), expected.AsList().size());
 
-  // Rewriting must not change the result, and must detect the equi-join.
+  // The rewriter must push the one-sided filter (A2) and find the
+  // equi-join key (A3) without changing the result.
   RewriteStats stats;
   auto rewritten = RewritePlan(plan, &stats);
+  EXPECT_GE(stats.selects_pushed, 1);
   EXPECT_GE(stats.equi_joins_detected, 1);
   auto after = EvalPlan(rewritten, catalog).ValueOrDie();
   EXPECT_EQ(after.AsList().size(), expected.AsList().size());
-
-  // Translating the *unnormalized* comprehension leaves both predicates
-  // above the join; the rewriter must push the one-sided filter (A2) and
-  // still find the equi-join key (A3).
-  auto raw_plan = TranslateComprehension(comp).ValueOrDie();
-  RewriteStats raw_stats;
-  auto raw_rewritten = RewritePlan(raw_plan, &raw_stats);
-  EXPECT_GE(raw_stats.selects_pushed, 1);
-  EXPECT_GE(raw_stats.equi_joins_detected, 1);
-  auto raw_after = EvalPlan(raw_rewritten, catalog).ValueOrDie();
-  EXPECT_EQ(raw_after.AsList().size(), expected.AsList().size());
 }
-
-TEST(TranslateTest, UnnestFromPathGenerator) {
-  auto pubs = MakePublications();
-  Catalog catalog{{{"pubs", &pubs}}};
-  // count{ a | p <- pubs, a <- p.authors }
-  auto comp = Comprehension(
-      "count", Var("a"),
-      {Generator("p", Var("pubs")), Generator("a", FieldAccess(Var("p"), "authors"))});
-  auto plan = TranslateComprehension(comp).ValueOrDie();
-  EXPECT_EQ(EvalPlan(plan, catalog).ValueOrDie().AsInt(), 3);
-}
-
-TEST(TranslateTest, RejectsUnsupportedShapes) {
-  EXPECT_FALSE(TranslateComprehension(ConstInt(1)).ok());
-  // Leftover binding.
-  auto with_binding = Comprehension(
-      "sum", Var("y"), {Generator("x", Var("t")), Binding("y", Var("x"))});
-  EXPECT_FALSE(TranslateComprehension(with_binding).ok());
-  // No generators.
-  auto no_gen = Comprehension("sum", ConstInt(1), {});
-  EXPECT_FALSE(TranslateComprehension(no_gen).ok());
-}
-
-// ---- Rewriter ----
 
 TEST(RewriterTest, FusesStackedSelects) {
   auto plan = SelectOp(SelectOp(Scan("t", "x"), ConstBool(true)), ConstBool(true));

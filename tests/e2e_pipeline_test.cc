@@ -16,7 +16,6 @@
 
 #include "algebra/algebra_eval.h"
 #include "algebra/rewriter.h"
-#include "algebra/translate.h"
 #include "cleaning/cleandb.h"
 #include "cleaning/plan_builder.h"
 #include "cleaning/prepared_query.h"
@@ -445,9 +444,14 @@ TEST(E2ESelectTest, ParsedSelectAgreesAcrossInterpreterReferenceAndEngine) {
           .ValueOrDie();
   ASSERT_NE(query.where, nullptr);
 
-  // Assemble the query's monoid comprehension from the parsed pieces.
+  // The plan the system executes for the query.
+  auto select = BuildSelectPlan(query, nullptr).ValueOrDie();
+  ASSERT_EQ(select.output_fields.size(), 1u);
+
+  // Assemble the query's monoid comprehension from the parsed pieces, with
+  // the plan's projection record as its head.
   auto comp = Comprehension(
-      "bag", CloneExpr(query.select_list[0].expr),
+      "list", Record(select.output_fields, {CloneExpr(query.select_list[0].expr)}),
       {Generator(query.from[0].alias, Var(query.from[0].table)),
        Predicate(CloneExpr(query.where))});
 
@@ -455,12 +459,10 @@ TEST(E2ESelectTest, ParsedSelectAgreesAcrossInterpreterReferenceAndEngine) {
   auto interpreted = EvalExpr(comp, env).ValueOrDie();
   ASSERT_EQ(interpreted.AsList().size(), 2u);  // alice and bob
 
-  auto plan = TranslateComprehension(Normalize(comp)).ValueOrDie();
-  auto rewritten = RewritePlan(plan);
-  auto reference = EvalPlan(rewritten, catalog).ValueOrDie();
+  auto reference = EvalPlan(select.plan.plan, catalog).ValueOrDie();
   EXPECT_EQ(CanonicalString(reference), CanonicalString(interpreted));
 
-  auto engine_result = RunEngineAgainstReference(rewritten, catalog);
+  auto engine_result = RunEngineAgainstReference(select.plan.plan, catalog);
   EXPECT_EQ(CanonicalString(engine_result), CanonicalString(interpreted));
 }
 

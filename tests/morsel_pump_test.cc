@@ -163,23 +163,31 @@ TEST(MorselPumpTest, SecondPoolProducerErrorSurfacesAfterPartialConsumption) {
 
 TEST(MorselPumpTest, SinkErrorWhileRetryInFlightJoinsAllProducers) {
   // The sink fails on its first morsel while node 2 is still inside its
-  // fault-retry loop (two scripted failures with a visible backoff). The
-  // abort must reach the retrying producer too: its eventual clean attempt
-  // observes the stop flag, produces nothing, and joins — on the first pool
-  // and on a second one.
-  FaultOptions fault;
-  fault.target_node = 2;
-  fault.fail_first_attempts = 2;
-  fault.max_task_retries = 3;
-  fault.retry_backoff_ns = 5'000'000;  // keep the retry in flight
+  // fault-retry loop (two failures with a visible backoff). The abort must
+  // reach the retrying producer too: its eventual clean attempt observes
+  // the stop flag, produces nothing, and joins — on the first pool and on a
+  // second one.
+  ClusterOptions opts = FastClusterOptions(4);
+  opts.fault.target_node = 2;
+  // Draws are a pure function of (seed, node, attempt): with this seed,
+  // node 2's attempt 0 passes, attempts 1 and 2 fail, and attempt 3
+  // passes.
+  opts.fault.failure_probability = 0.5;
+  opts.fault.seed = 12;
+  opts.fault.max_task_retries = 3;
+  opts.fault.retry_backoff_ns = 5'000'000;  // keep the retry in flight
   for (const bool second_pool : {false, true}) {
-    Cluster cluster(FastClusterOptions(4));
+    Cluster cluster(opts);
     auto source = cluster.Parallelize(IntRows(400));
+    // One dispatch precedes the pump and takes node 2's clean attempt 0:
+    // the pool holder's, or a plain epoch on the first pool. The pump then
+    // meets both failures.
     std::unique_ptr<FirstPoolHolder> hold;
-    if (second_pool) hold = std::make_unique<FirstPoolHolder>(cluster);
-    // Injection starts after the holder's tasks passed their attempt
-    // check, so node 2's scripted failures land in the pump.
-    cluster.SetFaultOptions(fault);
+    if (second_pool) {
+      hold = std::make_unique<FirstPoolHolder>(cluster);
+    } else {
+      cluster.RunOnNodes([](size_t) {});
+    }
     std::atomic<int> consumed{0};
     Status status = cluster.PumpToDriver(
         source, TightSpec(), Identity(), [&](size_t, Partition&&) -> Status {

@@ -132,57 +132,6 @@ TEST(OutOfCoreTest, PreparedReExecutionStaysBitIdenticalUnderBudget) {
   EXPECT_GT(first.metrics.bytes_spilled, 0u);
 }
 
-TEST(OutOfCoreTest, ExecOptionsOverrideEnablesSpillingOnInMemorySession) {
-  Dataset customers = DirtyCustomers();
-  CleanDB db(testsupport::FastCleanDBOptions(4));
-  db.RegisterTable("customer", customers);
-  auto prepared = db.Prepare(kQuery);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-
-  QueryResult plain = prepared.value().Execute().ValueOrDie();
-  EXPECT_EQ(plain.metrics.bytes_spilled, 0u);
-
-  // Invalidate the session cache (generation bump) so the budgeted call
-  // actually re-runs the aggregation instead of serving cached Nest
-  // outputs — cached results cannot spill.
-  db.RegisterTable("customer", customers);
-
-  TempDir dir("override");
-  ExecOptions opts;
-  opts.buffer_pool_bytes = customers.ByteSize() / 8;
-  opts.spill_dir = dir.path().string();
-  opts.page_bytes = size_t{1024};
-  opts.morsel_rows = size_t{128};
-  QueryResult budgeted = prepared.value().Execute(opts).ValueOrDie();
-  ExpectResultsBitIdentical(plain, budgeted);
-  EXPECT_GT(budgeted.metrics.bytes_spilled, 0u);
-  // The execution-local spill file is gone the moment Execute returns.
-  EXPECT_EQ(dir.FileCount(), 0u);
-}
-
-TEST(OutOfCoreTest, ExecOptionsZeroDisablesOutOfCoreForTheCall) {
-  Dataset customers = DirtyCustomers();
-  TempDir dir("disable");
-  CleanDB db(OutOfCoreOptions(customers.ByteSize(), dir));
-  db.RegisterTable("customer", customers);
-  auto prepared = db.Prepare(kQuery);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-
-  ExecOptions opts;
-  opts.buffer_pool_bytes = uint64_t{0};
-  QueryResult resident = prepared.value().Execute(opts).ValueOrDie();
-  EXPECT_EQ(resident.metrics.bytes_spilled, 0u);
-  EXPECT_EQ(resident.metrics.buffer_pool_hits, 0u);
-  EXPECT_EQ(resident.metrics.buffer_pool_misses, 0u);
-
-  // Generation bump: the default call must recompute (not serve the
-  // resident call's cached Nest outputs) to demonstrate spilling.
-  db.RegisterTable("customer", customers);
-  QueryResult budgeted = prepared.value().Execute().ValueOrDie();
-  ExpectResultsBitIdentical(resident, budgeted);
-  EXPECT_GT(budgeted.metrics.bytes_spilled, 0u);
-}
-
 TEST(OutOfCoreTest, SpillFilesRemovedOnEveryExitPath) {
   Dataset customers = DirtyCustomers();
   TempDir dir("raii");

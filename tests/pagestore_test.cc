@@ -90,9 +90,11 @@ TEST(RowCodecTest, RoundTripIsBitFaithful) {
 }
 
 TEST(RowCodecTest, TruncatedPayloadIsIOErrorNotUB) {
-  std::vector<Row> rows = {MixedRow(), MixedRow()};
+  std::string encoded;
+  EncodeRow(MixedRow(), &encoded);
+  EncodeRow(MixedRow(), &encoded);
   std::string buf;
-  EncodeRowChunk(rows.data(), rows.size(), &buf);
+  EncodeRowChunk(2, encoded, &buf);
   for (size_t cut : {buf.size() - 1, buf.size() / 2, size_t{3}}) {
     std::vector<Row> out;
     Status st = DecodeRowChunk(buf.substr(0, cut), &out);

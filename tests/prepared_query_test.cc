@@ -1,5 +1,5 @@
 // Tests for the prepare-once / execute-many API: PreparedQuery lifecycle,
-// ExecOptions per-call overrides, the session PartitionCache (generation
+// per-call ExecOptions, the session PartitionCache (generation
 // invalidation, byte-budget LRU), streaming ViolationSinks, and the
 // specific error codes surfaced by Prepare/Execute.
 #include <gtest/gtest.h>
@@ -62,8 +62,9 @@ void ExpectResultsBitIdentical(const QueryResult& a, const QueryResult& b) {
 }
 
 /// Order-insensitive equality of the violation/dirty-entity *sets* — for
-/// comparisons across different partition widths, where output order (and
-/// the internal order of aggregated collections) may legitimately differ.
+/// comparisons across execution paths (incremental vs. cold), where output
+/// order (and the internal order of aggregated collections) may
+/// legitimately differ.
 void ExpectSameViolationSets(const QueryResult& a, const QueryResult& b) {
   ASSERT_EQ(a.ops.size(), b.ops.size());
   auto sorted = [](const ValueList& vs) {
@@ -168,7 +169,7 @@ TEST(PreparedQueryTest, PreparedDenialConstraintMatchesProgrammaticCheck) {
   EXPECT_GT(second.cache.scan_hits, 0u);
 }
 
-// ---- ExecOptions: per-call overrides of session knobs ----
+// ---- ExecOptions: per-call choices over the session defaults ----
 
 TEST(PreparedQueryTest, UnifyOverridePerCallMatchesSessionLevelAblation) {
   const char* query = R"(
@@ -198,46 +199,6 @@ TEST(PreparedQueryTest, UnifyOverridePerCallMatchesSessionLevelAblation) {
   for (size_t i = 0; i < uni.ops.size(); i++) {
     EXPECT_EQ(uni.ops[i].violations.size(), sep.ops[i].violations.size());
   }
-}
-
-TEST(PreparedQueryTest, NodeCapAndShuffleOverridesPreserveResultsAndRestore) {
-  CleanDB db(FastOptions());
-  db.RegisterTable("customer", DirtyCustomers());
-  auto prepared = db.Prepare(
-      "SELECT * FROM customer c FD(c.address, prefix(c.phone))");
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  PreparedQuery& pq = prepared.value();
-  auto baseline = pq.Execute().ValueOrDie();
-
-  ExecOptions capped;
-  capped.max_nodes = 2;
-  capped.shuffle_batch_rows = 1;
-  capped.shuffle_ns_per_byte = 0.0;
-  auto capped_result = pq.Execute(capped).ValueOrDie();
-  ExpectSameViolationSets(baseline, capped_result);
-  // A capped execution re-partitions at the narrower width (widths are
-  // cache keys, not interchangeable) ...
-  EXPECT_GT(capped_result.cache.scan_misses, 0u);
-  // ... and the session configuration is restored afterwards.
-  EXPECT_EQ(db.cluster().num_nodes(), 4u);
-  EXPECT_EQ(db.cluster().options().shuffle_batch_rows, db.options().shuffle_batch_rows);
-
-  // Re-executing at the default width hits the original cached layout.
-  auto again = pq.Execute().ValueOrDie();
-  ExpectResultsBitIdentical(baseline, again);
-  EXPECT_EQ(again.cache.scan_misses, 0u);
-}
-
-TEST(PreparedQueryTest, ClusterConfigRestoredEvenWhenExecutionFails) {
-  CleanDB db(FastOptions());
-  auto prepared = db.Prepare("SELECT * FROM ghost g FD(g.a, g.b)");
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  ExecOptions capped;
-  capped.max_nodes = 1;
-  auto result = prepared.value().Execute(capped);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kKeyError);
-  EXPECT_EQ(db.cluster().num_nodes(), 4u);
 }
 
 // ---- Satellite: RegisterTable bumps the generation; no stale serving ----
@@ -365,13 +326,13 @@ TEST(PartitionCacheTest, LruEvictionPrefersLeastRecentlyUsed) {
   engine::Partitioned one_row{{Row{Value(int64_t{1})}}};
   const uint64_t entry_bytes = RowByteSize(one_row[0][0]);
   PartitionCache cache(entry_bytes * 2);
-  cache.PutScan("a", 1, 4, one_row);
-  cache.PutScan("b", 1, 4, one_row);
-  EXPECT_NE(cache.FindScan("a", 1, 4), nullptr);  // touch a → b becomes LRU
-  cache.PutScan("c", 1, 4, one_row);
-  EXPECT_NE(cache.FindScan("a", 1, 4), nullptr);
-  EXPECT_EQ(cache.FindScan("b", 1, 4), nullptr);
-  EXPECT_NE(cache.FindScan("c", 1, 4), nullptr);
+  cache.PutScan("a", 1, one_row);
+  cache.PutScan("b", 1, one_row);
+  EXPECT_NE(cache.FindScan("a", 1), nullptr);  // touch a → b becomes LRU
+  cache.PutScan("c", 1, one_row);
+  EXPECT_NE(cache.FindScan("a", 1), nullptr);
+  EXPECT_EQ(cache.FindScan("b", 1), nullptr);
+  EXPECT_NE(cache.FindScan("c", 1), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.stats().resident_bytes, entry_bytes * 2);
 }
@@ -379,16 +340,15 @@ TEST(PartitionCacheTest, LruEvictionPrefersLeastRecentlyUsed) {
 TEST(PartitionCacheTest, GenerationAndInvalidationKeepStaleEntriesUnreachable) {
   engine::Partitioned data{{Row{Value(int64_t{1})}}};
   PartitionCache cache;
-  cache.PutScan("t", 1, 4, data);
-  cache.PutWrap("t", "c", 1, 4, data);
-  // A different generation or width never matches.
-  EXPECT_EQ(cache.FindScan("t", 2, 4), nullptr);
-  EXPECT_EQ(cache.FindScan("t", 1, 2), nullptr);
-  EXPECT_NE(cache.FindScan("t", 1, 4), nullptr);
+  cache.PutScan("t", 1, data);
+  cache.PutWrap("t", "c", 1, data);
+  // A different generation never matches.
+  EXPECT_EQ(cache.FindScan("t", 2), nullptr);
+  EXPECT_NE(cache.FindScan("t", 1), nullptr);
   // Invalidation drops every entry derived from the table.
   cache.InvalidateTable("t");
-  EXPECT_EQ(cache.FindScan("t", 1, 4), nullptr);
-  EXPECT_EQ(cache.FindWrap("t", "c", 1, 4), nullptr);
+  EXPECT_EQ(cache.FindScan("t", 1), nullptr);
+  EXPECT_EQ(cache.FindWrap("t", "c", 1), nullptr);
   EXPECT_EQ(cache.stats().resident_entries, 0u);
   EXPECT_EQ(cache.stats().resident_bytes, 0u);
 }
@@ -427,7 +387,7 @@ TEST(PartitionCacheTest, ConcurrentReadersSurviveInvalidationAndEviction) {
       engine::Partitioned data{{Row{value_for(t, generation)}}};
       // Same order as CleanDB::RegisterTable: publish the new generation,
       // then drop entries of older ones.
-      auto pin = cache.PutScan(table_name(t), generation, 4, std::move(data));
+      auto pin = cache.PutScan(table_name(t), generation, std::move(data));
       ASSERT_NE(pin, nullptr);
       latest[t].store(generation);
       if (round % 3 == 0) cache.InvalidateTable(table_name(t));
@@ -444,7 +404,7 @@ TEST(PartitionCacheTest, ConcurrentReadersSurviveInvalidationAndEviction) {
         const int t = static_cast<int>(rng >> 16) % kTables;
         const uint64_t generation = latest[t].load();
         if (generation == 0) continue;
-        PartitionPin pin = cache.FindScan(table_name(t), generation, 4);
+        PartitionPin pin = cache.FindScan(table_name(t), generation);
         if (!pin) continue;
         hits++;
         // The pinned data must match its key even if the entry was evicted
@@ -465,8 +425,8 @@ TEST(PartitionCacheTest, ConcurrentReadersSurviveInvalidationAndEviction) {
   // Sanity: a fresh Put is still served afterwards.
   const int t0 = 0;
   const uint64_t g = latest[t0].load() + 1;
-  cache.PutScan(table_name(t0), g, 4, {{Row{value_for(t0, g)}}});
-  EXPECT_NE(cache.FindScan(table_name(t0), g, 4), nullptr);
+  cache.PutScan(table_name(t0), g, {{Row{value_for(t0, g)}}});
+  EXPECT_NE(cache.FindScan(table_name(t0), g), nullptr);
 }
 
 // ---- Satellite: specific error codes ----
@@ -889,7 +849,7 @@ TEST(PreparedQueryTest, PinnedPartitioningsSurviveMinorBumps) {
   ASSERT_TRUE(pq.Execute().ok());
 
   // A concurrent reader's pin on the generation-1 scan.
-  PartitionPin pin = db.partition_cache().FindScan("customer", 1, 4);
+  PartitionPin pin = db.partition_cache().FindScan("customer", 1);
   ASSERT_NE(pin, nullptr);
   size_t pinned_rows = 0;
   for (const auto& part : *pin) pinned_rows += part.size();
@@ -900,7 +860,7 @@ TEST(PreparedQueryTest, PinnedPartitioningsSurviveMinorBumps) {
   // Mutations never invalidate: the old-generation entry is still cached
   // (unreachable by new snapshots, reclaimed by the LRU eventually), and
   // the held pin still reads the pre-mutation partitioning.
-  EXPECT_NE(db.partition_cache().FindScan("customer", 1, 4), nullptr);
+  EXPECT_NE(db.partition_cache().FindScan("customer", 1), nullptr);
   size_t still_pinned = 0;
   for (const auto& part : *pin) still_pinned += part.size();
   EXPECT_EQ(still_pinned, v1.num_rows());

@@ -86,6 +86,13 @@ void ResetNest(IncrementalState& state, const AlgOp* nest_key) {
   }
 }
 
+/// The Nest's unit for one (key, member) pair, charging its
+/// registered-aggregate calls.
+Value UnitOf(const NestWork& w, const Row& pair, QueryMetrics& metrics) {
+  metrics.udf_calls += w.compiled.udf_units;
+  return w.compiled.spec.init(pair);
+}
+
 }  // namespace
 
 Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
@@ -169,7 +176,7 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
         auto [git, fresh_key] = ns.groups.try_emplace(pair[0]);
         IncrementalGroup& g = git->second;
         if (fresh_key) g.seq = ns.next_seq++;
-        Value unit = w.compiled.spec.init(pair);
+        Value unit = UnitOf(w, pair, metrics);
         g.accs = g.members.empty()
                      ? std::move(unit)
                      : w.compiled.spec.merge(std::move(g.accs), unit);
@@ -277,7 +284,7 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
         Value acc;
         bool first = true;
         for (const auto& member : g.members) {
-          Value unit = w.compiled.spec.init(Row{k, member});
+          Value unit = UnitOf(w, Row{k, member}, metrics);
           acc = first ? std::move(unit)
                       : w.compiled.spec.merge(std::move(acc), unit);
           first = false;
@@ -286,7 +293,7 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
       } else {
         Value acc = g.accs.DeepCopy();
         for (const auto& pair : added_pairs[k]) {
-          acc = w.compiled.spec.merge(std::move(acc), w.compiled.spec.init(pair));
+          acc = w.compiled.spec.merge(std::move(acc), UnitOf(w, pair, metrics));
         }
         g.accs = std::move(acc);
       }

@@ -431,8 +431,15 @@ std::string PreparedQuery::Explain(const ExecOptions& opts) const {
       if (gen == 0) {
         out += "  [not registered yet; binds at execute]";
       } else {
-        out += "  [generation " + std::to_string(gen) +
-               "; partitioned scan cached per node width]";
+        const PartitionCache& cache = db_->partition_cache();
+        out += "  [generation " + std::to_string(gen) + "; ";
+        if (cache.HoldsWrap(op->table, op->var, gen)) {
+          out += "wrapped scan cached]";
+        } else if (cache.HoldsScan(op->table, gen)) {
+          out += "scan cached; wrapped at execute]";
+        } else {
+          out += "partitioned at execute]";
+        }
       }
     }
     out += '\n';

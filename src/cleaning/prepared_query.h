@@ -65,9 +65,9 @@ class PreparedQuery {
 
   /// EXPLAIN: renders the plan forms this query would execute under `opts`
   /// (only `unify_operations` matters here) — one tree per cleaning
-  /// operation, with coalesced Nest stages marked as shared and the scans'
-  /// partition-cache residency expectations against the session cache's
-  /// current state. No execution happens; see
+  /// operation, with coalesced Nest stages marked as shared and each
+  /// scan's residency in the session cache as it stands now (read-only:
+  /// EXPLAIN counts no cache hit or miss). No execution happens; see
   /// QueryResult::profile->ToString() for the EXPLAIN ANALYZE counterpart.
   std::string Explain(const ExecOptions& opts = {}) const;
 

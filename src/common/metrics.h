@@ -31,7 +31,7 @@ namespace cleanm {
 //   comparisons — pairwise predicate evaluations: theta-join pairs, plus
 //     each (tuple, element) pair a Select tests inside the Unnest below it
 //     (the DEDUP and CLUSTER BY candidate pairs).
-//   rows_scanned — rows pushed through Cluster::Parallelize.
+//   rows_scanned — rows placed by Cluster::Parallelize / ParallelizeOnNodes.
 //   groups_built — Nest/aggregate hash groups finalized per node.
 //   udf_calls — registered user-function invocations (scalar, repair, and
 //     aggregate unit/merge calls) on the physical path.

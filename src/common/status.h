@@ -121,8 +121,10 @@ class Result {
   const T& value() const { return std::get<T>(v_); }
   T&& MoveValue() { return std::move(std::get<T>(v_)); }
 
-  /// Returns the value or aborts with the error message.
-  T& ValueOrDie() {
+  /// Returns the value or aborts with the error message. On a temporary
+  /// Result the value is moved out and returned by value, so a reference
+  /// taken from `Make().ValueOrDie()` cannot outlive its Result.
+  T& ValueOrDie() & {
     if (!ok()) {
       std::fprintf(stderr, "Result::ValueOrDie on error: %s\n",
                    status().ToString().c_str());
@@ -130,6 +132,7 @@ class Result {
     }
     return value();
   }
+  T ValueOrDie() && { return std::move(ValueOrDie()); }
 
  private:
   std::variant<T, Status> v_;

@@ -1,8 +1,7 @@
 #include "engine/aggregate.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <numeric>
 
 #include "engine/fault.h"
 #include "storage/pagestore/spill.h"
@@ -33,37 +32,78 @@ Value DistinctAccMerge(Value a, const Value& b) {
   return a;
 }
 
-namespace {
-
-/// Folds one row: key and unit are both evaluated *before* the map is
-/// touched, so a throwing row (poison data under the quarantine hook)
-/// leaves the accumulator state untouched.
-void FoldOne(OrderedAccs* accs, const Row& row, const AggregateSpec& spec) {
-  Value key = spec.key(row);
-  Value unit = spec.init(row);
-  auto it = accs->map.find(key);
-  if (it == accs->map.end()) {
-    accs->order.push_back(key);
-    accs->map.emplace(std::move(key), std::move(unit));
-  } else {
-    it->second = spec.merge(std::move(it->second), unit);
+void GroupTable::Fold(Value key, Value acc,
+                      const std::function<Value(Value, const Value&)>& merge) {
+  if ((groups_.size() + 1) * 2 > slots_.size()) Grow();
+  const uint64_t hash = key.Hash();
+  const auto tag = static_cast<uint32_t>(hash);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HomeOf(hash);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.group == 0) {
+      groups_.push_back(Group{hash, std::move(key), std::move(acc)});
+      slot = Slot{static_cast<uint32_t>(groups_.size()), tag};
+      return;
+    }
+    if (slot.tag != tag) continue;
+    Group& group = groups_[slot.group - 1];
+    if (group.hash == hash && group.key.Equals(key)) {
+      group.acc = merge(std::move(group.acc), acc);
+      return;
+    }
   }
 }
 
-/// Folds rows into an accumulator map in row order (shared by the
+void GroupTable::Grow() {
+  const size_t capacity = slots_.empty() ? 16 : slots_.size() * 2;
+  shift_ = slots_.empty() ? 60 : shift_ - 1;
+  slots_.assign(capacity, Slot{});
+  const size_t mask = capacity - 1;
+  for (size_t g = 0; g < groups_.size(); g++) {
+    size_t i = HomeOf(groups_[g].hash);
+    while (slots_[i].group != 0) i = (i + 1) & mask;
+    slots_[i] =
+        Slot{static_cast<uint32_t>(g + 1), static_cast<uint32_t>(groups_[g].hash)};
+  }
+}
+
+void GroupTable::Drain(Partition* out) {
+  out->reserve(out->size() + groups_.size());
+  for (auto& group : groups_) {
+    Row partial;
+    partial.reserve(2);
+    partial.push_back(std::move(group.key));
+    partial.push_back(std::move(group.acc));
+    out->push_back(std::move(partial));
+  }
+  *this = GroupTable();
+}
+
+namespace {
+
+/// Folds one row: key and unit are both evaluated *before* the table is
+/// touched, so a throwing row (poison data under the quarantine hook)
+/// leaves the aggregation state untouched.
+void FoldOne(GroupTable* table, const Row& row, const AggregateSpec& spec) {
+  Value key = spec.key(row);
+  Value unit = spec.init(row);
+  table->Fold(std::move(key), std::move(unit), spec.merge);
+}
+
+/// Folds rows into a group table in row order (shared by the
 /// whole-partition and morsel-fed paths, so their fold sequences — and the
-/// map's growth/iteration order — cannot diverge). `node` / `first_ordinal`
+/// table's group order — cannot diverge). `node` / `first_ordinal`
 /// identify the rows for the on_row_error hook (ordinal = position within
 /// the node's fold stream).
-void AccumulateRows(OrderedAccs* accs, const Partition& rows, const AggregateSpec& spec,
+void AccumulateRows(GroupTable* table, const Partition& rows, const AggregateSpec& spec,
                     size_t node, size_t first_ordinal = 0) {
   if (!spec.on_row_error) {
-    for (const auto& row : rows) FoldOne(accs, row, spec);
+    for (const auto& row : rows) FoldOne(table, row, spec);
     return;
   }
   for (size_t i = 0; i < rows.size(); i++) {
     try {
-      FoldOne(accs, rows[i], spec);
+      FoldOne(table, rows[i], spec);
     } catch (const StatusException&) {
       throw;  // cancellation / injected unavailability is not a poison row
     } catch (const std::exception& e) {
@@ -73,85 +113,74 @@ void AccumulateRows(OrderedAccs* accs, const Partition& rows, const AggregateSpe
   }
 }
 
-/// Aggregates one partition's rows into an accumulator map.
-OrderedAccs LocalAggregate(const Partition& rows, const AggregateSpec& spec,
-                           size_t node) {
-  OrderedAccs accs;
-  AccumulateRows(&accs, rows, spec, node);
-  return accs;
-}
-
-Partitioned FinalizePerNode(Cluster& cluster, std::vector<OrderedAccs>& per_node,
-                            const AggregateSpec& spec) {
+/// The tail every strategy shares, one task per node: `fold` builds the
+/// node's groups from its routed rows, the rows are freed, and the groups
+/// are finalized in first-occurrence order. The table and the routed rows
+/// are freed by the task, on the node that built them; `bytes` (if not
+/// null) receives the output's logical size, counted per node.
+Partitioned FoldAndFinalize(
+    Cluster& cluster, Partitioned& routed, const AggregateSpec& spec,
+    const std::function<void(size_t node, Partition& rows, GroupTable* table)>& fold,
+    uint64_t* bytes) {
   Partitioned out(cluster.num_nodes());
+  std::vector<uint64_t> node_bytes(cluster.num_nodes(), 0);
   cluster.RunOnNodes([&](size_t n) {
-    out[n].reserve(per_node[n].map.size());
-    for (const auto& key : per_node[n].order) {
-      spec.finalize(key, per_node[n].map.find(key)->second, &out[n]);
-    }
-    cluster.metrics().groups_built += per_node[n].map.size();
+    GroupTable table;
+    fold(n, routed[n], &table);
+    Partition().swap(routed[n]);
+    out[n].reserve(table.size());
+    for (const auto& group : table.groups()) spec.finalize(group.key, group.acc, &out[n]);
+    cluster.metrics().groups_built += table.size();
+    node_bytes[n] = PartitionLogicalBytes(out[n]);
   });
+  if (bytes != nullptr) {
+    *bytes = std::accumulate(node_bytes.begin(), node_bytes.end(), uint64_t{0});
+  }
   return out;
 }
 
-/// Encodes a (key, accumulator) partial as a two-value row for shuffling.
-Row EncodePartial(const Value& key, Value acc) {
-  return Row{key, std::move(acc)};
-}
-
-/// Drains `accs` into shuffle-ready partial rows, one per key in
-/// first-occurrence order (the accumulators are moved out; `accs` is spent).
-void EncodePartials(OrderedAccs* accs, Partition* out) {
-  out->reserve(out->size() + accs->order.size());
-  for (const auto& key : accs->order) {
-    out->push_back(EncodePartial(key, std::move(accs->map.find(key)->second)));
-  }
-}
-
-/// The local-combine tail shared with MorselAggregator::Finish: shuffle the
-/// encoded partials by key hash, merge per key, finalize.
-Partitioned CombinePartialsAndFinalize(Cluster& cluster, const Partitioned& partials,
-                                       const AggregateSpec& spec, LoadReport* load) {
+/// The local-combine tail shared with MorselAggregator::Finish: move the
+/// (key, accumulator) partials through the shuffle by key hash, then merge
+/// and finalize in one task per node. Merged groups follow first arrival
+/// in the routed stream, which depends only on the shuffle's deterministic
+/// routing.
+Partitioned MergePartials(Cluster& cluster, Partitioned partials,
+                          const AggregateSpec& spec, LoadReport* load, uint64_t* bytes) {
   Partitioned routed =
-      cluster.Shuffle(partials, [](const Row& r) { return r[0].Hash(); });
+      cluster.Shuffle(std::move(partials), [](const Row& r) { return r[0].Hash(); });
   if (load != nullptr) *load = cluster.Load(routed);
-
-  // Phase 3: merge partials per key, then finalize. The merged state keys
-  // finalize order by first arrival in the routed stream (OrderedAccs),
-  // which depends only on the shuffle's deterministic routing — never on
-  // map internals.
-  std::vector<OrderedAccs> merged(cluster.num_nodes());
-  cluster.RunOnNodes([&](size_t n) {
-    for (auto& row : routed[n]) {
-      auto it = merged[n].map.find(row[0]);
-      if (it == merged[n].map.end()) {
-        merged[n].order.push_back(row[0]);
-        merged[n].map.emplace(row[0], std::move(row[1]));
-      } else {
-        it->second = spec.merge(std::move(it->second), row[1]);
-      }
-    }
-  });
-  return FinalizePerNode(cluster, merged, spec);
+  return FoldAndFinalize(
+      cluster, routed, spec,
+      [&spec](size_t, Partition& rows, GroupTable* merged) {
+        for (auto& row : rows) {
+          merged->Fold(std::move(row[0]), std::move(row[1]), spec.merge);
+        }
+      },
+      bytes);
 }
 
 /// CleanDB strategy: local combine → shuffle partials → merge → finalize.
 Partitioned RunLocalCombine(Cluster& cluster, const Partitioned& in,
-                            const AggregateSpec& spec, LoadReport* load) {
+                            const AggregateSpec& spec, LoadReport* load,
+                            uint64_t* bytes) {
   // Phases 1+2 in one dispatch: node-local aggregation (no data movement)
-  // immediately encoded as shuffle-ready partials, one row per (node, key).
+  // drained into shuffle-ready partials, one row per (node, key).
   Partitioned partials(cluster.num_nodes());
   cluster.RunOnNodes([&](size_t n) {
-    OrderedAccs local = LocalAggregate(in[n], spec, n);
-    EncodePartials(&local, &partials[n]);
+    GroupTable local;
+    AccumulateRows(&local, in[n], spec, n);
+    local.Drain(&partials[n]);
   });
-  return CombinePartialsAndFinalize(cluster, partials, spec, load);
+  return MergePartials(cluster, std::move(partials), spec, load, bytes);
 }
 
 /// Spark SQL strategy: sample key quantiles, range-partition all raw rows
 /// (the shuffle stage of a sort-based aggregation), aggregate per node.
-Partitioned RunSortShuffle(Cluster& cluster, const Partitioned& in,
-                           const AggregateSpec& spec, LoadReport* load) {
+/// `Input` is `const Partitioned&` (rows are copied through the shuffle)
+/// or `Partitioned` (buffered rows handed over by move).
+template <typename Input>
+Partitioned RunSortShuffle(Cluster& cluster, Input&& in, const AggregateSpec& spec,
+                           LoadReport* load, uint64_t* bytes) {
   // Driver-side sample of keys to derive range boundaries, mimicking
   // Spark's RangePartitioner.
   std::vector<Value> sample;
@@ -179,32 +208,51 @@ Partitioned RunSortShuffle(Cluster& cluster, const Partitioned& in,
     return lo;
   };
 
-  Partitioned routed =
-      cluster.Shuffle(in, [&](const Row& r) { return range_of(spec.key(r)); });
+  Partitioned routed = cluster.Shuffle(
+      std::forward<Input>(in), [&](const Row& r) { return range_of(spec.key(r)); });
   if (load != nullptr) *load = cluster.Load(routed);
 
   // Node-local sort by key then aggregate runs of equal keys (the "sort"
   // part of sort-based aggregation).
-  std::vector<OrderedAccs> merged(cluster.num_nodes());
-  cluster.RunOnNodes([&](size_t n) {
-    Partition rows = routed[n];
-    std::sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
-      return spec.key(a).Compare(spec.key(b)) < 0;
-    });
-    merged[n] = LocalAggregate(rows, spec, n);
-  });
-  return FinalizePerNode(cluster, merged, spec);
+  return FoldAndFinalize(
+      cluster, routed, spec,
+      [&spec](size_t n, Partition& rows, GroupTable* table) {
+        std::sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+          return spec.key(a).Compare(spec.key(b)) < 0;
+        });
+        AccumulateRows(table, rows, spec, n);
+      },
+      bytes);
 }
 
 /// BigDansing strategy: route every raw row by key hash, aggregate per node.
-Partitioned RunHashShuffle(Cluster& cluster, const Partitioned& in,
-                           const AggregateSpec& spec, LoadReport* load) {
-  Partitioned routed =
-      cluster.Shuffle(in, [&](const Row& r) { return spec.key(r).Hash(); });
+template <typename Input>
+Partitioned RunHashShuffle(Cluster& cluster, Input&& in, const AggregateSpec& spec,
+                           LoadReport* load, uint64_t* bytes) {
+  Partitioned routed = cluster.Shuffle(std::forward<Input>(in),
+                                       [&](const Row& r) { return spec.key(r).Hash(); });
   if (load != nullptr) *load = cluster.Load(routed);
-  std::vector<OrderedAccs> merged(cluster.num_nodes());
-  cluster.RunOnNodes([&](size_t n) { merged[n] = LocalAggregate(routed[n], spec, n); });
-  return FinalizePerNode(cluster, merged, spec);
+  return FoldAndFinalize(
+      cluster, routed, spec,
+      [&spec](size_t n, Partition& rows, GroupTable* table) {
+        AccumulateRows(table, rows, spec, n);
+      },
+      bytes);
+}
+
+template <typename Input>
+Partitioned Aggregate(Cluster& cluster, Input&& in, const AggregateSpec& spec,
+                      AggregateStrategy strategy, LoadReport* load, uint64_t* bytes) {
+  switch (strategy) {
+    case AggregateStrategy::kLocalCombine:
+      return RunLocalCombine(cluster, in, spec, load, bytes);
+    case AggregateStrategy::kSortShuffle:
+      return RunSortShuffle(cluster, std::forward<Input>(in), spec, load, bytes);
+    case AggregateStrategy::kHashShuffle:
+      return RunHashShuffle(cluster, std::forward<Input>(in), spec, load, bytes);
+  }
+  CLEANM_CHECK(false);
+  return {};
 }
 
 }  // namespace
@@ -213,16 +261,7 @@ Partitioned AggregateByKey(Cluster& cluster, const Partitioned& in,
                            const AggregateSpec& spec, AggregateStrategy strategy,
                            LoadReport* load) {
   CLEANM_CHECK(spec.key && spec.init && spec.merge && spec.finalize);
-  switch (strategy) {
-    case AggregateStrategy::kLocalCombine:
-      return RunLocalCombine(cluster, in, spec, load);
-    case AggregateStrategy::kSortShuffle:
-      return RunSortShuffle(cluster, in, spec, load);
-    case AggregateStrategy::kHashShuffle:
-      return RunHashShuffle(cluster, in, spec, load);
-  }
-  CLEANM_CHECK(false);
-  return {};
+  return Aggregate(cluster, in, spec, strategy, load, nullptr);
 }
 
 MorselAggregator::MorselAggregator(Cluster& cluster, AggregateSpec spec,
@@ -243,18 +282,16 @@ MorselAggregator::MorselAggregator(Cluster& cluster, AggregateSpec spec,
 
 void MorselAggregator::MaybeSpill(size_t node) {
   if (spill_ == nullptr || !spill_->enabled()) return;
-  OrderedAccs& accs = per_node_[node];
+  GroupTable& table = per_node_[node];
   uint64_t bytes = 0;
-  for (const auto& key : accs.order) {
-    bytes += key.ByteSize() + accs.map.find(key)->second.ByteSize();
+  for (const auto& group : table.groups()) {
+    bytes += group.key.ByteSize() + group.acc.ByteSize();
   }
   // Per-node share: every node's breaker state competes for the one pool
   // budget, so a node spills once N such states would exceed it.
   if (!spill_->ShouldSpill(bytes, per_node_.size())) return;
   Partition partials;
-  EncodePartials(&accs, &partials);
-  accs.map.clear();
-  accs.order.clear();
+  table.Drain(&partials);
   Result<std::vector<PageSpan>> spans = spill_->SpillRows(partials);
   if (!spans.ok()) throw StatusException(spans.status());
   spilled_[node].push_back(spans.MoveValue());
@@ -276,11 +313,11 @@ void MorselAggregator::Accumulate(size_t node, Partition rows) {
                          std::make_move_iterator(rows.end()));
 }
 
-Partitioned MorselAggregator::Finish(LoadReport* load) {
+Partitioned MorselAggregator::Finish(LoadReport* load, uint64_t* bytes) {
   if (strategy_ != AggregateStrategy::kLocalCombine) {
-    return AggregateByKey(cluster_, buffered_, spec_, strategy_, load);
+    return Aggregate(cluster_, std::move(buffered_), spec_, strategy_, load, bytes);
   }
-  // Encode the partials exactly as RunLocalCombine's phase 2 does — same
+  // Drain the partials exactly as RunLocalCombine's phase 2 does — same
   // first-occurrence key order, since the per-node fold sequence was
   // identical. Spilled generations come first, in spill order: their
   // concatenation with the live tail replays the unspilled key sequence
@@ -293,9 +330,9 @@ Partitioned MorselAggregator::Finish(LoadReport* load) {
       Status st = spill_->ReadBack(generation, &partials[n]);
       if (!st.ok()) throw StatusException(std::move(st));
     }
-    EncodePartials(&per_node_[n], &partials[n]);
+    per_node_[n].Drain(&partials[n]);
   });
-  return CombinePartialsAndFinalize(cluster_, partials, spec_, load);
+  return MergePartials(cluster_, std::move(partials), spec_, load, bytes);
 }
 
 }  // namespace cleanm::engine

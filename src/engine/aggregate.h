@@ -21,8 +21,8 @@
 // the language-level property (Section 4) surfacing at the physical level.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/cluster.h"
@@ -56,7 +56,7 @@ struct AggregateSpec {
   /// Optional poison-row hook (the physical layer's quarantine): when set,
   /// a row whose `key`/`init` throws during the fold is handed here with
   /// its node and fold ordinal instead of unwinding. OK → the row is
-  /// skipped (it never touches the accumulator map); non-OK → the error
+  /// skipped (it never touches the group table); non-OK → the error
   /// aborts the aggregation (thrown as StatusException). StatusException
   /// itself (cancellation, injected faults) always propagates. `merge` and
   /// `finalize` see only accumulators — no per-row user expressions — and
@@ -80,49 +80,82 @@ Partitioned AggregateByKey(Cluster& cluster, const Partitioned& in,
                            const AggregateSpec& spec, AggregateStrategy strategy,
                            LoadReport* load = nullptr);
 
-/// Deep-hash map from group key to accumulator (node-local aggregation
-/// state).
-using AccMap = std::unordered_map<Value, Value, ValueHash, ValueEq>;
+/// \brief Node-local aggregation state: one table per node.
+///
+/// Groups sit in one vector in first-occurrence order, each key stored
+/// once beside its hash and accumulator; an open-addressed index of slot
+/// numbers finds them. A folded or merged row hashes its key once, and
+/// growth re-indexes from the stored hashes without touching a key.
+/// Partials, spill generations and finalize all walk `groups()`, never
+/// the index, so the emission sequence is a pure function of the node's
+/// key stream: concatenating the partials of successive spill
+/// generations reproduces the unspilled key order exactly, which is what
+/// keeps spilled executions bit-identical (DESIGN.md, "Why spilling
+/// execution stays bit-identical"). Every table is freed by a task on its
+/// own node — a fold table when its partials are drained, a merge table by
+/// the merge-and-finalize task before it returns — so none is freed on the
+/// driver.
+class GroupTable {
+ public:
+  struct Group {
+    uint64_t hash;
+    Value key;
+    Value acc;
+  };
 
-/// Node-local aggregation state: the accumulator map plus the keys in
-/// first-occurrence order. Partial encoding and finalize both walk
-/// `order`, never the unordered_map, so the emission sequence is a pure
-/// function of the per-node key stream — unordered_map iteration order
-/// (which varies with rehash history, and would differ between a
-/// whole-stream map and one that was spilled and cleared mid-stream)
-/// never leaks into results. Concatenating the partial streams of
-/// successive spill generations therefore reproduces the unspilled
-/// stream's key order exactly, which is what keeps spilled executions
-/// bit-identical (see DESIGN.md, "Out-of-core storage & spill").
-struct OrderedAccs {
-  AccMap map;
-  std::vector<Value> order;  ///< keys in first-occurrence order
+  /// Merges `acc` into `key`'s group, which is appended if new.
+  void Fold(Value key, Value acc, const std::function<Value(Value, const Value&)>& merge);
+
+  const std::vector<Group>& groups() const { return groups_; }
+  size_t size() const { return groups_.size(); }
+
+  /// Moves every group out as a (key, accumulator) partial row, in order,
+  /// and frees the table.
+  void Drain(Partition* out);
+
+ private:
+  /// One index slot: `group` is 1 + the group's position (0 = empty);
+  /// `tag` holds hash bits that reject most mismatches without reading
+  /// the group.
+  struct Slot {
+    uint32_t group = 0;
+    uint32_t tag = 0;
+  };
+
+  /// Home slot of `hash` (Fibonacci hashing on the high bits: keys routed
+  /// to one node share their hash's low bits).
+  size_t HomeOf(uint64_t hash) const { return (hash * 0x9e3779b97f4a7c15ULL) >> shift_; }
+  void Grow();
+
+  std::vector<Group> groups_;
+  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
+  unsigned shift_ = 64;      ///< 64 - log2(slots_.size())
 };
 
 /// \brief Morsel-fed variant of AggregateByKey: the pipeline breaker at a
 /// Nest boundary.
 ///
-/// Each node folds its input morsels into node-local state as they stream
+/// Each node folds its input morsels into its GroupTable as they stream
 /// in (Accumulate, called from that node's worker), so the keyed input is
 /// never materialized as a whole Partitioned; Finish then runs the same
 /// shuffle/merge/finalize machinery as AggregateByKey, producing a
 /// bit-identical result as long as each node sees its rows in the same
 /// order (morsel boundaries never change the fold, by monoid
-/// associativity — and the accumulator map's growth sequence, hence its
-/// partial-encoding order, depends only on the per-node key sequence).
+/// associativity, and the table's group order depends only on the
+/// per-node key sequence).
 ///
 /// kLocalCombine folds incrementally; the shuffle-all-rows baseline
 /// strategies (sort/hash) inherently need every raw row and therefore
-/// buffer them, then run AggregateByKey over the buffered input.
+/// buffer them, then hand the buffer to the shuffle by move.
 class MorselAggregator {
  public:
   /// `spill` (optional) lets the breaker bound its resident partial state:
   /// when the summed per-node accumulator estimate exceeds the pool
-  /// budget, a node's partials are encoded (in key order), written to the
-  /// spill file, and the map is cleared; Finish re-reads every generation
-  /// in order ahead of the live partials, so the merge sees the same
-  /// partial stream modulo generation splits — exact by monoid
-  /// associativity, order-exact by OrderedAccs.
+  /// budget, a node's partials are drained (in group order), written to
+  /// the spill file, and its table starts empty; Finish re-reads every
+  /// generation in order ahead of the live partials, so the merge sees the
+  /// same partial stream modulo generation splits — exact by monoid
+  /// associativity, order-exact by GroupTable's first-occurrence order.
   MorselAggregator(Cluster& cluster, AggregateSpec spec, AggregateStrategy strategy,
                    SpillContext* spill = nullptr);
 
@@ -132,9 +165,10 @@ class MorselAggregator {
   /// row order.
   void Accumulate(size_t node, Partition rows);
 
-  /// Shuffles the partial accumulators, merges, finalizes. Driver-only;
-  /// call at most once.
-  Partitioned Finish(LoadReport* load = nullptr);
+  /// Shuffles the partial accumulators, merges, finalizes. `bytes` (if
+  /// not null) receives the output's logical size (PartitionLogicalBytes),
+  /// counted by the nodes that built it. Driver-only; call at most once.
+  Partitioned Finish(LoadReport* load = nullptr, uint64_t* bytes = nullptr);
 
  private:
   /// Spills node `node`'s partials if the summed accumulator estimate is
@@ -145,7 +179,7 @@ class MorselAggregator {
   AggregateSpec spec_;
   AggregateStrategy strategy_;
   SpillContext* spill_;
-  std::vector<OrderedAccs> per_node_;  ///< kLocalCombine state
+  std::vector<GroupTable> per_node_;  ///< kLocalCombine state
   /// Rows folded so far per node (kLocalCombine): the ordinal base handed
   /// to the on_row_error hook for each incoming morsel.
   std::vector<uint64_t> fold_base_;

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 
 #include "common/trace.h"
 
@@ -153,16 +154,42 @@ uint64_t PartitionedLogicalBytes(const Partitioned& data) {
   return bytes;
 }
 
+Cluster::Placement Cluster::RoundRobinPlacement() const {
+  Placement placement;
+  placement.slots.reserve(options_.num_nodes);
+  for (size_t n = 0; n < options_.num_nodes; n++) {
+    placement.slots.push_back(SurvivorFor(n));
+  }
+  return placement;
+}
+
 Partitioned Cluster::Parallelize(const std::vector<Row>& rows) const {
   const size_t n_nodes = options_.num_nodes;
+  const Placement placement = RoundRobinPlacement();
   Partitioned out(n_nodes);
   const size_t per_node = rows.size() / n_nodes + 1;
   for (auto& p : out) p.reserve(per_node);
   for (size_t i = 0; i < rows.size(); i++) {
-    out[SurvivorFor(i % n_nodes)].push_back(rows[i]);
+    out[placement.node_of(i)].push_back(rows[i]);
   }
   metrics().rows_scanned += rows.size();
   return out;
+}
+
+void Cluster::ParallelizeOnNodes(
+    size_t rows,
+    const std::function<void(size_t node, const std::vector<size_t>& placed)>& build)
+    const {
+  const Placement placement = RoundRobinPlacement();
+  RunOnNodes([&](size_t n) {
+    std::vector<size_t> placed;
+    placed.reserve(rows / options_.num_nodes + 1);
+    for (size_t i = 0; i < rows; i++) {
+      if (placement.node_of(i) == n) placed.push_back(i);
+    }
+    build(n, placed);
+  });
+  metrics().rows_scanned += rows;
 }
 
 std::vector<Row> Cluster::Collect(const Partitioned& data) const {
@@ -185,16 +212,6 @@ LoadReport Cluster::Load(const Partitioned& data) const {
   report.rows_per_node.reserve(data.size());
   for (const auto& p : data) report.rows_per_node.push_back(p.size());
   return report;
-}
-
-Partitioned Cluster::Map(const Partitioned& in,
-                         const std::function<Row(const Row&)>& fn) const {
-  Partitioned out(in.size());
-  RunOnNodes([&](size_t n) {
-    out[n].reserve(in[n].size());
-    for (const auto& row : in[n]) out[n].push_back(fn(row));
-  });
-  return out;
 }
 
 Partitioned Cluster::Filter(const Partitioned& in,
@@ -239,8 +256,10 @@ struct ShuffleBuffer {
 };
 }  // namespace
 
-Partitioned Cluster::Shuffle(const Partitioned& in,
-                             const std::function<uint64_t(const Row&)>& route) {
+template <typename Source>
+Partitioned Cluster::ShuffleRows(Source& in,
+                                 const std::function<uint64_t(const Row&)>& route) {
+  constexpr bool kMove = !std::is_const_v<Source>;
   TraceScope shuffle_span("cluster", "shuffle");
   shuffle_span.SetRows(TotalRows(in), TotalRows(in));
   const size_t n_nodes = options_.num_nodes;
@@ -267,20 +286,27 @@ Partitioned Cluster::Shuffle(const Partitioned& in,
       b.rows = Partition();
       b.bytes = 0;
     };
-    for (const auto& row : in[src]) {
+    for (auto& row : in[src]) {
       const size_t dst = SurvivorFor(route(row) % n_nodes);
       ShuffleBuffer& b = buffers[dst];
       if (dst != src) {
         b.bytes += RowByteSize(row);
         rows_sent++;
       }
-      b.rows.push_back(row);
+      if constexpr (kMove) {
+        b.rows.push_back(std::move(row));
+      } else {
+        b.rows.push_back(row);
+      }
       if (b.rows.size() >= batch_rows) flush(dst);
     }
     for (size_t dst = 0; dst < n_nodes; dst++) flush(dst);
     metrics().rows_shuffled += rows_sent;
+    if constexpr (kMove) Partition().swap(in[src]);
   });
 
+  // Each destination splices its batches and frees them itself, so no
+  // shuffle buffer is freed on the driver.
   Partitioned result(n_nodes);
   RunOnNodes([&](size_t dst) {
     size_t total = 0;
@@ -292,9 +318,20 @@ Partitioned Cluster::Shuffle(const Partitioned& in,
       for (auto& batch : src[dst]) {
         for (auto& row : batch) result[dst].push_back(std::move(row));
       }
+      std::vector<Partition>().swap(src[dst]);
     }
   });
   return result;
+}
+
+Partitioned Cluster::Shuffle(const Partitioned& in,
+                             const std::function<uint64_t(const Row&)>& route) {
+  return ShuffleRows(in, route);
+}
+
+Partitioned Cluster::Shuffle(Partitioned&& in,
+                             const std::function<uint64_t(const Row&)>& route) {
+  return ShuffleRows(in, route);
 }
 
 Partition Cluster::BroadcastAll(const Partitioned& in) {

@@ -141,8 +141,19 @@ class Cluster {
   /// ExecControlScope is checked per attempt (epoch-boundary cancellation).
   void RunOnNodes(const std::function<void(size_t)>& fn) const;
 
-  /// Distributes rows round-robin across nodes ("parallelize").
+  /// Distributes rows round-robin across nodes ("parallelize"), routed
+  /// around blacklisted nodes.
   Partitioned Parallelize(const std::vector<Row>& rows) const;
+
+  /// Parallelize for rows built where they will live: each node calls
+  /// `build(node, placed)` once, with the ascending indices of the rows
+  /// i < `rows` that Parallelize would place on it. The placement is taken
+  /// before the dispatch, so a node blacklisted mid-dispatch cannot make
+  /// two tasks disagree about a row.
+  void ParallelizeOnNodes(
+      size_t rows,
+      const std::function<void(size_t node, const std::vector<size_t>& placed)>& build)
+      const;
 
   /// Gathers all partitions to the driver (order: node 0..N-1).
   std::vector<Row> Collect(const Partitioned& data) const;
@@ -154,9 +165,6 @@ class Cluster {
 
   // ---- Narrow-dependency transformations (no shuffle) ----
 
-  Partitioned Map(const Partitioned& in,
-                  const std::function<Row(const Row&)>& fn) const;
-
   Partitioned Filter(const Partitioned& in,
                      const std::function<bool(const Row&)>& pred) const;
 
@@ -167,6 +175,12 @@ class Cluster {
   /// `shuffle_batch_rows` rows; the network charge lands once per flushed
   /// remote batch. Row-level metrics are identical to an unbatched shuffle.
   Partitioned Shuffle(const Partitioned& in,
+                      const std::function<uint64_t(const Row&)>& route);
+
+  /// The same shuffle over rows the caller gives up: each row moves into
+  /// its batch instead of being copied, and each source partition is freed
+  /// on its own node once routed. Routing and metering are identical.
+  Partitioned Shuffle(Partitioned&& in,
                       const std::function<uint64_t(const Row&)>& route);
 
   /// Replicates every row of `in` to all nodes (broadcast); traffic is
@@ -247,6 +261,20 @@ class Cluster {
   /// Destination remap for new partitionings: a blacklisted node receives
   /// nothing; its share re-routes to the next surviving node.
   size_t SurvivorFor(size_t dst) const;
+
+  /// Round-robin placement of a new partitioning, read once: row i goes to
+  /// node_of(i), routed around the nodes blacklisted when it was taken.
+  struct Placement {
+    std::vector<size_t> slots;  ///< surviving node for each i % num_nodes
+    size_t node_of(size_t row) const { return slots[row % slots.size()]; }
+  };
+  Placement RoundRobinPlacement() const;
+
+  /// The one shuffle loop behind both Shuffle overloads: `Source` is
+  /// `const Partitioned` (rows are copied) or `Partitioned` (rows are
+  /// moved and each source partition is freed on its node).
+  template <typename Source>
+  Partitioned ShuffleRows(Source& in, const std::function<uint64_t(const Row&)>& route);
 
   /// Sleeps for the simulated transfer time of `bytes`. Pure wall-clock
   /// charge; metering is the caller's job. Sleeps in small slices, checking

@@ -4,18 +4,6 @@
 
 namespace cleanm {
 
-namespace {
-
-uint64_t PartitionedBytes(const engine::Partitioned& data) {
-  uint64_t bytes = 0;
-  for (const auto& partition : data) {
-    for (const auto& row : partition) bytes += RowByteSize(row);
-  }
-  return bytes;
-}
-
-}  // namespace
-
 PartitionCache::Stats PartitionCache::Stats::Since(const Stats& before) const {
   Stats delta = *this;
   delta.scan_hits -= before.scan_hits;
@@ -102,9 +90,9 @@ PartitionPin PartitionCache::FindScan(const std::string& table,
 
 PartitionPin PartitionCache::PutScan(const std::string& table,
                                      uint64_t generation,
-                                     engine::Partitioned data) {
+                                     engine::Partitioned data, uint64_t bytes) {
   Entry entry;
-  entry.bytes = PartitionedBytes(data);
+  entry.bytes = bytes;
   entry.data = std::make_shared<const engine::Partitioned>(std::move(data));
   entry.deps = {{table, generation}};
   std::lock_guard<std::mutex> lock(mu_);
@@ -122,14 +110,28 @@ PartitionPin PartitionCache::FindWrap(const std::string& table,
 PartitionPin PartitionCache::PutWrap(const std::string& table,
                                      const std::string& var,
                                      uint64_t generation,
-                                     engine::Partitioned data) {
+                                     engine::Partitioned data, uint64_t bytes) {
   Entry entry;
-  entry.bytes = PartitionedBytes(data);
+  entry.bytes = bytes;
   entry.data = std::make_shared<const engine::Partitioned>(std::move(data));
   entry.deps = {{table, generation}};
   std::lock_guard<std::mutex> lock(mu_);
   return PutLocked(Key{Kind::kWrap, nullptr, table, var, generation},
                    std::move(entry));
+}
+
+bool PartitionCache::Holds(const Key& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.count(key) > 0;
+}
+
+bool PartitionCache::HoldsScan(const std::string& table, uint64_t generation) const {
+  return Holds(Key{Kind::kScan, nullptr, table, "", generation});
+}
+
+bool PartitionCache::HoldsWrap(const std::string& table, const std::string& var,
+                               uint64_t generation) const {
+  return Holds(Key{Kind::kWrap, nullptr, table, var, generation});
 }
 
 PartitionPin PartitionCache::FindNest(
@@ -164,9 +166,9 @@ PartitionPin PartitionCache::FindNest(
 
 PartitionPin PartitionCache::PutNest(
     const AlgOpPtr& node, std::vector<std::pair<std::string, uint64_t>> deps,
-    engine::Partitioned data) {
+    engine::Partitioned data, uint64_t bytes) {
   Entry entry;
-  entry.bytes = PartitionedBytes(data);
+  entry.bytes = bytes;
   entry.data = std::make_shared<const engine::Partitioned>(std::move(data));
   entry.deps = std::move(deps);
   entry.pinned = node;

@@ -14,8 +14,10 @@
 // session is built, so the width needs no place in the key.
 //
 // Memory is bounded by a byte budget with LRU eviction (ROADMAP
-// "Scan-cache memory"): each Put charges the deep row bytes of the inserted
-// partitioning and evicts least-recently-used entries until the cache fits.
+// "Scan-cache memory"): each Put charges the logical bytes of the inserted
+// partitioning (engine::PartitionedLogicalBytes), counted by the nodes
+// that built it and passed in by the caller — the cache never walks rows —
+// and evicts least-recently-used entries until the cache fits.
 // A single entry larger than the whole budget is admitted alone (evicting
 // everything else); refusing it would livelock large-table sessions.
 //
@@ -103,17 +105,24 @@ class PartitionCache {
   // ---- Scans (a table parallelized across the cluster's nodes) ----
 
   PartitionPin FindScan(const std::string& table, uint64_t generation);
-  /// Returns a pin on the admitted entry.
+  /// Admits `data`, whose logical size is `bytes`, and returns a pin on it.
   PartitionPin PutScan(const std::string& table, uint64_t generation,
-                       engine::Partitioned data);
+                       engine::Partitioned data, uint64_t bytes);
 
   // ---- Wrapped scans (the {var: record} tuple wrap of a scan) ----
 
   PartitionPin FindWrap(const std::string& table, const std::string& var,
                         uint64_t generation);
-  /// Returns a pin on the admitted entry.
+  /// Admits `data`, whose logical size is `bytes`, and returns a pin on it.
   PartitionPin PutWrap(const std::string& table, const std::string& var,
-                       uint64_t generation, engine::Partitioned data);
+                       uint64_t generation, engine::Partitioned data, uint64_t bytes);
+
+  /// Read-only residency probes (EXPLAIN): whether FindScan / FindWrap
+  /// would be served without partitioning. A paged-out entry counts (the
+  /// lookup revives it). They count no hit or miss and touch no LRU tick.
+  bool HoldsScan(const std::string& table, uint64_t generation) const;
+  bool HoldsWrap(const std::string& table, const std::string& var,
+                 uint64_t generation) const;
 
   // ---- Nest outputs (keyed by node identity; the node is pinned) ----
 
@@ -126,12 +135,13 @@ class PartitionCache {
       const std::function<uint64_t(const std::string&)>& generation_of);
   /// `node` is retained (shared ownership) while the entry lives, so a
   /// recycled heap address can never alias a cached result. `deps` lists
-  /// every (table, generation) the Nest's input subtree read. Returns a pin
-  /// on the admitted entry (never evicted by its own budget pass), so the
-  /// pipelined executor can stream from it without copying.
+  /// every (table, generation) the Nest's input subtree read; `bytes` is
+  /// `data`'s logical size. Returns a pin on the admitted entry (never
+  /// evicted by its own budget pass), so the pipelined executor can stream
+  /// from it without copying.
   PartitionPin PutNest(const AlgOpPtr& node,
                        std::vector<std::pair<std::string, uint64_t>> deps,
-                       engine::Partitioned data);
+                       engine::Partitioned data, uint64_t bytes);
 
   /// Records a scan served from cache (wrap or base) / a Parallelize run.
   /// Exposed so the executor can count wrap-cache hits as scan hits.
@@ -174,7 +184,9 @@ class PartitionCache {
     std::vector<std::vector<PageSpan>> paged;
   };
 
-  // All private helpers expect mu_ held by the caller.
+  bool Holds(const Key& key) const;
+
+  // The helpers below expect mu_ held by the caller.
   PartitionPin FindLocked(const Key& key);
   PartitionPin PutLocked(Key key, Entry entry);
   /// Revives a paged-out entry through the pager; null on read failure

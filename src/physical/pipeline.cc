@@ -20,6 +20,7 @@
 // evaluator (algebra/algebra_eval.h) is the oracle the results are checked
 // against.
 #include <atomic>
+#include <numeric>
 
 #include "algebra/algebra_eval.h"
 #include "common/trace.h"
@@ -306,13 +307,21 @@ Result<PartitionPin> Executor::PipelinedNest(const AlgOpPtr& plan,
   engine::MorselSpec spec;
   spec.morsel_rows = morsel_rows;
   const size_t quarantined_before = quarantine ? quarantine->size() : 0;
+  std::vector<uint64_t> rows_folded(cluster->num_nodes(), 0);
   cluster->PumpOnWorkers(seg.data(), spec, seg.expand,
-                         [&agg](size_t n, Partition&& morsel) {
+                         [&agg, &rows_folded](size_t n, Partition&& morsel) {
+                           rows_folded[n] += morsel.size();
                            agg.Accumulate(n, std::move(morsel));
                          });
   seg.ReleaseNow();
+  if (compiled.udf_units > 0) {
+    cluster->metrics().udf_calls +=
+        compiled.udf_units *
+        std::accumulate(rows_folded.begin(), rows_folded.end(), uint64_t{0});
+  }
   LoadReport load;
-  Partitioned result = agg.Finish(&load);
+  uint64_t result_bytes = 0;
+  Partitioned result = agg.Finish(&load, &result_bytes);
   if (op_span.active()) {
     // Routed (pre-aggregation) per-node distribution: the skew signal.
     op_span.SetNodeRows(std::move(load.rows_per_node));
@@ -331,7 +340,7 @@ Result<PartitionPin> Executor::PipelinedNest(const AlgOpPtr& plan,
   }
   std::vector<std::pair<std::string, uint64_t>> deps;
   CollectScanDeps(plan, *catalog, &deps);
-  return cache->PutNest(plan, std::move(deps), std::move(result));
+  return cache->PutNest(plan, std::move(deps), std::move(result), result_bytes);
 }
 
 Result<Executor::PipelineSegment> Executor::BuildSegment(const AlgOpPtr& plan,

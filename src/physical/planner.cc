@@ -1,5 +1,7 @@
 #include "physical/planner.h"
 
+#include <numeric>
+
 #include "functions/function_registry.h"
 #include "monoid/monoid.h"
 #include "physical/tuple.h"
@@ -35,28 +37,55 @@ Result<PartitionPin> Executor::WrappedScan(const AlgOp& scan) {
     return wrapped;
   }
 
-  PartitionPin base = cache->FindScan(scan.table, generation);
-  if (base) {
+  // Records and their {var: record} wraps are built, and sized, on the
+  // nodes that will hold them.
+  const size_t nodes = cluster->num_nodes();
+  Partitioned records(nodes);
+  Partitioned wrapped(nodes);
+  std::vector<uint64_t> record_bytes(nodes, 0);
+  std::vector<uint64_t> wrap_bytes(nodes, 0);
+  const std::string& var = scan.var;
+  auto wrap = [&var](const Value& record, Partition* out) {
+    out->push_back(MakePhysicalTuple(Value(ValueStruct{{var, record}})));
+    return RowByteSize(out->back());
+  };
+  // The pin keeps a cached base alive while it is wrapped, even if a
+  // concurrent execution evicts it from the cache.
+  if (PartitionPin base = cache->FindScan(scan.table, generation)) {
     cache->CountScanHit();
+    cluster->RunOnNodes([&](size_t n) {
+      uint64_t bytes = 0;
+      wrapped[n].reserve((*base)[n].size());
+      for (const auto& row : (*base)[n]) {
+        bytes += wrap(PhysicalTupleOf(row), &wrapped[n]);
+      }
+      wrap_bytes[n] = bytes;
+    });
   } else {
     CLEANM_ASSIGN_OR_RETURN(const Dataset* table, catalog->Find(scan.table));
-    std::vector<Row> rows;
-    rows.reserve(table->num_rows());
-    for (const auto& row : table->rows()) {
-      rows.push_back(MakePhysicalTuple(RowToRecord(table->schema(), row)));
-    }
-    Partitioned scanned = cluster->Parallelize(rows);
+    cluster->ParallelizeOnNodes(
+        table->num_rows(), [&](size_t n, const std::vector<size_t>& placed) {
+          uint64_t bytes = 0;
+          uint64_t wrap_total = 0;
+          records[n].reserve(placed.size());
+          wrapped[n].reserve(placed.size());
+          for (size_t i : placed) {
+            records[n].push_back(
+                MakePhysicalTuple(RowToRecord(table->schema(), table->row(i))));
+            bytes += RowByteSize(records[n].back());
+            wrap_total += wrap(PhysicalTupleOf(records[n].back()), &wrapped[n]);
+          }
+          record_bytes[n] = bytes;
+          wrap_bytes[n] = wrap_total;
+        });
     cache->CountScanMiss();
-    base = cache->PutScan(scan.table, generation, std::move(scanned));
+    const uint64_t record_total =
+        std::accumulate(record_bytes.begin(), record_bytes.end(), uint64_t{0});
+    cache->PutScan(scan.table, generation, std::move(records), record_total);
   }
-  // Wrap each record into the {var: record} tuple. The pin keeps `base`
-  // alive even if PutWrap (or a concurrent execution) evicts it from the
-  // cache under the byte budget.
-  const std::string var = scan.var;
-  Partitioned wrapped = cluster->Map(*base, [var](const Row& r) {
-    return MakePhysicalTuple(Value(ValueStruct{{var, PhysicalTupleOf(r)}}));
-  });
-  return cache->PutWrap(scan.table, scan.var, generation, std::move(wrapped));
+  const uint64_t wrap_total =
+      std::accumulate(wrap_bytes.begin(), wrap_bytes.end(), uint64_t{0});
+  return cache->PutWrap(scan.table, scan.var, generation, std::move(wrapped), wrap_total);
 }
 
 Result<engine::Partitioned> Executor::ExecJoin(const AlgOpPtr& plan,
@@ -178,14 +207,12 @@ Result<Executor::CompiledNest> Executor::CompileNestStage(const AlgOpPtr& plan) 
 
   engine::AggregateSpec spec;
   spec.key = [](const Row& r) { return r[0]; };
-  QueryMetrics* metrics = &cluster->metrics();
-  spec.init = [monoids, agg_exprs, metrics, udf_aggs](const Row& r) {
+  spec.init = [monoids, agg_exprs](const Row& r) {
     ValueList accs;
     accs.reserve(monoids.size());
     for (size_t a = 0; a < monoids.size(); a++) {
       accs.push_back(monoids[a]->Unit(agg_exprs[a](r[1])));
     }
-    if (udf_aggs) metrics->udf_calls += udf_aggs;
     return Value(std::move(accs));
   };
   spec.merge = [monoids](Value a, const Value& b) {
@@ -218,6 +245,7 @@ Result<Executor::CompiledNest> Executor::CompileNestStage(const AlgOpPtr& plan) 
     out->push_back(MakePhysicalTuple(std::move(result)));
   };
   compiled.spec = std::move(spec);
+  compiled.udf_units = udf_aggs;
   return compiled;
 }
 

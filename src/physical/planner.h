@@ -176,6 +176,10 @@ struct Executor {
   struct CompiledNest {
     std::function<void(const Value& tuple, engine::Partition*)> expand;
     engine::AggregateSpec spec;
+    /// Registered-aggregate unit calls `spec.init` makes per row. Callers
+    /// charge them to udf_calls per batch of rows, so workers folding in
+    /// parallel never contend on the counter row by row.
+    size_t udf_units = 0;
   };
 
   /// The {var: record} wrapped scan, resolved through (and pinned in) the

@@ -8,11 +8,18 @@ Result<std::vector<PageSpan>> SpillContext::SpillRows(
     const std::vector<Row>& rows) {
   TraceScope spill_span("io", "spill_write");
   spill_span.SetRowsIn(rows.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  if (store_ == nullptr) {
-    CLEANM_ASSIGN_OR_RETURN(store_,
-                            SingleFileStore::CreateTemp(spill_dir_, "spill",
-                                                        page_bytes_));
+  // The context lock guards only the lazy store creation: encoding runs
+  // unlocked, and AppendPage serializes the writes under the store's own
+  // append lock, so nodes spilling at once encode in parallel.
+  SingleFileStore* store;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (store_ == nullptr) {
+      CLEANM_ASSIGN_OR_RETURN(store_,
+                              SingleFileStore::CreateTemp(spill_dir_, "spill",
+                                                          page_bytes_));
+    }
+    store = store_.get();
   }
   std::vector<PageSpan> spans;
   std::string payload;
@@ -21,7 +28,7 @@ Result<std::vector<PageSpan>> SpillContext::SpillRows(
     if (pending == 0) return Status::OK();
     std::string chunk;
     EncodeRowChunk(pending, payload, &chunk);
-    CLEANM_ASSIGN_OR_RETURN(uint64_t page_id, store_->AppendPage(chunk));
+    CLEANM_ASSIGN_OR_RETURN(uint64_t page_id, store->AppendPage(chunk));
     spans.push_back(PageSpan{page_id, pending});
     bytes_spilled_.fetch_add(chunk.size());
     payload.clear();
@@ -31,7 +38,7 @@ Result<std::vector<PageSpan>> SpillContext::SpillRows(
   for (size_t i = 0; i < rows.size(); i++) {
     EncodeRow(rows[i], &payload);
     pending++;
-    if (payload.size() + sizeof(PageHeader) + 4 >= store_->page_bytes()) {
+    if (payload.size() + sizeof(PageHeader) + 4 >= store->page_bytes()) {
       CLEANM_RETURN_NOT_OK(flush());
     }
   }

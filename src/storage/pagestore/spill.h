@@ -9,13 +9,15 @@
 // path — success, sink abort, deadline/cancel unwinds, retry
 // exhaustion — purely by destructor order (the RAII satellite).
 //
-// Thread model: SpillPartition serializes appends under the context mutex
-// (workers of different nodes spill concurrently); ReadBack pins pages
-// through the shared BufferPool and takes no context lock beyond the lazy
-// store check. Lock order: a caller may hold engine worker state but
-// never the partition-cache or pool mutex when calling SpillPartition
-// (the cache write-back path holds the cache mutex, which is ordered
-// *before* this context's mutex and the pool's — see DESIGN.md).
+// Thread model: workers of different nodes spill concurrently. SpillRows
+// takes the context mutex only to create the store lazily; it encodes
+// unlocked, and the store's own append lock serializes the page writes.
+// ReadBack pins pages through the shared BufferPool and takes no context
+// lock beyond the lazy store check. Lock order: a caller may hold engine
+// worker state but never the pool mutex when calling SpillRows (the
+// cache write-back path holds the cache mutex, which is ordered *before*
+// this context's mutex, the store's append mutex and the pool's — see
+// DESIGN.md).
 #pragma once
 
 #include <atomic>

@@ -456,9 +456,11 @@ TEST(ConcurrencyStressTest, LeasedViewsStayStableWhileMutatorsRewriteInPlace) {
         return row[0].AsInt() >= tag && row[0].AsInt() < tag + 1000;
       };
       for (int64_t i = 0; i < 150; i++) {
+        ValueStruct set_b;
+        set_b.emplace_back("b", Value(i % 5));
         for (const Status& st :
              {db.AppendRows("cow", {{Value(tag + i), Value(i % 8)}}).status(),
-              db.UpdateRows("cow", mine, ValueStruct{{"b", Value(i % 5)}}).status(),
+              db.UpdateRows("cow", mine, std::move(set_b)).status(),
               i % 3 == 2 ? db.DeleteRows("cow", mine).status() : Status::OK()}) {
           if (!st.ok()) record_failure("mutation: " + st.ToString());
         }

@@ -1,16 +1,23 @@
 // Tests for the virtual-cluster execution engine: partitioning, shuffles
-// and their traffic accounting, the three aggregation strategies, and the
+// and their traffic accounting, the three aggregation strategies and
+// their node-local group state (in memory and spilled), and the
 // equi-/theta-join algorithms.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
+#include "common/trace.h"
 #include "engine/aggregate.h"
 #include "engine/cluster.h"
 #include "engine/join.h"
+#include "storage/pagestore/buffer_pool.h"
+#include "storage/pagestore/spill.h"
 #include "support/fixtures.h"
 
 namespace cleanm::engine {
@@ -39,14 +46,51 @@ TEST(ClusterTest, ParallelizeRoundRobinAndCollect) {
   EXPECT_EQ(*values.rbegin(), 9);
 }
 
-TEST(ClusterTest, MapFilter) {
+TEST(ClusterTest, ParallelizeOnNodesPlacesRowsLikeParallelize) {
+  // Node 1 fails every attempt and is blacklisted during the first
+  // dispatch. The placement was taken before it, so that dispatch still
+  // places every row, on the plain round-robin node; later partitionings
+  // route around node 1, on both paths alike.
+  ClusterOptions opts = FastOptions(4);
+  opts.fault.target_node = 1;
+  opts.fault.fail_first_attempts = 1000000;
+  opts.fault.node_blacklist_threshold = 2;
+  opts.fault.max_task_retries = 5;
+  opts.fault.retry_backoff_ns = 0;
+  Cluster cluster(opts);
+  constexpr int kRows = 23;
+  auto placed_rows = [&cluster] {
+    std::vector<std::vector<size_t>> placed(cluster.num_nodes());
+    cluster.ParallelizeOnNodes(
+        kRows, [&](size_t n, const std::vector<size_t>& rows) { placed[n] = rows; });
+    return placed;
+  };
+
+  const auto first = placed_rows();
+  ASSERT_TRUE(cluster.NodeBlacklisted(1));
+  for (size_t n = 0; n < first.size(); n++) {
+    std::vector<size_t> round_robin;
+    for (size_t i = n; i < kRows; i += first.size()) round_robin.push_back(i);
+    EXPECT_EQ(first[n], round_robin) << "node " << n;
+  }
+
+  const auto second = placed_rows();
+  const Partitioned data = cluster.Parallelize(IntRows(kRows));
+  EXPECT_TRUE(second[1].empty());
+  for (size_t n = 0; n < second.size(); n++) {
+    std::vector<size_t> parallelized;
+    for (const auto& row : data[n]) {
+      parallelized.push_back(static_cast<size_t>(row[0].AsInt()));
+    }
+    EXPECT_EQ(second[n], parallelized) << "node " << n;
+  }
+}
+
+TEST(ClusterTest, Filter) {
   Cluster cluster(FastOptions());
   auto data = cluster.Parallelize(IntRows(100));
-  auto doubled = cluster.Map(data, [](const Row& r) {
-    return Row{Value(r[0].AsInt() * 2)};
-  });
-  auto evens = cluster.Filter(doubled, [](const Row& r) {
-    return r[0].AsInt() % 4 == 0;
+  auto evens = cluster.Filter(data, [](const Row& r) {
+    return r[0].AsInt() % 2 == 0;
   });
   EXPECT_EQ(Cluster::TotalRows(evens), 50u);
 }
@@ -276,6 +320,206 @@ TEST(AggregateSkewTest, LocalCombineShufflesLessUnderSkew) {
   // And its post-shuffle load must be more balanced than sort-shuffle's,
   // which sends the whole hot key range to one node.
   EXPECT_LT(imbalance[0], imbalance[1]);
+}
+
+// ---- Node-local group state ----
+//
+// 40,000 rows over about 11,600 distinct keys (ints and strings, most
+// repeated) make every node's group table grow several times.
+
+std::vector<Row> ManyGroupRows() {
+  Rng rng(29);
+  std::vector<Row> rows;
+  rows.reserve(40000);
+  for (int64_t i = 0; i < 40000; i++) {
+    const auto k = static_cast<int64_t>(rng.Next() % 12000);
+    Value key = k % 2 == 0 ? Value(k) : Value("k" + std::to_string(k));
+    rows.push_back(Row{std::move(key), Value(i)});
+  }
+  return rows;
+}
+
+/// Per group: [row count, sum of row numbers] as a list accumulator, so a
+/// lost, doubled or misrouted row changes the result.
+AggregateSpec CountSumSpec() {
+  AggregateSpec spec;
+  spec.key = [](const Row& r) { return r[0]; };
+  spec.init = [](const Row& r) { return Value(ValueList{Value(int64_t{1}), r[1]}); };
+  spec.merge = [](Value a, const Value& b) {
+    ValueList& acc = a.MutableList();
+    acc[0] = Value(acc[0].AsInt() + b.AsList()[0].AsInt());
+    acc[1] = Value(acc[1].AsInt() + b.AsList()[1].AsInt());
+    return a;
+  };
+  spec.finalize = [](const Value& key, const Value& acc, Partition* out) {
+    out->push_back(Row{key, acc});
+  };
+  return spec;
+}
+
+using GroupCounts = std::map<std::string, std::pair<int64_t, int64_t>>;
+
+GroupCounts ReferenceCounts(const std::vector<Row>& rows) {
+  GroupCounts ref;
+  for (const auto& row : rows) {
+    auto& group = ref[row[0].ToString()];
+    group.first++;
+    group.second += row[1].AsInt();
+  }
+  return ref;
+}
+
+GroupCounts CountsOf(const Partitioned& out) {
+  GroupCounts got;
+  for (const auto& partition : out) {
+    for (const auto& row : partition) {
+      const auto& acc = row[1].AsList();
+      EXPECT_TRUE(got.emplace(row[0].ToString(),
+                              std::make_pair(acc[0].AsInt(), acc[1].AsInt()))
+                      .second)
+          << "group " << row[0].ToString() << " emitted twice";
+    }
+  }
+  return got;
+}
+
+/// Each node's keys in the order they first occur in the source-major
+/// stream of the rows routed to it by key hash.
+std::vector<std::vector<std::string>> FirstOccurrenceOrder(const Partitioned& in,
+                                                          size_t nodes) {
+  std::vector<std::vector<std::string>> order(nodes);
+  std::set<std::string> seen;
+  for (const auto& partition : in) {
+    for (const auto& row : partition) {
+      std::string key = row[0].ToString();
+      if (seen.insert(key).second) order[row[0].Hash() % nodes].push_back(key);
+    }
+  }
+  return order;
+}
+
+void ExpectBitIdentical(const Partitioned& a, const Partitioned& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t n = 0; n < a.size(); n++) {
+    ASSERT_EQ(a[n].size(), b[n].size()) << "node " << n;
+    for (size_t i = 0; i < a[n].size(); i++) {
+      ASSERT_TRUE(a[n][i][0].Equals(b[n][i][0]) && a[n][i][1].Equals(b[n][i][1]))
+          << "node " << n << " row " << i;
+    }
+  }
+}
+
+/// Streams `data` through a MorselAggregator in `morsel_rows` morsels, the
+/// way the Nest breaker feeds it.
+Partitioned RunMorselAggregator(Cluster& cluster, const Partitioned& data,
+                                AggregateStrategy strategy, size_t morsel_rows,
+                                SpillContext* spill = nullptr,
+                                uint64_t* bytes = nullptr) {
+  MorselAggregator agg(cluster, CountSumSpec(), strategy, spill);
+  MorselSpec spec;
+  spec.morsel_rows = morsel_rows;
+  cluster.PumpOnWorkers(
+      data, spec, [](size_t, const Row& r, Partition* out) { out->push_back(r); },
+      [&agg](size_t n, Partition&& morsel) { agg.Accumulate(n, std::move(morsel)); });
+  return agg.Finish(nullptr, bytes);
+}
+
+class GroupStateTest : public ::testing::TestWithParam<AggregateStrategy> {};
+
+TEST_P(GroupStateTest, ManyKeysMatchReferenceInFirstOccurrenceOrder) {
+  const std::vector<Row> rows = ManyGroupRows();
+  const GroupCounts ref = ReferenceCounts(rows);
+  ASSERT_GE(ref.size(), 10000u);
+  ASSERT_LT(ref.size(), rows.size());
+  Cluster cluster(FastOptions(4));
+  const Partitioned data = cluster.Parallelize(rows);
+  const Partitioned out = AggregateByKey(cluster, data, CountSumSpec(), GetParam());
+  EXPECT_EQ(CountsOf(out), ref);
+  EXPECT_EQ(cluster.metrics().groups_built.load(), ref.size());
+
+  if (GetParam() == AggregateStrategy::kSortShuffle) {
+    // Sort-based aggregation emits each node's range in key order.
+    for (const auto& partition : out) {
+      for (size_t i = 1; i < partition.size(); i++) {
+        EXPECT_LT(partition[i - 1][0].Compare(partition[i][0]), 0);
+      }
+    }
+    return;
+  }
+  // Hash routing: every node emits its keys in first-occurrence order,
+  // whether it merged partials (local combine) or folded raw rows.
+  const auto order = FirstOccurrenceOrder(data, cluster.num_nodes());
+  for (size_t n = 0; n < out.size(); n++) {
+    std::vector<std::string> emitted;
+    for (const auto& row : out[n]) emitted.push_back(row[0].ToString());
+    EXPECT_EQ(emitted, order[n]) << "node " << n;
+  }
+}
+
+TEST_P(GroupStateTest, MorselAggregatorIsBitIdenticalAtEveryMorselSize) {
+  const std::vector<Row> rows = ManyGroupRows();
+  Cluster reference_cluster(FastOptions(4));
+  const Partitioned data = reference_cluster.Parallelize(rows);
+  const Partitioned reference =
+      AggregateByKey(reference_cluster, data, CountSumSpec(), GetParam());
+  for (size_t morsel_rows : {size_t{1}, size_t{7}, size_t{4096}}) {
+    SCOPED_TRACE("morsel_rows " + std::to_string(morsel_rows));
+    Cluster cluster(FastOptions(4));
+    uint64_t bytes = 0;
+    const Partitioned out =
+        RunMorselAggregator(cluster, data, GetParam(), morsel_rows, nullptr, &bytes);
+    ExpectBitIdentical(out, reference);
+    EXPECT_EQ(bytes, PartitionedLogicalBytes(out));
+    EXPECT_EQ(cluster.metrics().rows_shuffled.load(),
+              reference_cluster.metrics().rows_shuffled.load());
+    EXPECT_EQ(cluster.metrics().bytes_shuffled.load(),
+              reference_cluster.metrics().bytes_shuffled.load());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, GroupStateTest,
+                         ::testing::Values(AggregateStrategy::kLocalCombine,
+                                           AggregateStrategy::kSortShuffle,
+                                           AggregateStrategy::kHashShuffle),
+                         [](const auto& info) {
+                           std::string name = AggregateStrategyName(info.param);
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
+
+class GroupStateSpillTest : public testsupport::TempDirTest {};
+
+TEST_F(GroupStateSpillTest, SpilledGenerationsAreBitIdenticalToResident) {
+  const std::vector<Row> rows = ManyGroupRows();
+  Cluster resident_cluster(FastOptions(4));
+  const Partitioned data = resident_cluster.Parallelize(rows);
+  const Partitioned resident = RunMorselAggregator(
+      resident_cluster, data, AggregateStrategy::kLocalCombine, 256);
+
+  // 64 KiB over 4 nodes: a node spills once its groups pass ~16 KiB, far
+  // below its ~3,000 groups, so every node spills generation after
+  // generation.
+  BufferPool pool(/*byte_budget=*/64 * 1024);
+  SpillContext spill(dir_.string(), /*page_bytes=*/4096, /*budget_bytes=*/64 * 1024,
+                     &pool);
+  Cluster cluster(FastOptions(4));
+  TraceRecorder rec;
+  Partitioned spilled;
+  {
+    TraceRecorderScope install(&rec);
+    spilled = RunMorselAggregator(cluster, data, AggregateStrategy::kLocalCombine, 256,
+                                  &spill);
+  }
+  size_t generations = 0;
+  for (const auto& span : rec.Drain()) {
+    if (std::string(span.name) == "spill_write") generations++;
+  }
+  EXPECT_GE(generations, 4 * cluster.num_nodes());
+  EXPECT_GT(spill.bytes_spilled(), 0u);
+  ExpectBitIdentical(spilled, resident);
+  EXPECT_EQ(CountsOf(spilled), ReferenceCounts(rows));
 }
 
 TEST(AggregateAccTest, DistinctAccKeepsSetSemantics) {

@@ -44,8 +44,43 @@ TEST(ExplainTest, FdPlanGolden) {
             "Select[(count(vals) > 1)]\n"
             "  Nest[by exact(c.address), vals=set(prefix(c.phone)), "
             "partition=bag(c)]\n"
-            "    Scan(customer as c)  [generation 1; partitioned scan cached "
-            "per node width]\n");
+            "    Scan(customer as c)  [generation 1; partitioned at execute]\n");
+}
+
+TEST(ExplainTest, ScanResidencyFollowsTheCache) {
+  // EXPLAIN reads the cache without touching it: before an execution
+  // nothing is cached, after one the wrapped scan is, and neither
+  // rendering counts a hit or a miss.
+  CleanDB db(FastOptions());
+  db.RegisterTable("customer", testsupport::MakeCustomers());
+  auto prepared =
+      db.Prepare("SELECT * FROM customer c FD(c.address, prefix(c.phone))");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_TRUE(prepared.value().Execute().ok());
+  const PartitionCache::Stats before = db.partition_cache().stats();
+  EXPECT_EQ(prepared.value().Explain(),
+            "PreparedQuery: 1 operation(s), unify=on\n"
+            "== FD ==\n"
+            "Select[(count(vals) > 1)]\n"
+            "  Nest[by exact(c.address), vals=set(prefix(c.phone)), "
+            "partition=bag(c)]\n"
+            "    Scan(customer as c)  [generation 1; wrapped scan cached]\n");
+  const PartitionCache::Stats after = db.partition_cache().stats();
+  EXPECT_EQ(after.scan_hits, before.scan_hits);
+  EXPECT_EQ(after.scan_misses, before.scan_misses);
+
+  // A second variable over the same table finds the base scan but not
+  // its own wrap.
+  auto dc = db.PrepareDenialConstraint(
+      "customer",
+      ParseCleanMExpr("t1.address = t2.address AND t1.nationkey <> t2.nationkey")
+          .ValueOrDie());
+  ASSERT_TRUE(dc.ok()) << dc.status().ToString();
+  EXPECT_NE(dc.value().Explain().find(
+                "Scan(customer as t1)  [generation 1; scan cached; wrapped at "
+                "execute]"),
+            std::string::npos)
+      << dc.value().Explain();
 }
 
 TEST(ExplainTest, DedupPlanGolden) {
@@ -63,8 +98,8 @@ TEST(ExplainTest, DedupPlanGolden) {
             "    Unnest[p1 <- partition]\n"
             "      Select[(count(partition) > 1)]\n"
             "        Nest[by exact(c.address), partition=bag(c)]\n"
-            "          Scan(customer as c)  [generation 1; partitioned scan "
-            "cached per node width]\n");
+            "          Scan(customer as c)  [generation 1; partitioned at "
+            "execute]\n");
 }
 
 TEST(ExplainTest, DenialConstraintPlanGolden) {
@@ -80,10 +115,8 @@ TEST(ExplainTest, DenialConstraintPlanGolden) {
             "== DC ==\n"
             "Join[((t1.address = t2.address) and (t1.nationkey != "
             "t2.nationkey))]\n"
-            "  Scan(customer as t1)  [generation 1; partitioned scan cached "
-            "per node width]\n"
-            "  Scan(customer as t2)  [generation 1; partitioned scan cached "
-            "per node width]\n");
+            "  Scan(customer as t1)  [generation 1; partitioned at execute]\n"
+            "  Scan(customer as t2)  [generation 1; partitioned at execute]\n");
 }
 
 TEST(ExplainTest, SelectPlanGolden) {
@@ -97,8 +130,7 @@ TEST(ExplainTest, SelectPlanGolden) {
             "== SELECT ==\n"
             "Reduce[list / {address: key, count: agg0}]\n"
             "  Nest[by exact(c.address), agg0=count(c.name)]\n"
-            "    Scan(customer as c)  [generation 1; partitioned scan cached "
-            "per node width]\n");
+            "    Scan(customer as c)  [generation 1; partitioned at execute]\n");
 }
 
 TEST(ExplainTest, SharedNestMarkedWhenUnified) {

@@ -328,5 +328,67 @@ TEST(SpillContextTest, SpillReadBackRoundTripsAndCleansUp) {
   EXPECT_EQ(dir.FileCount(), 0u);
 }
 
+TEST(SpillContextTest, ConcurrentSpillersReadBackTheirOwnRows) {
+  // Threads spill into one context at once: encoding runs outside the
+  // context lock, so each thread's spans must still address exactly its
+  // own rows, in order, and the byte count must be the sum of what each
+  // thread spills alone.
+  constexpr int kThreads = 6;
+  constexpr int kCallsPerThread = 20;
+  auto rows_of = [](int thread, int call) {
+    std::vector<Row> rows;
+    for (int i = 0; i < 40 + call; i++) {
+      const int tag = thread * 100000 + call * 1000 + i;
+      rows.push_back(Row{Value(int64_t{thread}), Value(int64_t{call}),
+                         Value("payload-" + std::to_string(tag))});
+    }
+    return rows;
+  };
+  TempDir dir("spill_concurrent");
+  BufferPool pool(/*byte_budget=*/4096);
+
+  uint64_t alone_bytes = 0;
+  for (int t = 0; t < kThreads; t++) {
+    SpillContext alone(dir.path().string(), /*page_bytes=*/512, /*budget_bytes=*/1024,
+                       &pool);
+    for (int c = 0; c < kCallsPerThread; c++) {
+      ASSERT_TRUE(alone.SpillRows(rows_of(t, c)).ok());
+    }
+    alone_bytes += alone.bytes_spilled();
+  }
+
+  SpillContext spill(dir.path().string(), /*page_bytes=*/512, /*budget_bytes=*/1024,
+                     &pool);
+  std::vector<std::vector<std::vector<PageSpan>>> spans(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      for (int c = 0; c < kCallsPerThread; c++) {
+        Result<std::vector<PageSpan>> written = spill.SpillRows(rows_of(t, c));
+        if (written.ok()) spans[t].push_back(written.MoveValue());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(spill.bytes_spilled(), alone_bytes);
+
+  for (int t = 0; t < kThreads; t++) {
+    ASSERT_EQ(spans[t].size(), static_cast<size_t>(kCallsPerThread)) << "thread " << t;
+    for (int c = 0; c < kCallsPerThread; c++) {
+      const std::vector<Row> expected = rows_of(t, c);
+      std::vector<Row> back;
+      ASSERT_TRUE(spill.ReadBack(spans[t][c], &back).ok());
+      ASSERT_EQ(back.size(), expected.size()) << "thread " << t << " call " << c;
+      for (size_t i = 0; i < back.size(); i++) {
+        ASSERT_EQ(back[i].size(), 3u);
+        for (size_t col = 0; col < 3; col++) {
+          EXPECT_TRUE(back[i][col].Equals(expected[i][col]))
+              << "thread " << t << " call " << c << " row " << i;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cleanm

@@ -326,10 +326,11 @@ TEST(PartitionCacheTest, LruEvictionPrefersLeastRecentlyUsed) {
   engine::Partitioned one_row{{Row{Value(int64_t{1})}}};
   const uint64_t entry_bytes = RowByteSize(one_row[0][0]);
   PartitionCache cache(entry_bytes * 2);
-  cache.PutScan("a", 1, one_row);
-  cache.PutScan("b", 1, one_row);
+  const uint64_t bytes = engine::PartitionedLogicalBytes(one_row);
+  cache.PutScan("a", 1, one_row, bytes);
+  cache.PutScan("b", 1, one_row, bytes);
   EXPECT_NE(cache.FindScan("a", 1), nullptr);  // touch a → b becomes LRU
-  cache.PutScan("c", 1, one_row);
+  cache.PutScan("c", 1, one_row, bytes);
   EXPECT_NE(cache.FindScan("a", 1), nullptr);
   EXPECT_EQ(cache.FindScan("b", 1), nullptr);
   EXPECT_NE(cache.FindScan("c", 1), nullptr);
@@ -340,8 +341,9 @@ TEST(PartitionCacheTest, LruEvictionPrefersLeastRecentlyUsed) {
 TEST(PartitionCacheTest, GenerationAndInvalidationKeepStaleEntriesUnreachable) {
   engine::Partitioned data{{Row{Value(int64_t{1})}}};
   PartitionCache cache;
-  cache.PutScan("t", 1, data);
-  cache.PutWrap("t", "c", 1, data);
+  const uint64_t bytes = engine::PartitionedLogicalBytes(data);
+  cache.PutScan("t", 1, data, bytes);
+  cache.PutWrap("t", "c", 1, data, bytes);
   // A different generation never matches.
   EXPECT_EQ(cache.FindScan("t", 2), nullptr);
   EXPECT_NE(cache.FindScan("t", 1), nullptr);
@@ -385,9 +387,10 @@ TEST(PartitionCacheTest, ConcurrentReadersSurviveInvalidationAndEviction) {
       const int t = round % kTables;
       const uint64_t generation = latest[t].load() + 1;
       engine::Partitioned data{{Row{value_for(t, generation)}}};
+      const uint64_t bytes = engine::PartitionedLogicalBytes(data);
       // Same order as CleanDB::RegisterTable: publish the new generation,
       // then drop entries of older ones.
-      auto pin = cache.PutScan(table_name(t), generation, std::move(data));
+      auto pin = cache.PutScan(table_name(t), generation, std::move(data), bytes);
       ASSERT_NE(pin, nullptr);
       latest[t].store(generation);
       if (round % 3 == 0) cache.InvalidateTable(table_name(t));
@@ -425,7 +428,7 @@ TEST(PartitionCacheTest, ConcurrentReadersSurviveInvalidationAndEviction) {
   // Sanity: a fresh Put is still served afterwards.
   const int t0 = 0;
   const uint64_t g = latest[t0].load() + 1;
-  cache.PutScan(table_name(t0), g, {{Row{value_for(t0, g)}}});
+  cache.PutScan(table_name(t0), g, {{Row{value_for(t0, g)}}}, entry_bytes);
   EXPECT_NE(cache.FindScan(table_name(t0), g), nullptr);
 }
 

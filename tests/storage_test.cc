@@ -1,10 +1,13 @@
 // Unit tests for the storage layer: Value semantics, Schema/Dataset,
-// and all four on-disk formats round-tripping.
+// and all four on-disk formats round-tripping; also Result's value
+// accessors.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <type_traits>
+#include <vector>
 
 #include "storage/colpack.h"
 #include "storage/csv.h"
@@ -18,6 +21,30 @@ namespace cleanm {
 namespace {
 
 using testsupport::MakeFlatDataset;
+
+// ---- Result ----
+
+struct Batch {
+  std::vector<int> items;
+};
+
+Result<Batch> MakeBatch() { return Batch{{1, 2, 3}}; }
+
+TEST(ResultTest, ValueOrDieOnTemporaryReturnsTheValue) {
+  // On a temporary, ValueOrDie hands the value out by value, so nothing
+  // can keep a reference into the Result after it is destroyed.
+  static_assert(std::is_same_v<decltype(MakeBatch().ValueOrDie()), Batch>);
+  Result<Batch> named = MakeBatch();
+  static_assert(std::is_same_v<decltype(named.ValueOrDie()), Batch&>);
+
+  // The range-for binds the temporary's member, so the moved-out value
+  // lives for the whole loop (an asan build sees a dangling read here if
+  // ValueOrDie returns a reference into the destroyed Result).
+  std::vector<int> seen;
+  for (int item : MakeBatch().ValueOrDie().items) seen.push_back(item);
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(named.ValueOrDie().items.size(), 3u);
+}
 
 TEST(ValueTest, TypesAndAccessors) {
   EXPECT_EQ(Value::Null().type(), ValueType::kNull);

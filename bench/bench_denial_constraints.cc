@@ -120,8 +120,7 @@ int main(int argc, char** argv) {
       db.RegisterTable("lineitem", data);
       (void)db.CheckFd("lineitem", "l", RulePhi()).ValueOrDie();
       // Re-run with load report via a direct executor for the imbalance.
-      const Dataset* t = db.GetTable("lineitem").ValueOrDie();
-      Catalog catalog{{{"lineitem", t}}};
+      std::shared_ptr<const Dataset> t = db.GetTableShared("lineitem").ValueOrDie();
       engine::ClusterOptions copts;
       copts.num_nodes = 8;
       copts.shuffle_ns_per_byte = 0;

@@ -131,7 +131,7 @@ void RegisterFunctions(CleanDB& db) {
 }
 
 void PrintTable(const CleanDB& db, const char* name) {
-  const Dataset* t = db.GetTable(name).ValueOrDie();
+  std::shared_ptr<const Dataset> t = db.GetTableShared(name).ValueOrDie();
   for (const auto& row : t->rows()) {
     std::printf("  %-8s %-20s %s\n", row[0].AsString().c_str(),
                 row[1].AsString().c_str(), row[2].ToString().c_str());

@@ -1,7 +1,5 @@
 #include "algebra/algebra.h"
 
-#include <sstream>
-
 namespace cleanm {
 
 const char* AlgKindName(AlgKind kind) {
@@ -34,62 +32,61 @@ const char* AlgoName(FilteringAlgo algo) {
   return "?";
 }
 
-void Print(const AlgOpPtr& op, int indent, std::ostringstream& os) {
-  for (int i = 0; i < indent; i++) os << "  ";
-  if (!op) {
-    os << "<null>\n";
-    return;
-  }
-  os << AlgKindName(op->kind);
-  switch (op->kind) {
-    case AlgKind::kScan:
-      os << '(' << op->table << " as " << op->var << ")\n";
-      return;
-    case AlgKind::kSelect:
-      os << '[' << op->pred->ToString() << "]\n";
-      break;
-    case AlgKind::kJoin:
-    case AlgKind::kOuterJoin:
-      os << '[';
-      if (op->left_key) {
-        os << op->left_key->ToString() << " = " << op->right_key->ToString();
-        if (op->pred) os << " && " << op->pred->ToString();
-      } else if (op->pred) {
-        os << op->pred->ToString();
-      } else {
-        os << "true";
-      }
-      os << "]\n";
-      break;
-    case AlgKind::kUnnest:
-    case AlgKind::kOuterUnnest:
-      os << '[' << op->path_var << " <- " << op->path->ToString() << "]\n";
-      break;
-    case AlgKind::kReduce:
-      os << '[' << op->monoid << " / " << op->head->ToString() << "]\n";
-      break;
-    case AlgKind::kNest: {
-      os << "[by " << AlgoName(op->group.algo) << '(' << op->group.term->ToString()
-         << ')';
-      for (const auto& agg : op->aggs) {
-        os << ", " << agg.name << "=" << agg.monoid << '(' << agg.expr->ToString()
-           << ')';
-      }
-      if (op->having) os << ", having " << op->having->ToString();
-      os << "]\n";
-      break;
-    }
-  }
-  if (op->input) Print(op->input, indent + 1, os);
-  if (op->right) Print(op->right, indent + 1, os);
+void Print(const AlgOp& op, int indent, std::string* out) {
+  out->append(static_cast<size_t>(indent) * 2, ' ');
+  *out += AlgHeadline(op);
+  *out += '\n';
+  if (op.input) Print(*op.input, indent + 1, out);
+  if (op.right) Print(*op.right, indent + 1, out);
 }
 }  // namespace
 
+std::string AlgHeadline(const AlgOp& op) {
+  std::string out = AlgKindName(op.kind);
+  switch (op.kind) {
+    case AlgKind::kScan:
+      out += '(' + op.table + " as " + op.var + ')';
+      break;
+    case AlgKind::kSelect:
+      out += '[' + op.pred->ToString() + ']';
+      break;
+    case AlgKind::kJoin:
+    case AlgKind::kOuterJoin:
+      out += '[';
+      if (op.left_key) {
+        out += op.left_key->ToString() + " = " + op.right_key->ToString();
+        if (op.pred) out += " && " + op.pred->ToString();
+      } else if (op.pred) {
+        out += op.pred->ToString();
+      } else {
+        out += "true";
+      }
+      out += ']';
+      break;
+    case AlgKind::kUnnest:
+    case AlgKind::kOuterUnnest:
+      out += '[' + op.path_var + " <- " + op.path->ToString() + ']';
+      break;
+    case AlgKind::kReduce:
+      out += '[' + op.monoid + " / " + op.head->ToString() + ']';
+      break;
+    case AlgKind::kNest:
+      out += std::string("[by ") + AlgoName(op.group.algo) + '(' +
+             op.group.term->ToString() + ')';
+      for (const auto& agg : op.aggs) {
+        out += ", " + agg.name + "=" + agg.monoid + '(' + agg.expr->ToString() + ')';
+      }
+      if (op.having) out += ", having " + op.having->ToString();
+      out += ']';
+      break;
+  }
+  return out;
+}
+
 std::string AlgOp::ToString() const {
-  std::ostringstream os;
-  AlgOpPtr self(const_cast<AlgOp*>(this), [](AlgOp*) {});
-  Print(self, 0, os);
-  return os.str();
+  std::string out;
+  Print(*this, 0, &out);
+  return out;
 }
 
 AlgOpPtr Scan(std::string table, std::string var) {

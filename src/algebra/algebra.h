@@ -104,8 +104,13 @@ struct AlgOp {
   ExprPtr having;               ///< over {key, <agg names>}; may be null
   std::string key_name = "key";
 
+  /// The operator tree, one AlgHeadline per line, children indented.
   std::string ToString() const;
 };
+
+/// One operator's line of AlgOp::ToString() (and of EXPLAIN), without its
+/// children: the kind plus its table, predicate, path, monoid or grouping.
+std::string AlgHeadline(const AlgOp& op);
 
 AlgOpPtr Scan(std::string table, std::string var);
 AlgOpPtr SelectOp(AlgOpPtr input, ExprPtr pred);

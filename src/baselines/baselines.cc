@@ -44,12 +44,11 @@ Result<OpResult> SparkSqlSim::CheckDenialConstraint(const std::string& table,
   // Spark SQL evaluates the inequality join as a cartesian product; above
   // the comparison budget the job would not terminate in useful time, which
   // the benchmark reports instead of hanging.
-  CLEANM_ASSIGN_OR_RETURN(const Dataset* t, db_.GetTable(table));
+  CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> t, db_.GetTableShared(table));
   uint64_t left_rows = t->num_rows();
   if (prefilter) {
     // Conservative estimate: count the prefiltered side exactly.
-    Catalog catalog;
-    catalog.tables[table] = t;
+    Catalog catalog{{{table, t.get()}}};
     auto filtered = EvalPlanTuples(SelectOp(Scan(table, "t1"), prefilter), catalog);
     if (filtered.ok()) left_rows = filtered.value().size();
   }

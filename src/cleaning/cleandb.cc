@@ -76,19 +76,18 @@ std::shared_ptr<const Dataset> CleanDB::Lease(
 
 void CleanDB::RegisterTable(const std::string& name, Dataset dataset) {
   auto version = std::make_shared<TableVersion>(std::move(dataset));
+  // A registration starts a new epoch: the registered dataset is the base
+  // future incremental bootstraps fold from (mutations never rewrite it in
+  // place), and the previous epoch's deltas are dropped (snapshot holders
+  // keep theirs alive through their leases).
+  auto epoch = std::make_shared<TableEpoch>();
+  epoch->base = std::shared_ptr<const Dataset>(version, &version->data);
   {
     std::unique_lock<std::shared_mutex> lock(table_mu_);
-    tables_[name] = version;
-    generations_[name]++;
-    // A registration opens a new major epoch: the registered dataset is the
-    // base future incremental bootstraps fold from (mutations never rewrite
-    // it in place), the minor counter restarts, and the previous epoch's
-    // delta log is dropped (snapshot holders keep theirs alive through
-    // their leases).
-    base_tables_[name] = std::shared_ptr<const Dataset>(version, &version->data);
-    majors_[name]++;
-    minors_[name] = 0;
-    delta_logs_.erase(name);
+    TableEntry& entry = tables_[name];
+    epoch->start = ++entry.generation;
+    entry.current = std::move(version);
+    entry.epoch = std::move(epoch);
   }
   // Invalidation happens after the lock drops (cache has its own mutex).
   // In the window between, the bumped generation is already visible and
@@ -100,82 +99,65 @@ void CleanDB::RegisterTable(const std::string& name, Dataset dataset) {
 
 void CleanDB::UnregisterTable(const std::string& name) {
   {
-    // One exclusive critical section drops the table, its base, its delta
-    // log, and its minor counter together (and closes the major epoch), so
-    // a mutation racing the drop either completed before it or observes
-    // the table as gone — never a log without its table.
     std::unique_lock<std::shared_mutex> lock(table_mu_);
-    if (tables_.erase(name) == 0) return;
-    base_tables_.erase(name);
-    delta_logs_.erase(name);
-    minors_.erase(name);
-    majors_[name]++;
-    generations_[name]++;
+    auto it = tables_.find(name);
+    if (it == tables_.end() || !it->second.current) return;
+    it->second.current.reset();
+    it->second.epoch.reset();
+    it->second.generation++;
   }
   cache_.InvalidateTable(name);
 }
 
 uint64_t CleanDB::TableGeneration(const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(table_mu_);
-  auto it = generations_.find(name);
-  return it == generations_.end() ? 0 : it->second;
-}
-
-uint64_t CleanDB::TableMajor(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(table_mu_);
-  auto it = majors_.find(name);
-  return it == majors_.end() ? 0 : it->second;
+  auto it = tables_.find(name);
+  return it == tables_.end() ? 0 : it->second.generation;
 }
 
 uint64_t CleanDB::TableMinor(const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(table_mu_);
-  auto it = minors_.find(name);
-  return it == minors_.end() ? 0 : it->second;
+  auto it = tables_.find(name);
+  if (it == tables_.end() || !it->second.epoch) return 0;
+  return it->second.generation - it->second.epoch->start;
 }
 
 Result<CleanDB::MutationResult> CleanDB::MutateTable(const std::string& table,
                                                      const MutationFn& fn) {
   std::unique_lock<std::shared_mutex> lock(table_mu_);
   auto it = tables_.find(table);
-  if (it == tables_.end()) {
+  if (it == tables_.end() || !it->second.current) {
     return Status::KeyError("unknown table '" + table + "'");
   }
+  TableEntry& entry = it->second;
   // Copy-on-write: rewrite the current version in place only when nobody
   // can observe it — no live lease (the acquire load pairs with the
-  // leases' release decrements) and not the registered base, which the
+  // leases' release decrements) and not the epoch's base, which the
   // incremental validator bootstraps from. Otherwise work on a copy.
-  std::shared_ptr<TableVersion> target = it->second;
+  std::shared_ptr<TableVersion> target = entry.current;
   if (target->leases.load(std::memory_order_acquire) != 0 ||
-      &target->data == base_tables_[table].get()) {
+      &target->data == entry.epoch->base.get()) {
     target = std::make_shared<TableVersion>(target->data);
   }
   auto delta = std::make_shared<TableDelta>();
   CLEANM_RETURN_NOT_OK(fn(&target->data, delta.get()));
 
   MutationResult result;
-  result.major = majors_[table];
-  if (delta->added.empty() && delta->removed.empty()) {
-    // No-op mutation: publish nothing, bump nothing — the cache stays
-    // reachable and a repair fixpoint that converged does not spuriously
-    // advance the version.
-    result.generation = generations_[table];
-    result.minor = minors_[table];
-    return result;
+  if (!delta->added.empty() || !delta->removed.empty()) {
+    result.rows_affected = std::max(delta->added.size(), delta->removed.size());
+    // Copy-then-append keeps published epochs immutable: snapshots taken
+    // before this mutation keep reading the old epoch object.
+    auto epoch = std::make_shared<TableEpoch>(*entry.epoch);
+    epoch->deltas.push_back(std::move(delta));
+    entry.epoch = std::move(epoch);
+    entry.current = std::move(target);
+    entry.generation++;
   }
-  result.rows_affected = std::max(delta->added.size(), delta->removed.size());
-  result.generation = ++generations_[table];
-  result.minor = ++minors_[table];
-  delta->generation = result.generation;
-  delta->minor = result.minor;
-  // Copy-then-append keeps published logs immutable: snapshots taken before
-  // this mutation keep reading the old log object.
-  auto log = std::make_shared<DeltaLog>();
-  if (auto lit = delta_logs_.find(table); lit != delta_logs_.end()) {
-    *log = *lit->second;
-  }
-  log->Append(std::move(delta));
-  delta_logs_[table] = std::move(log);
-  it->second = std::move(target);
+  // A no-op mutation publishes nothing and bumps nothing — the cache stays
+  // reachable and a repair fixpoint that converged does not spuriously
+  // advance the version.
+  result.generation = entry.generation;
+  result.minor = entry.generation - entry.epoch->start;
   return result;
 }
 
@@ -283,42 +265,27 @@ Result<CleanDB::MutationResult> CleanDB::DeleteRows(const std::string& table,
   });
 }
 
-Result<const Dataset*> CleanDB::GetTable(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(table_mu_);
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::KeyError("unknown table '" + name + "'");
-  return &it->second->data;
-}
-
 Result<std::shared_ptr<const Dataset>> CleanDB::GetTableShared(
     const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(table_mu_);
   auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::KeyError("unknown table '" + name + "'");
-  return Lease(it->second);
+  if (it == tables_.end() || !it->second.current) {
+    return Status::KeyError("unknown table '" + name + "'");
+  }
+  return Lease(it->second.current);
 }
 
 CleanDB::TableSnapshot CleanDB::SnapshotTables() const {
   TableSnapshot snapshot;
   std::shared_lock<std::shared_mutex> lock(table_mu_);
   snapshot.leases.reserve(tables_.size());
-  for (const auto& [name, version] : tables_) {
-    snapshot.catalog.tables[name] = &version->data;
-    snapshot.leases.push_back(Lease(version));
+  for (const auto& [name, entry] : tables_) {
+    if (!entry.current) continue;
+    snapshot.catalog.tables.emplace_hint(
+        snapshot.catalog.tables.end(), name,
+        CatalogTable{&entry.current->data, entry.generation, entry.epoch.get()});
+    snapshot.leases.emplace_back(Lease(entry.current), entry.epoch);
   }
-  snapshot.base_leases.reserve(base_tables_.size());
-  for (const auto& [name, base] : base_tables_) {
-    snapshot.catalog.bases[name] = base.get();
-    snapshot.base_leases.push_back(base);
-  }
-  snapshot.delta_leases.reserve(delta_logs_.size());
-  for (const auto& [name, log] : delta_logs_) {
-    snapshot.catalog.deltas[name] = log.get();
-    snapshot.delta_leases.push_back(log);
-  }
-  snapshot.catalog.generations = generations_;
-  snapshot.catalog.majors = majors_;
-  snapshot.catalog.minors = minors_;
   snapshot.catalog.functions = &functions_;
   return snapshot;
 }
@@ -371,18 +338,12 @@ std::vector<std::string> CleanDB::SampleCenters(const std::string& table,
   return ReservoirSample(values, k, options_.filtering.seed);
 }
 
-Result<OpResult> CleanDB::RunProgrammaticOp(CleaningPlan cp) {
+Result<OpResult> CleanDB::RunProgrammaticOp(PreparedQuery pq) {
   // A programmatic op is exactly a one-operation prepared query executed
-  // once: wrap the plan in a transient PreparedQuery and run it through the
-  // shared ExecutePrepared path (snapshot, admission, metrics scope,
-  // out-of-core wiring, sink emission — one code path, not two).
-  // Cache persistence is off because the plan's nodes are never seen
+  // once, through the shared ExecutePrepared path (snapshot, admission,
+  // metrics scope, out-of-core wiring, sink emission — one code path, not
+  // two). Cache persistence is off because the plan's nodes are never seen
   // again, and with it the delta path.
-  PreparedQuery pq;
-  pq.db_ = this;
-  pq.status_ = Status::OK();
-  pq.unified_roots_ = {cp.plan};
-  pq.plans_.push_back(std::move(cp));
   pq.persist_cache_ = false;
   QueryResultSink sink;
   CLEANM_RETURN_NOT_OK(ExecutePrepared(pq, ExecOptions{}, sink, &sink.result()));
@@ -407,24 +368,15 @@ Result<QueryResult> CleanDB::ExecuteQuery(const CleanMQuery& query) {
 Result<OpResult> CleanDB::CheckFd(const std::string& table, const std::string& var,
                                   const FdClause& fd) {
   CLEANM_ASSIGN_OR_RETURN(CleaningPlan cp, BuildFdPlan(table, var, fd));
-  return RunProgrammaticOp(std::move(cp));
+  return RunProgrammaticOp(SingleOpQuery(std::move(cp)));
 }
 
 Result<OpResult> CleanDB::CheckDenialConstraint(const std::string& table, ExprPtr pred,
                                                 ExprPtr prefilter) {
-  // Thin wrapper over the prepared lifecycle: the DC plan is built by
-  // PrepareDenialConstraint and executed once, with cache persistence off
-  // like every other one-shot.
   CLEANM_ASSIGN_OR_RETURN(
       PreparedQuery pq,
       PrepareDenialConstraint(table, std::move(pred), std::move(prefilter)));
-  pq.persist_cache_ = false;
-  QueryResultSink sink;
-  CLEANM_RETURN_NOT_OK(ExecutePrepared(pq, ExecOptions{}, sink, &sink.result()));
-  if (sink.result().ops.empty()) {
-    return Status::Internal("denial constraint produced no operation result");
-  }
-  return std::move(sink.result().ops.front());
+  return RunProgrammaticOp(std::move(pq));
 }
 
 Result<OpResult> CleanDB::Deduplicate(const std::string& table, const std::string& var,
@@ -438,7 +390,7 @@ Result<OpResult> CleanDB::Deduplicate(const std::string& table, const std::strin
   }
   CLEANM_ASSIGN_OR_RETURN(
       CleaningPlan cp, BuildDedupPlan(table, var, dedup, fopts, std::move(centers)));
-  return RunProgrammaticOp(std::move(cp));
+  return RunProgrammaticOp(SingleOpQuery(std::move(cp)));
 }
 
 Result<OpResult> CleanDB::ValidateTerms(const std::string& data_table,
@@ -465,7 +417,7 @@ Result<OpResult> CleanDB::ValidateTerms(const std::string& data_table,
   CLEANM_ASSIGN_OR_RETURN(CleaningPlan cp,
                           BuildTermValidationPlan(data_table, data_var, dict_table, "d",
                                                   dict_attr, cb, fopts, std::move(centers)));
-  return RunProgrammaticOp(std::move(cp));
+  return RunProgrammaticOp(SingleOpQuery(std::move(cp)));
 }
 
 Result<Dataset> CleanDB::Transform(const std::string& table, const TransformSpec& spec,

@@ -144,13 +144,10 @@ class CleanDB {
   /// so no execution that starts afterwards can be served stale data.
   /// Thread-safe; executions already in flight keep their snapshot.
   void RegisterTable(const std::string& name, Dataset dataset);
-  /// Drops a table (and its cached partitionings). No-op when absent.
+  /// Drops a table (and its cached partitionings), but not its generation
+  /// counter: a later registration never reuses a generation. No-op when
+  /// absent.
   void UnregisterTable(const std::string& name);
-  /// Borrowed pointer into the current version of `name`. Valid only until
-  /// the next mutation (AppendRows / UpdateRows / UpdateRowsWith /
-  /// DeleteRows) or registration of `name`: a mutation may rewrite the rows
-  /// it points at in place. Callers that may race either use GetTableShared.
-  Result<const Dataset*> GetTable(const std::string& name) const;
   /// Counted lease on the current version: a stable view that keeps
   /// reading the same rows for the lease's lifetime, whatever is mutated or
   /// re-registered meanwhile (a mutation copies a leased version instead of
@@ -162,36 +159,30 @@ class CleanDB {
   /// / UnregisterTable *and* every effective mutation (AppendRows /
   /// UpdateRows / DeleteRows); 0 = never registered.
   uint64_t TableGeneration(const std::string& name) const;
-  /// Major registration epoch of `name`: bumped only by RegisterTable /
-  /// UnregisterTable (the events that invalidate cached partitionings);
-  /// 0 = never registered.
-  uint64_t TableMajor(const std::string& name) const;
-  /// Mutations applied to `name` since its last registration (reset to 0 by
-  /// RegisterTable).
+  /// Mutations applied to `name` since its last registration: its
+  /// generation minus the generation that registration produced (0 right
+  /// after RegisterTable, and for an unregistered name).
   uint64_t TableMinor(const std::string& name) const;
 
   // ---- Table mutation (minor generations) ----
   //
-  // Mutations change the effective dataset, append a delta-log entry, and
-  // bump the table's generation and *minor* counter — but, unlike
-  // RegisterTable, they do NOT invalidate cached partitionings: entries of
-  // older versions simply become unreachable (the LRU reclaims them), and
-  // pinned readers are untouched. A re-execution whose snapshot differs
-  // from the cached state only by minor generations is then served by the
-  // incremental delta path (see DESIGN.md, "Incremental validation & the
-  // delta log").
+  // Mutations change the effective dataset, append a delta to the table's
+  // epoch, and bump the table's generation — but, unlike RegisterTable,
+  // they do NOT invalidate cached partitionings: entries of older versions
+  // simply become unreachable (the LRU reclaims them), and pinned readers
+  // are untouched. A re-execution whose snapshot differs from the cached
+  // state only by minor generations is then served by the incremental
+  // delta path (see DESIGN.md, "Incremental validation & the delta log").
   //
   // Table versions are copy-on-write. A mutation rewrites the current
   // version in place when no lease (GetTableShared result or execution
-  // snapshot) is alive on it and it is not the registered base; otherwise
-  // it copies the version first and publishes the copy, so every lease
-  // keeps its view. GetTable()'s borrowed pointer is therefore valid only
-  // until the next mutation or registration. All four are thread-safe and
-  // atomic (exclusive table lock). User matchers and editors run before
-  // the first write, so one that throws (or an editor that changes the row
-  // width) leaves the table untouched; a mutation that changes nothing (no
-  // matches, sets equal to the current values) publishes nothing and bumps
-  // nothing.
+  // snapshot) is alive on it and it is not the epoch's base; otherwise it
+  // copies the version first and publishes the copy, so every lease keeps
+  // its view. All four are thread-safe and atomic (exclusive table lock).
+  // User matchers and editors run before the first write, so one that
+  // throws (or an editor that changes the row width) leaves the table
+  // untouched; a mutation that changes nothing (no matches, sets equal to
+  // the current values) publishes nothing and bumps nothing.
 
   /// Row predicate for UpdateRows/DeleteRows.
   using RowMatcher = std::function<bool(const Schema&, const Row&)>;
@@ -199,11 +190,11 @@ class CleanDB {
   /// `*row`, false to leave the row untouched.
   using RowEditor = std::function<bool(const Schema&, Row*)>;
 
-  /// What a mutation did: the table's resulting (generation, major, minor)
-  /// and how many rows it touched (0 = no-op, nothing was published).
+  /// What a mutation did: the table's resulting generation and minor (see
+  /// TableMinor) and how many rows it touched (0 = no-op, nothing was
+  /// published).
   struct MutationResult {
     uint64_t generation = 0;
-    uint64_t major = 0;
     uint64_t minor = 0;
     size_t rows_affected = 0;
   };
@@ -329,29 +320,29 @@ class CleanDB {
   friend class PreparedQuery;
 
   /// A point-in-time view of the table registrations. `catalog` holds raw
-  /// Dataset pointers (the form the executor binds); `leases` are counted
-  /// leases on those versions, so a concurrent re-registration can never
-  /// free, and a concurrent mutation never rewrites, data an in-flight
-  /// execution still reads — the snapshot-visibility rule: a new generation
-  /// is seen only by executions that snapshot after it.
+  /// pointers (the form the executor binds); `leases` hold, per table, a
+  /// counted lease on the bound version and the bound epoch, so a
+  /// concurrent re-registration can never free, and a concurrent mutation
+  /// never rewrites, data an in-flight execution still reads — the
+  /// snapshot-visibility rule: a new generation is seen only by executions
+  /// that snapshot after it.
   struct TableSnapshot {
     Catalog catalog;
-    std::vector<std::shared_ptr<const Dataset>> leases;
-    /// Leases on the base (as-registered) datasets bound in catalog.bases
-    /// and on the mutation delta logs bound in catalog.deltas — same
-    /// survival rule as `leases`.
-    std::vector<std::shared_ptr<const Dataset>> base_leases;
-    std::vector<std::shared_ptr<const DeltaLog>> delta_leases;
+    std::vector<std::pair<std::shared_ptr<const Dataset>,
+                          std::shared_ptr<const TableEpoch>>>
+        leases;
   };
   TableSnapshot SnapshotTables() const;
 
-  /// Shared execution wrapper of the programmatic ops: wraps `cp` in a
-  /// transient single-operation PreparedQuery and runs it through
-  /// ExecutePrepared — the same code path (snapshot, admission, metrics
-  /// scope, sink emission) as Prepare→Execute, with cache
-  /// persistence off so the throwaway plan's Nest outputs never pollute
-  /// the session cache.
-  Result<OpResult> RunProgrammaticOp(CleaningPlan cp);
+  /// A single-operation PreparedQuery over `cp` (no text, no coalescing).
+  /// Defined in prepared_query.cc.
+  PreparedQuery SingleOpQuery(CleaningPlan cp);
+  /// Shared execution tail of the programmatic ops: runs the transient
+  /// `pq` once through ExecutePrepared — the same code path (snapshot,
+  /// admission, metrics scope, sink emission) as Prepare→Execute, with
+  /// cache persistence off so the throwaway plan's Nest outputs never
+  /// pollute the session cache — and returns its one operation result.
+  Result<OpResult> RunProgrammaticOp(PreparedQuery pq);
   /// Shared Prepare body; `query_text` (when available) positions the
   /// kKeyError of an unknown function / arity mismatch at the recorded
   /// call offset. Defined in prepared_query.cc.
@@ -395,40 +386,40 @@ class CleanDB {
   /// fails. Runs under the exclusive table lock.
   using MutationFn = std::function<Status(Dataset* table, TableDelta* delta)>;
   /// Shared mutation body: applies `fn` to the current version of `table` —
-  /// in place when no lease is alive on it and it is not the registered
-  /// base, else to a copy — and, iff the delta is non-empty, publishes the
-  /// result, bumps generation + minor, and appends to the table's delta
-  /// log, all in one exclusive table_mu_ critical section. Never
+  /// in place when no lease is alive on it and it is not the epoch's base,
+  /// else to a copy — and, iff the delta is non-empty, publishes the
+  /// result, bumps the generation, and appends the delta to the table's
+  /// epoch, all in one exclusive table_mu_ critical section. Never
   /// invalidates the cache.
   Result<MutationResult> MutateTable(const std::string& table,
                                      const MutationFn& fn);
 
-  /// Guards tables_, generations_, and the mutation state (base_tables_,
-  /// majors_, minors_, delta_logs_) — shared: lookups/snapshots; exclusive:
-  /// registrations and mutations. Lock order: commit_mu_ → table_mu_ → the
-  /// cache's internal mutex; never held while executing.
-  /// UnregisterTable drops the table, its counters, and its delta log in
-  /// one exclusive critical section, so a concurrent mutation either
-  /// completes before the drop or fails with kKeyError — a log can never
-  /// survive its table.
+  /// One registered name. The entry outlives UnregisterTable, which drops
+  /// the version and the epoch but keeps the generation, so a later
+  /// registration never reuses a generation.
+  struct TableEntry {
+    /// Current version, shared-owned so leases survive re-registration;
+    /// null while unregistered.
+    std::shared_ptr<TableVersion> current;
+    /// Immutable: a registration starts a new one, and a mutation publishes
+    /// a copy with its delta appended, so snapshot holders keep reading a
+    /// frozen epoch. Its base aliases the registered version, which
+    /// mutations never rewrite in place (the first mutation after a
+    /// registration copies). Null while unregistered.
+    std::shared_ptr<const TableEpoch> epoch;
+    /// Version counter backing the cache's staleness keys; bumped by
+    /// registrations and mutations alike. While registered it equals
+    /// epoch->start + epoch->deltas.size().
+    uint64_t generation = 0;
+  };
+
+  /// Guards tables_ — shared: lookups/snapshots; exclusive: registrations
+  /// and mutations. Lock order: commit_mu_ → table_mu_ → the cache's
+  /// internal mutex; never held while executing. A mutation racing an
+  /// UnregisterTable either completes before it or fails with kKeyError,
+  /// since both rewrite the one entry under the exclusive lock.
   mutable std::shared_mutex table_mu_;
-  /// Current versions, shared-owned so leases survive re-registration.
-  std::map<std::string, std::shared_ptr<TableVersion>> tables_;
-  /// Per-table version counters backing the cache's staleness keys; bumped
-  /// by registrations and mutations alike.
-  std::map<std::string, uint64_t> generations_;
-  /// The dataset as last *registered*: the incremental validator's
-  /// bootstrap input. It aliases the registered version, which mutations
-  /// never rewrite in place (the first mutation after a registration
-  /// copies), so it stays immutable.
-  std::map<std::string, std::shared_ptr<const Dataset>> base_tables_;
-  /// Major registration epochs (bumped by Register/UnregisterTable only).
-  std::map<std::string, uint64_t> majors_;
-  /// Mutations since the last registration (reset by RegisterTable).
-  std::map<std::string, uint64_t> minors_;
-  /// Immutable delta-log snapshots; a mutation publishes a copied+extended
-  /// log so snapshot holders keep reading a frozen one.
-  std::map<std::string, std::shared_ptr<const DeltaLog>> delta_logs_;
+  std::map<std::string, TableEntry> tables_;
 
   /// Read-modify-write commit serialization (see LockCommits). Ordered
   /// before table_mu_.

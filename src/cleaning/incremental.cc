@@ -34,13 +34,15 @@ struct Touch {
 struct NestWork {
   AlgOpPtr nest;
   std::string table;
+  /// The snapshot's binding of `table`.
+  const CatalogTable* source = nullptr;
   std::string var;
   Executor::CompiledNest compiled;
   IncrementalNestState* state = nullptr;
   std::unordered_map<Value, Touch, ValueHash, ValueEq> touched;
 };
 
-/// One table's delta-log window, netted (DeltaLog::Collect).
+/// One table's delta window, netted (TableEpoch::Collect).
 struct DeltaWindow {
   std::vector<Row> added;
   std::vector<Row> removed;
@@ -131,14 +133,15 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
   }
 
   // The delta path only applies when the snapshot is ahead of the base by
-  // mutations: every scanned table must be registered, mutated within the
-  // current major epoch (minor > 0), and carry a delta log. Otherwise the
-  // cold engine path is the right one (and keeps its cache-metrics
-  // contract: plain re-executions never enter here).
-  for (const auto& [key, w] : nwork) {
+  // mutations: every scanned table must be registered with an epoch, and
+  // its generation must be past the epoch's start. Otherwise the cold
+  // engine path is the right one (and keeps its cache-metrics contract:
+  // plain re-executions never enter here).
+  for (auto& [key, w] : nwork) {
     (void)key;
-    if (catalog.GenerationOf(w.table) == 0 || catalog.MinorOf(w.table) == 0 ||
-        catalog.FindDelta(w.table) == nullptr) {
+    w.source = catalog.Lookup(w.table);
+    if (w.source == nullptr || w.source->epoch == nullptr ||
+        w.source->generation == w.source->epoch->start) {
       return IncrementalRun::kIneligible;
     }
   }
@@ -148,13 +151,11 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
 
   // Phase 1: bind / bootstrap / validate per-Nest state.
   for (auto& [key, w] : nwork) {
-    const uint64_t gen = catalog.GenerationOf(w.table);
-    const uint64_t minor = catalog.MinorOf(w.table);
-    const uint64_t major = catalog.MajorOf(w.table);
+    const TableEpoch& epoch = *w.source->epoch;
     auto it = state.nests.find(key);
     if (it != state.nests.end() &&
-        (it->second.major != major || it->second.table != w.table ||
-         it->second.version > gen)) {
+        (it->second.epoch_start != epoch.start || it->second.table != w.table ||
+         it->second.version > w.source->generation)) {
       // Stale epoch (re-registration) or a state already ahead of this
       // snapshot (a concurrent execution with a newer snapshot advanced
       // it): drop it and let the engine serve this snapshot.
@@ -162,15 +163,14 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
       it = state.nests.end();
     }
     if (it == state.nests.end()) {
-      // Bootstrap: fold the base (as-registered) dataset into fresh group
-      // state at the epoch's start version, gen − minor. In-place unit
-      // merging is safe here — no outputs reference these accumulators yet.
-      const Dataset* base = catalog.FindBase(w.table);
-      if (base == nullptr) return IncrementalRun::kIneligible;
+      // Bootstrap: fold the epoch's base (the dataset as registered) into
+      // fresh group state at the epoch's start. In-place unit merging is
+      // safe here — no outputs reference these accumulators yet.
+      const Dataset* base = epoch.base.get();
       IncrementalNestState ns;
       ns.table = w.table;
-      ns.major = major;
-      ns.version = gen - minor;
+      ns.epoch_start = epoch.start;
+      ns.version = epoch.start;
       for (const auto& row : base->rows()) {
         CLEANM_ASSIGN_OR_RETURN(Row pair, ExpandOne(w, base->schema(), row));
         auto [git, fresh_key] = ns.groups.try_emplace(pair[0]);
@@ -212,20 +212,18 @@ Result<IncrementalRun> RunIncrementalValidation(IncrementalState& state,
   std::map<std::pair<std::string, uint64_t>, DeltaWindow> windows;
   for (auto& [key, w] : nwork) {
     IncrementalNestState& ns = *w.state;
-    const uint64_t gen = catalog.GenerationOf(w.table);
+    const uint64_t gen = w.source->generation;
     if (ns.version == gen) continue;
     auto [wit, unseen] = windows.try_emplace({w.table, ns.version});
     std::vector<Row>& added = wit->second.added;
     std::vector<Row>& removed = wit->second.removed;
-    if (unseen && !catalog.FindDelta(w.table)->Collect(ns.version, gen, &added, &removed)) {
-      // The log does not contiguously cover (state version, snapshot]:
-      // rebuild from scratch next time.
+    if (unseen && !w.source->epoch->Collect(ns.version, gen, &added, &removed)) {
+      // The epoch does not cover (state version, snapshot]: rebuild from
+      // scratch next time.
       ResetNest(state, key);
       return IncrementalRun::kIneligible;
     }
-    auto table = catalog.Find(w.table);
-    if (!table.ok()) return IncrementalRun::kIneligible;
-    const Schema& schema = table.value()->schema();
+    const Schema& schema = w.source->data->schema();
 
     // Removals: erase one Equals-matching member per removed row.
     for (const auto& row : removed) {

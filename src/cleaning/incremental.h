@@ -1,8 +1,10 @@
 // Driver-side incremental validator: serves re-executions whose table
 // snapshot differs from the cached state only by *minor* (mutation)
 // generations without re-running the engine. It is the only consumer of
-// the delta log; an execution it does not serve runs the engine path, whose
-// scan-cache misses re-partition.
+// the table epochs (storage/delta.h); an execution it does not serve runs
+// the engine path, whose scan-cache misses re-partition. A table qualifies
+// when the snapshot's generation is past its epoch's start, i.e. it was
+// mutated since its last registration.
 //
 // Eligibility is structural and all-or-nothing per prepared query: every
 // active plan root must peel (physical PeelTransforms, the walk BuildSegment
@@ -22,23 +24,25 @@
 // The state caches, per Nest node, every group's first-occurrence sequence
 // number, member bag and merged monoid accumulator list, and per operation
 // the post-chain outputs of the groups that have any, ordered by sequence
-// number. An execution advances the state by the delta-log window between
-// the state's version and the snapshot's generation (collected once per
-// table and execution, however many Nests read it): removed rows erase one
-// Equals-matching member and force a re-fold of the group's accumulators
-// from the member bag (sidestepping monoid invertibility — subtractive
-// re-grouping of exactly the affected keys); added rows merge fresh units
-// into a DeepCopy of the cached accumulator. Touched groups are
-// re-finalized and re-chained; the per-operation diff is emitted through
-// ViolationReport::Retract and Emit(v, /*is_new=*/true) so
-// (previous − retracted + new) equals a cold full re-execution. Emission
-// walks only the groups with outputs, in sequence order — the engine's
-// first-occurrence group order, where a group emptied and later re-created
-// comes after every older group — so an execution costs in proportion to
-// the delta and the violations, not the table. Any
-// inconsistency (non-contiguous delta coverage, a removed row the state
-// never saw, a closed major epoch) resets the affected state and reports
-// kIneligible, and the caller runs the ordinary engine path.
+// number. A Nest's state is bootstrapped from its table epoch's base at the
+// epoch's start, and belongs to that epoch. An execution advances the
+// state by the epoch's delta window between the state's version and the
+// snapshot's generation (collected once per table and execution, however
+// many Nests read it): removed rows erase one Equals-matching member and
+// force a re-fold of the group's accumulators from the member bag
+// (sidestepping monoid invertibility — subtractive re-grouping of exactly
+// the affected keys); added rows merge fresh units into a DeepCopy of the
+// cached accumulator. Touched groups are re-finalized and re-chained; the
+// per-operation diff is emitted through ViolationReport::Retract and
+// Emit(v, /*is_new=*/true) so (previous − retracted + new) equals a cold
+// full re-execution. Emission walks only the groups with outputs, in
+// sequence order — the engine's first-occurrence group order, where a group
+// emptied and later re-created comes after every older group — so an
+// execution costs in proportion to the delta and the violations, not the
+// table. Any inconsistency (a window the epoch does not cover, a removed
+// row the state never saw, a state from an earlier epoch) resets the
+// affected state and reports kIneligible, and the caller runs the ordinary
+// engine path.
 //
 // See DESIGN.md, "Incremental validation & the delta log".
 #pragma once
@@ -76,8 +80,9 @@ struct IncrementalGroup {
 /// coalesced onto it).
 struct IncrementalNestState {
   std::string table;
-  /// Major epoch the state belongs to; a re-registration closes it.
-  uint64_t major = 0;
+  /// Start of the table epoch the state belongs to (TableEpoch::start); a
+  /// re-registration starts a new epoch.
+  uint64_t epoch_start = 0;
   /// Table generation the groups reflect.
   uint64_t version = 0;
   /// The next group's sequence number.

@@ -149,21 +149,4 @@ Result<CleaningPlan> BuildTermValidationPlan(
   return out;
 }
 
-ExprPtr FdComprehension(const std::string& table, const std::string& var,
-                        const FdClause& fd) {
-  // groups := for(c <- T) yield filter(lhs); violations: count(rhs set) > 1.
-  // Rendered as a single nested comprehension over the exact-group monoid's
-  // entries — the printable Section 4.4 form.
-  auto inner = Comprehension(
-      "set", Substitute(CombineAttrs(fd.rhs), var, Var(var + "2")),
-      {Generator(var + "2", Var(table)),
-       Predicate(Binary(BinaryOp::kEq,
-                        Substitute(CombineAttrs(fd.lhs), var, Var(var + "2")),
-                        CombineAttrs(fd.lhs)))});
-  return Comprehension(
-      "bag", Var(var),
-      {Generator(var, Var(table)),
-       Predicate(Binary(BinaryOp::kGt, Call("count", {inner}), ConstInt(1)))});
-}
-
 }  // namespace cleanm

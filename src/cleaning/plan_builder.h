@@ -84,9 +84,4 @@ Result<CleaningPlan> BuildTermValidationPlan(
     const std::string& dict_attr, const ClusterByClause& cb,
     const FilteringOptions& options, std::vector<std::string> centers = {});
 
-/// The canonical comprehension for an FD clause (Section 4.4), for EXPLAIN
-/// output and the semantics tests.
-ExprPtr FdComprehension(const std::string& table, const std::string& var,
-                        const FdClause& fd);
-
 }  // namespace cleanm

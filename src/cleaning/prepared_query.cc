@@ -31,8 +31,7 @@ uint64_t EstimateAdmissionBytes(const std::vector<CleaningPlan>& plans,
   for (const auto& [table, generation] : deps) {
     (void)generation;
     if (!seen.insert(table).second) continue;
-    auto it = catalog.tables.find(table);
-    if (it != catalog.tables.end()) bytes += it->second->ByteSize();
+    if (const CatalogTable* t = catalog.Lookup(table)) bytes += t->data->ByteSize();
   }
   return bytes;
 }
@@ -302,76 +301,23 @@ Result<PreparedQuery> CleanDB::PrepareDenialConstraint(const std::string& table,
   cp.op_name = "DC";
   cp.plan = std::move(join);
   cp.entity_vars = {"t1", "t2"};
+  return SingleOpQuery(std::move(cp));
+}
 
+PreparedQuery CleanDB::SingleOpQuery(CleaningPlan cp) {
   PreparedQuery pq;
   pq.db_ = this;
   pq.status_ = Status::OK();
   pq.unified_roots_ = {cp.plan};
   pq.plans_.push_back(std::move(cp));
-  // Join-rooted, so always incrementally ineligible — but allocating keeps
-  // the eligibility decision in one place (the validator).
+  // Allocated even for shapes the validator never serves (a denial
+  // constraint is join-rooted), so the eligibility decision stays in one
+  // place: the validator.
   pq.incremental_ = std::make_shared<IncrementalState>();
   return pq;
 }
 
 // ---- EXPLAIN ----
-
-namespace {
-
-const char* ExplainAlgoName(FilteringAlgo algo) {
-  switch (algo) {
-    case FilteringAlgo::kTokenFiltering: return "tf";
-    case FilteringAlgo::kKMeans: return "kmeans";
-    case FilteringAlgo::kExactKey: return "exact";
-  }
-  return "?";
-}
-
-/// One-line operator headline, same notation as AlgOp::ToString().
-std::string ExplainHeadline(const AlgOp& op) {
-  std::string out = AlgKindName(op.kind);
-  switch (op.kind) {
-    case AlgKind::kScan:
-      out += '(' + op.table + " as " + op.var + ')';
-      break;
-    case AlgKind::kSelect:
-      out += '[' + op.pred->ToString() + ']';
-      break;
-    case AlgKind::kJoin:
-    case AlgKind::kOuterJoin:
-      out += '[';
-      if (op.left_key) {
-        out += op.left_key->ToString() + " = " + op.right_key->ToString();
-        if (op.pred) out += " && " + op.pred->ToString();
-      } else if (op.pred) {
-        out += op.pred->ToString();
-      } else {
-        out += "true";
-      }
-      out += ']';
-      break;
-    case AlgKind::kUnnest:
-    case AlgKind::kOuterUnnest:
-      out += '[' + op.path_var + " <- " + op.path->ToString() + ']';
-      break;
-    case AlgKind::kReduce:
-      out += '[' + op.monoid + " / " + op.head->ToString() + ']';
-      break;
-    case AlgKind::kNest: {
-      out += std::string("[by ") + ExplainAlgoName(op.group.algo) + '(' +
-             op.group.term->ToString() + ')';
-      for (const auto& agg : op.aggs) {
-        out += ", " + agg.name + "=" + agg.monoid + '(' + agg.expr->ToString() + ')';
-      }
-      if (op.having) out += ", having " + op.having->ToString();
-      out += ']';
-      break;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string PreparedQuery::Explain(const ExecOptions& opts) const {
   if (!status_.ok()) return "<unprepared query: " + status_.message() + ">";
@@ -411,7 +357,7 @@ std::string PreparedQuery::Explain(const ExecOptions& opts) const {
       out += "<null>\n";
       return;
     }
-    out += ExplainHeadline(*op);
+    out += AlgHeadline(*op);
     bool first_visit = true;
     if (uses[op.get()] > 1) {
       auto [it, inserted] = shared_id.emplace(op.get(), next_shared);
@@ -574,9 +520,9 @@ Status CleanDB::ExecutePrepared(const PreparedQuery& pq, const ExecOptions& opts
   auto run_plans = [&]() -> Status {
   // Incremental delta path (cleaning/incremental.h): when the snapshot has
   // only advanced by mutation (minor) generations since the cached state,
-  // an eligible query is served entirely from the delta log — no engine
-  // work, no scan/Nest cache traffic. Ineligible or cold states fall
-  // through to the ordinary loop below, whose scan-cache misses
+  // an eligible query is served entirely from the table epochs' deltas —
+  // no engine work, no scan/Nest cache traffic. Ineligible or cold states
+  // fall through to the ordinary loop below, whose scan-cache misses
   // re-partition. One-shots never enter: state bootstrapped for a single
   // execution would die with it.
   if (pq.persist_cache_ && pq.incremental_) {

@@ -112,8 +112,8 @@ class PreparedQuery {
   std::shared_ptr<engine::CancelToken> cancel_token_ =
       std::make_shared<engine::CancelToken>();
   /// Cached per-Nest group state of the incremental delta path (see
-  /// cleaning/incremental.h). Allocated by PrepareQueryImpl /
-  /// PrepareDenialConstraint; null for the programmatic ops.
+  /// cleaning/incremental.h). Allocated by PrepareQueryImpl and
+  /// CleanDB::SingleOpQuery.
   std::shared_ptr<IncrementalState> incremental_;
 };
 

@@ -14,19 +14,13 @@ bool RowsEqual(const Row& a, const Row& b) {
 
 }  // namespace
 
-bool DeltaLog::Collect(uint64_t from_exclusive, uint64_t to_inclusive,
-                       std::vector<Row>* added, std::vector<Row>* removed) const {
-  if (to_inclusive <= from_exclusive) return true;  // empty window
+bool TableEpoch::Collect(uint64_t from_exclusive, uint64_t to_inclusive,
+                         std::vector<Row>* added, std::vector<Row>* removed) const {
+  if (from_exclusive < start || to_inclusive > start + deltas.size()) return false;
   std::vector<Row> add_acc, rm_acc;
-  // Entry generations are consecutive within an epoch, so contiguous
-  // coverage means seeing exactly from+1, from+2, ..., to in order.
-  uint64_t expect = from_exclusive + 1;
-  for (const auto& entry : entries_) {
-    if (entry->generation <= from_exclusive) continue;
-    if (entry->generation > to_inclusive) break;
-    if (entry->generation != expect) return false;
-    expect++;
-    for (const auto& r : entry->removed) {
+  for (uint64_t g = from_exclusive; g < to_inclusive; g++) {
+    const TableDelta& delta = *deltas[g - start];
+    for (const auto& r : delta.removed) {
       // A removal of a row added earlier in the window nets out: the base
       // never saw it, so neither output should.
       bool netted = false;
@@ -39,9 +33,8 @@ bool DeltaLog::Collect(uint64_t from_exclusive, uint64_t to_inclusive,
       }
       if (!netted) rm_acc.push_back(r);
     }
-    for (const auto& r : entry->added) add_acc.push_back(r);
+    for (const auto& r : delta.added) add_acc.push_back(r);
   }
-  if (expect != to_inclusive + 1) return false;  // window not fully covered
   added->insert(added->end(), add_acc.begin(), add_acc.end());
   removed->insert(removed->end(), rm_acc.begin(), rm_acc.end());
   return true;

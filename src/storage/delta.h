@@ -1,18 +1,20 @@
-// Mutation delta log: the storage half of incremental cleaning.
+// Table epochs: the storage half of incremental cleaning.
 //
 // A table mutation (CleanDB::AppendRows / UpdateRows / DeleteRows) does not
 // re-register the dataset — it publishes a new effective Dataset *and* a
 // TableDelta describing exactly which rows the mutation added and removed.
-// The per-table DeltaLog accumulates those entries between registrations;
-// RegisterTable (a *major* generation bump) drops the log and starts a new
-// epoch. Its one consumer, the driver-side incremental validator
-// (cleaning/incremental.h), collects the entries between the version it
-// last saw and the snapshot it is executing against, and applies only
-// those rows instead of reprocessing the table.
+// A table's TableEpoch is the dataset as registered plus every delta since:
+// RegisterTable starts a new epoch at the generation it produced, and each
+// effective mutation appends its delta and bumps the generation by one.
+// Its one consumer, the driver-side incremental validator
+// (cleaning/incremental.h), bootstraps from the epoch's base, then collects
+// the deltas between the version it last saw and the snapshot it is
+// executing against, and applies only those rows instead of reprocessing
+// the table.
 //
-// Logs are immutable snapshots: a mutation copies the entry vector (cheap —
-// entries are shared_ptr-owned) and publishes a new DeltaLog, so an
-// execution holding a snapshot lease reads a frozen log while later
+// Epochs are immutable snapshots: a mutation copies the delta vector
+// (cheap — deltas are shared_ptr-owned) and publishes a new TableEpoch, so
+// an execution holding a snapshot lease reads a frozen epoch while later
 // mutations append to newer copies.
 #pragma once
 
@@ -20,7 +22,7 @@
 #include <memory>
 #include <vector>
 
-#include "storage/value.h"
+#include "storage/dataset.h"
 
 namespace cleanm {
 
@@ -30,44 +32,29 @@ namespace cleanm {
 /// only. Rows are in the table's schema order (plain storage Rows, not
 /// wrapped physical tuples).
 struct TableDelta {
-  /// The table version (CleanDB::TableGeneration) this mutation produced.
-  uint64_t generation = 0;
-  /// The minor ordinal within the current major epoch (1 = first mutation
-  /// after the last RegisterTable).
-  uint64_t minor = 0;
   std::vector<Row> added;
   std::vector<Row> removed;
 };
 
-/// \brief Immutable snapshot of a table's mutation history since its last
-/// registration. Copy + Append to derive the successor log.
-class DeltaLog {
- public:
-  DeltaLog() = default;
+/// \brief One registration of a table and every mutation since. Copy and
+/// push a delta to derive the successor epoch.
+struct TableEpoch {
+  /// The dataset as registered. Mutations never rewrite it in place.
+  std::shared_ptr<const Dataset> base;
+  /// The generation the registration produced.
+  uint64_t start = 0;
+  /// deltas[i] produced generation start + i + 1.
+  std::vector<std::shared_ptr<const TableDelta>> deltas;
 
-  void Append(std::shared_ptr<const TableDelta> delta) {
-    entries_.push_back(std::move(delta));
-  }
-
-  const std::vector<std::shared_ptr<const TableDelta>>& entries() const {
-    return entries_;
-  }
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-
-  /// Flattens the entries covering versions (from_exclusive, to_inclusive]
-  /// into `added`/`removed`, netting out rows that were added and then
-  /// removed within the window (so `removed` only names rows that existed
-  /// at `from_exclusive`, and `added` only rows that still exist at
+  /// Flattens the deltas covering generations (from_exclusive,
+  /// to_inclusive] into `added`/`removed`, netting out rows that were added
+  /// and then removed within the window (so `removed` only names rows that
+  /// existed at `from_exclusive`, and `added` only rows that still exist at
   /// `to_inclusive`). Returns false — and leaves the outputs untouched —
-  /// when the log does not contiguously cover the window (e.g. the caller's
-  /// base version predates this epoch); callers then fall back to a full
-  /// rebuild.
+  /// when the window reaches outside [start, start + deltas.size()];
+  /// callers then fall back to a full rebuild.
   bool Collect(uint64_t from_exclusive, uint64_t to_inclusive,
                std::vector<Row>* added, std::vector<Row>* removed) const;
-
- private:
-  std::vector<std::shared_ptr<const TableDelta>> entries_;
 };
 
 }  // namespace cleanm

@@ -316,11 +316,11 @@ TEST(ConcurrencyStressTest, MutateVersusUnregisterChurnStaysConsistent) {
   // re-registers the same table, and a reader re-executes a prepared query
   // (alternating between the incremental delta path and cold engine runs as
   // the epochs churn). Contracts under test: UnregisterTable drops the
-  // table, its generation counters, and its delta log in ONE exclusive
-  // critical section (the documented lock order), so a mutation either
-  // lands on a live registration — minor ≥ 1, delta logged — or fails with
+  // table's version and epoch in ONE exclusive critical section (the
+  // documented lock order), so a mutation either lands on a live
+  // registration — minor ≥ 1, delta in its epoch — or fails with
   // kKeyError; a fresh registration always starts at minor 0 with an empty
-  // log; and no execution ever sees a torn snapshot.
+  // epoch; and no execution ever sees a torn snapshot.
   CleanDB db(FastCleanDBOptions(4));
   const Schema schema{{"a", ValueType::kInt}, {"b", ValueType::kInt}};
   auto fresh = [&] {
@@ -386,7 +386,7 @@ TEST(ConcurrencyStressTest, MutateVersusUnregisterChurnStaysConsistent) {
           // An effective mutation on a live registration must have landed
           // in that registration's epoch: minor ≥ 1, generation > 0. A
           // minor of 0 would mean the mutation wrote into a dropped (or
-          // not-yet-reset) delta log — the torn state the atomic
+          // not-yet-reset) epoch — the torn state the atomic
           // UnregisterTable exists to prevent.
           if (r.value().minor == 0 || r.value().generation == 0) {
             record_failure("effective mutation with minor 0");
@@ -412,8 +412,8 @@ TEST(ConcurrencyStressTest, MutateVersusUnregisterChurnStaysConsistent) {
 
   EXPECT_EQ(failures.load(), 0) << first_failure;
   EXPECT_GT(effective_mutations.load(), 0u) << "churn never exercised mutations";
-  // The final registration is fresh: minor 0, and the next mutation starts
-  // a brand-new delta log at minor 1.
+  // The final registration is fresh: minor 0, and the next mutation is the
+  // new epoch's first delta, at minor 1.
   EXPECT_EQ(db.TableMinor("churn"), 0u);
   auto last = db.AppendRows("churn", {{Value(int64_t{1}), Value(int64_t{2})}});
   ASSERT_TRUE(last.ok()) << last.status().ToString();

@@ -26,6 +26,7 @@
 #include "monoid/eval.h"
 #include "monoid/normalize.h"
 #include "support/fixtures.h"
+#include "support/oracles.h"
 #include "text/similarity.h"
 
 namespace cleanm {
@@ -34,6 +35,7 @@ namespace {
 using testsupport::DatasetToRecords;
 using testsupport::FastCleanDBOptions;
 using testsupport::FastClusterOptions;
+using testsupport::FdComprehension;
 using testsupport::kMorselSizes;
 using testsupport::MetricsSnapshot;
 using testsupport::ShuffledNonzero;

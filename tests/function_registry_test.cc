@@ -450,7 +450,7 @@ TEST(RepairLoopTest, GroupedRepairQueryRepairsAndReRegisters) {
   EXPECT_GT(after.value().cache.scan_misses, 0u);
 
   // And the data really is clean now.
-  auto table = db.GetTable("customer").ValueOrDie();
+  auto table = db.GetTableShared("customer").ValueOrDie();
   EXPECT_EQ(table->row(1)[2].AsString(), "021-555-0002");
   EXPECT_EQ(table->row(0)[2].AsString(), "021-555-0001");
 }
@@ -483,8 +483,8 @@ TEST(RepairLoopTest, UngroupedRepairInSelectPosition) {
 
   // Repaired into a *new* table: the source is untouched, the target is
   // registered and queryable.
-  EXPECT_EQ(db.GetTable("customer").ValueOrDie()->row(0)[0].AsString(), "alice");
-  EXPECT_EQ(db.GetTable("customer_clean").ValueOrDie()->row(0)[0].AsString(),
+  EXPECT_EQ(db.GetTableShared("customer").ValueOrDie()->row(0)[0].AsString(), "alice");
+  EXPECT_EQ(db.GetTableShared("customer_clean").ValueOrDie()->row(0)[0].AsString(),
             "ALICE");
   auto roundtrip = db.Execute("SELECT cc.name FROM customer_clean cc");
   ASSERT_TRUE(roundtrip.ok());

@@ -521,13 +521,11 @@ TEST(MutationApiTest, MutationsBumpMinorGenerationsAndRegisterResets) {
   t.Append({Value(int64_t{2}), Value(int64_t{20})});
   db.RegisterTable("t", t);
   EXPECT_EQ(db.TableGeneration("t"), 1u);
-  EXPECT_EQ(db.TableMajor("t"), 1u);
   EXPECT_EQ(db.TableMinor("t"), 0u);
 
   auto append = db.AppendRows("t", {{Value(int64_t{3}), Value(int64_t{30})}});
   ASSERT_TRUE(append.ok()) << append.status().ToString();
   EXPECT_EQ(append.value().generation, 2u);
-  EXPECT_EQ(append.value().major, 1u);
   EXPECT_EQ(append.value().minor, 1u);
   EXPECT_EQ(append.value().rows_affected, 1u);
 
@@ -536,6 +534,7 @@ TEST(MutationApiTest, MutationsBumpMinorGenerationsAndRegisterResets) {
       [](const Schema&, const Row& r) { return r[0].Equals(Value(int64_t{1})); },
       ValueStruct{{"b", Value(int64_t{11})}});
   ASSERT_TRUE(update.ok()) << update.status().ToString();
+  EXPECT_EQ(update.value().generation, 3u);
   EXPECT_EQ(update.value().minor, 2u);
   EXPECT_EQ(update.value().rows_affected, 1u);
 
@@ -558,6 +557,7 @@ TEST(MutationApiTest, MutationsBumpMinorGenerationsAndRegisterResets) {
   auto removed = db.DeleteRows(
       "t", [](const Schema&, const Row& r) { return r[0].Equals(Value(int64_t{2})); });
   ASSERT_TRUE(removed.ok());
+  EXPECT_EQ(removed.value().generation, 4u);
   EXPECT_EQ(removed.value().minor, 3u);
   EXPECT_EQ(removed.value().rows_affected, 1u);
 
@@ -567,10 +567,9 @@ TEST(MutationApiTest, MutationsBumpMinorGenerationsAndRegisterResets) {
   EXPECT_TRUE(now->row(0)[1].Equals(Value(int64_t{11})));
   EXPECT_TRUE(now->row(1)[0].Equals(Value(int64_t{3})));
 
-  // Re-registering closes the epoch: major bumps, minor resets.
+  // Re-registering starts a new epoch at the next generation: minor resets.
   db.RegisterTable("t", t);
   EXPECT_EQ(db.TableGeneration("t"), 5u);
-  EXPECT_EQ(db.TableMajor("t"), 2u);
   EXPECT_EQ(db.TableMinor("t"), 0u);
   // Unknown tables and width mismatches are rejected.
   EXPECT_EQ(db.AppendRows("ghost", {{Value(int64_t{1})}}).status().code(),
@@ -594,23 +593,31 @@ std::vector<Row> RowsOf(CleanDB& db, const std::string& table) {
 
 bool KeyIs(const Row& r, int64_t key) { return r[0].Equals(Value(key)); }
 
+/// The address of the table's current version, read through a lease that is
+/// dropped at once (a live lease would make the next mutation copy).
+const Dataset* VersionOf(CleanDB& db, const std::string& table) {
+  return db.GetTableShared(table).ValueOrDie().get();
+}
+
 TEST(MutationApiTest, MutationsWithNoLeaseRewriteTheCurrentVersionInPlace) {
   CleanDB db(FastOptions());
   db.RegisterTable("t", CountingTable(6));
   // The first mutation after a registration copies: the registered version
   // is the incremental validator's base.
+  const Dataset* registered = VersionOf(db, "t");
   ASSERT_TRUE(db.AppendRows("t", {{Value(int64_t{6}), Value(int64_t{6})}}).ok());
-  const Dataset* current = db.GetTable("t").ValueOrDie();
+  const Dataset* current = VersionOf(db, "t");
+  EXPECT_NE(current, registered);
 
   ASSERT_TRUE(db.AppendRows("t", {{Value(int64_t{7}), Value(int64_t{7})}}).ok());
-  EXPECT_EQ(db.GetTable("t").ValueOrDie(), current);
+  EXPECT_EQ(VersionOf(db, "t"), current);
   ASSERT_TRUE(
       db.DeleteRows("t", [](const Schema&, const Row& r) { return KeyIs(r, 0); }).ok());
-  EXPECT_EQ(db.GetTable("t").ValueOrDie(), current);
+  EXPECT_EQ(VersionOf(db, "t"), current);
   ASSERT_TRUE(db.UpdateRows("t", [](const Schema&, const Row& r) { return KeyIs(r, 1); },
                             ValueStruct{{"b", Value(int64_t{10})}})
                   .ok());
-  EXPECT_EQ(db.GetTable("t").ValueOrDie(), current);
+  EXPECT_EQ(VersionOf(db, "t"), current);
   ASSERT_TRUE(db.UpdateRowsWith("t",
                                 [](const Schema&, Row* r) {
                                   if (!KeyIs(*r, 2)) return false;
@@ -618,13 +625,14 @@ TEST(MutationApiTest, MutationsWithNoLeaseRewriteTheCurrentVersionInPlace) {
                                   return true;
                                 })
                   .ok());
-  EXPECT_EQ(db.GetTable("t").ValueOrDie(), current);
   EXPECT_EQ(db.TableMinor("t"), 5u);
 
-  ASSERT_EQ(current->num_rows(), 7u);
-  EXPECT_TRUE(current->row(0)[1].Equals(Value(int64_t{10})));
-  EXPECT_TRUE(current->row(1)[1].Equals(Value(int64_t{20})));
-  EXPECT_TRUE(KeyIs(current->row(6), 7));
+  std::shared_ptr<const Dataset> lease = db.GetTableShared("t").ValueOrDie();
+  EXPECT_EQ(lease.get(), current);
+  ASSERT_EQ(lease->num_rows(), 7u);
+  EXPECT_TRUE(lease->row(0)[1].Equals(Value(int64_t{10})));
+  EXPECT_TRUE(lease->row(1)[1].Equals(Value(int64_t{20})));
+  EXPECT_TRUE(KeyIs(lease->row(6), 7));
 }
 
 TEST(MutationApiTest, LeaseTakenBeforeAMutationKeepsReadingItsRows) {
@@ -723,7 +731,7 @@ TEST(MutationApiTest, FailedMutationsLeaveTheTableUntouched) {
     }
   }
 
-  // The delta log gained no entry: the next incremental execution applies
+  // The epoch gained no delta: the next incremental execution applies
   // exactly the one row appended after the failures.
   ASSERT_TRUE(db.AppendRows("t", {{Value(int64_t{7}), Value(int64_t{7})}}).ok());
   auto after = pq.Execute().ValueOrDie();
@@ -834,6 +842,55 @@ TEST(PreparedQueryTest, MinorThenMajorBumpForcesColdExecution) {
   auto warm = pq.Execute().ValueOrDie();
   EXPECT_EQ(warm.cache.scan_misses, 0u);
   EXPECT_EQ(warm.metrics.rows_scanned, 0u);
+}
+
+TEST(PreparedQueryTest, UnregisterMidEpochNeverRevivesTheOldEpochsState) {
+  // The table entry outlives UnregisterTable, so a later registration
+  // starts at a fresh generation and the validator's state of the dropped
+  // epoch can never match the new one.
+  const char* query = "SELECT * FROM customer c FD(c.address, c.nationkey)";
+  datagen::CustomerOptions copts;
+  copts.base_rows = 150;
+  copts.duplicate_fraction = 0;
+  copts.fd_violation_fraction = 0.05;
+  Dataset first = datagen::MakeCustomer(copts);
+  copts.seed += 1;
+  copts.fd_violation_fraction = 0.1;
+  Dataset second = datagen::MakeCustomer(copts);
+
+  auto fresh_session = [&](const Dataset& rows) {
+    CleanDB fresh(FastOptions());
+    fresh.RegisterTable("customer", rows);
+    return fresh.Execute(query).ValueOrDie();
+  };
+
+  CleanDB db(FastOptions());
+  db.RegisterTable("customer", first);
+  auto prepared = db.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  PreparedQuery& pq = prepared.value();
+  AppendFreshFdViolation(db, "customer", first);
+  EXPECT_EQ(db.TableGeneration("customer"), 2u);
+  EXPECT_EQ(pq.Execute().ValueOrDie().metrics.incremental_executions, 1u);
+
+  db.UnregisterTable("customer");
+  EXPECT_EQ(db.TableGeneration("customer"), 3u);
+  EXPECT_EQ(db.TableMinor("customer"), 0u);
+  db.RegisterTable("customer", second);
+  EXPECT_EQ(db.TableGeneration("customer"), 4u);
+  EXPECT_EQ(db.TableMinor("customer"), 0u);
+
+  auto cold = pq.Execute().ValueOrDie();
+  EXPECT_EQ(cold.metrics.incremental_executions, 0u);
+  EXPECT_GT(cold.cache.scan_misses, 0u);
+  ExpectSameViolationSets(cold, fresh_session(second));
+
+  AppendFreshFdViolation(db, "customer", second);
+  EXPECT_EQ(db.TableMinor("customer"), 1u);
+  auto incremental = pq.Execute().ValueOrDie();
+  EXPECT_EQ(incremental.metrics.incremental_executions, 1u);
+  ExpectSameViolationSets(incremental,
+                          fresh_session(*db.GetTableShared("customer").ValueOrDie()));
 }
 
 TEST(PreparedQueryTest, PinnedPartitioningsSurviveMinorBumps) {
@@ -1090,7 +1147,7 @@ TEST(PreparedQueryTest, IneligiblePlansFallBackToTheEngine) {
   CleanDB db(FastOptions());
   // A join-rooted plan (denial constraint) is structurally ineligible for
   // driver-side serving: after a mutation it runs the engine path,
-  // which re-partitions the table (the delta log has no other consumer).
+  // which re-partitions the table (the epoch has no other consumer).
   datagen::LineitemOptions lopts;
   lopts.rows = 120;
   lopts.noise_fraction = 0.1;
@@ -1153,7 +1210,8 @@ TEST(RepairSinkTest, CommitDeltaClosesTheFixpointIncrementally) {
 
   // The repair landed as a *minor* generation: no invalidation, and the
   // re-validation is served incrementally with the violation retracted.
-  EXPECT_EQ(db.TableMajor("customer"), 1u);
+  EXPECT_EQ(summary.value().new_generation, 2u);
+  EXPECT_EQ(db.TableGeneration("customer"), 2u);
   EXPECT_EQ(db.TableMinor("customer"), 1u);
   auto after = pq.Execute().ValueOrDie();
   EXPECT_EQ(after.metrics.incremental_executions, 1u);

@@ -6,12 +6,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "storage/colpack.h"
 #include "storage/csv.h"
 #include "storage/dataset.h"
+#include "storage/delta.h"
 #include "storage/json.h"
 #include "storage/value.h"
 #include "storage/xml.h"
@@ -364,6 +367,76 @@ TEST_F(FormatRoundTripTest, ColpackDictionaryCompressesRepeatedStrings) {
   const auto cpk_size = std::filesystem::file_size(Path("dict.cpk"));
   const auto csv_size = std::filesystem::file_size(Path("dict.csv"));
   EXPECT_LT(cpk_size, csv_size);
+}
+
+// ---- TableEpoch::Collect ----
+
+Row KeyRow(int64_t key) { return {Value(key)}; }
+
+/// An epoch started at generation 5 over base rows {1, 2}: the deltas
+/// produce generations 6 (add 3), 7 (remove 3, add 4) and 8 (remove base
+/// row 1).
+TableEpoch SampleEpoch() {
+  TableEpoch epoch;
+  Dataset base(Schema{{"k", ValueType::kInt}});
+  base.Append(KeyRow(1));
+  base.Append(KeyRow(2));
+  epoch.base = std::make_shared<const Dataset>(std::move(base));
+  epoch.start = 5;
+  epoch.deltas.push_back(std::make_shared<const TableDelta>(TableDelta{{KeyRow(3)}, {}}));
+  epoch.deltas.push_back(
+      std::make_shared<const TableDelta>(TableDelta{{KeyRow(4)}, {KeyRow(3)}}));
+  epoch.deltas.push_back(std::make_shared<const TableDelta>(TableDelta{{}, {KeyRow(1)}}));
+  return epoch;
+}
+
+TEST(TableEpochTest, AddThenRemoveInsideOneWindowNetsOut) {
+  const TableEpoch epoch = SampleEpoch();
+  std::vector<Row> added, removed;
+  ASSERT_TRUE(epoch.Collect(5, 7, &added, &removed));
+  EXPECT_EQ(added, (std::vector<Row>{KeyRow(4)}));
+  EXPECT_TRUE(removed.empty());
+
+  // A window that starts after the add sees the row as removed.
+  added.clear();
+  ASSERT_TRUE(epoch.Collect(6, 7, &added, &removed));
+  EXPECT_EQ(added, (std::vector<Row>{KeyRow(4)}));
+  EXPECT_EQ(removed, (std::vector<Row>{KeyRow(3)}));
+}
+
+TEST(TableEpochTest, RemovingABaseRowIsReported) {
+  const TableEpoch epoch = SampleEpoch();
+  std::vector<Row> added, removed;
+  ASSERT_TRUE(epoch.Collect(7, 8, &added, &removed));
+  EXPECT_TRUE(added.empty());
+  EXPECT_EQ(removed, (std::vector<Row>{KeyRow(1)}));
+}
+
+TEST(TableEpochTest, FullAndEmptyWindows) {
+  const TableEpoch epoch = SampleEpoch();
+  std::vector<Row> added, removed;
+  ASSERT_TRUE(epoch.Collect(5, 8, &added, &removed));
+  EXPECT_EQ(added, (std::vector<Row>{KeyRow(4)}));
+  EXPECT_EQ(removed, (std::vector<Row>{KeyRow(1)}));
+
+  for (uint64_t g = 5; g <= 8; g++) {
+    std::vector<Row> none_added, none_removed;
+    ASSERT_TRUE(epoch.Collect(g, g, &none_added, &none_removed)) << g;
+    EXPECT_TRUE(none_added.empty()) << g;
+    EXPECT_TRUE(none_removed.empty()) << g;
+  }
+}
+
+TEST(TableEpochTest, WindowsOutsideTheEpochAreRefusedAndWriteNothing) {
+  const TableEpoch epoch = SampleEpoch();
+  const std::vector<Row> sentinel = {KeyRow(-1)};
+  for (const auto& [from, to] : {std::pair<uint64_t, uint64_t>{4, 6}, {4, 8}, {5, 9},
+                                 {8, 9}, {0, 1}}) {
+    std::vector<Row> added = sentinel, removed = sentinel;
+    EXPECT_FALSE(epoch.Collect(from, to, &added, &removed)) << from << ".." << to;
+    EXPECT_EQ(added, sentinel) << from << ".." << to;
+    EXPECT_EQ(removed, sentinel) << from << ".." << to;
+  }
 }
 
 // ---- Empty-input edge cases ----

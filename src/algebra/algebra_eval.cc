@@ -115,6 +115,7 @@ Result<std::vector<Value>> Eval(const AlgOpPtr& plan, const Catalog& catalog,
       std::vector<Value> out;
       for (auto& tuple : in) {
         CLEANM_ASSIGN_OR_RETURN(Value p, EvalExpr(plan->pred, TupleToEnv(tuple), ctx));
+        if (p.is_null()) continue;  // unknown: the row fails, as in the engine
         if (p.type() != ValueType::kBool) {
           return Status::TypeError("selection predicate is not boolean");
         }
@@ -237,6 +238,7 @@ Result<std::vector<Value>> Eval(const AlgOpPtr& plan, const Catalog& catalog,
         Value result(std::move(tuple));
         if (plan->having) {
           CLEANM_ASSIGN_OR_RETURN(Value h, EvalExpr(plan->having, TupleToEnv(result), ctx));
+          if (h.is_null()) continue;
           if (h.type() != ValueType::kBool) {
             return Status::TypeError("having predicate is not boolean");
           }

@@ -66,17 +66,24 @@ Result<QueryResult> SparkSqlSim::ExecuteQuery(const CleanMQuery& query) {
   CLEANM_ASSIGN_OR_RETURN(QueryResult result, db_.ExecuteQuery(query));
   // The combination pass Catalyst generates: a full outer join over the
   // violation sets of all operations — one extra shuffle of every
-  // violation set by entity hash.
+  // violation set by entity hash. It is metered under its own scope and
+  // added to this execution's counters (and to the session totals).
   auto& cluster = db_.cluster();
-  for (const auto& op : result.ops) {
-    std::vector<Row> rows;
-    rows.reserve(op.violations.size());
-    for (const auto& v : op.violations) rows.push_back(Row{v});
-    auto data = cluster.Parallelize(rows);
-    (void)cluster.Shuffle(data, [](const Row& r) { return r[0].Hash(); });
+  QueryMetrics combination;
+  {
+    engine::MetricsScope scope(&combination);
+    for (const auto& op : result.ops) {
+      std::vector<Row> rows;
+      rows.reserve(op.violations.size());
+      for (const auto& v : op.violations) rows.push_back(Row{v});
+      auto data = cluster.Parallelize(rows);
+      (void)cluster.Shuffle(data, [](const Row& r) { return r[0].Hash(); });
+    }
   }
+  cluster.session_metrics().Accumulate(combination.Snapshot());
+  combination.Accumulate(result.metrics);
+  result.metrics = combination.Snapshot();
   result.total_seconds = timer.ElapsedSeconds();
-  result.metrics = cluster.metrics().Snapshot();
   return result;
 }
 

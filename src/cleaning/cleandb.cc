@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 
 #include "cleaning/prepared_query.h"
 #include "cluster/filtering.h"
-#include "monoid/eval.h"
-#include "physical/tuple.h"
 
 namespace cleanm {
 
@@ -43,6 +40,34 @@ class SpillPager : public PartitionPager {
 
  private:
   SpillContext* const spill_;
+};
+
+/// Appends each record a SELECT plan emits to a Dataset as one row, its
+/// fields in SELECT-list order.
+class DatasetSink final : public ViolationSink {
+ public:
+  explicit DatasetSink(Schema schema) : out_(std::move(schema)) {}
+
+  Status OnViolation(const std::string& op_name, const Value& record) override {
+    (void)op_name;
+    Row row;
+    row.reserve(record.AsStruct().size());
+    for (const auto& field : record.AsStruct()) row.push_back(field.second);
+    out_.Append(std::move(row));
+    return Status::OK();
+  }
+
+  Status OnDirtyEntity(const Value& entity,
+                       const std::vector<std::string>& violated_ops) override {
+    (void)entity;  // a SELECT plan names no entities
+    (void)violated_ops;
+    return Status::OK();
+  }
+
+  Dataset TakeDataset() { return std::move(out_); }
+
+ private:
+  Dataset out_;
 };
 
 }  // namespace
@@ -321,13 +346,14 @@ void CleanDB::ReleaseExecution(uint64_t charged_bytes) {
   admission_cv_.notify_all();
 }
 
-std::vector<std::string> CleanDB::SampleCenters(const std::string& table,
-                                                const std::string& attr,
-                                                size_t k) const {
+std::vector<std::string> CleanDB::SampleCenters(FilteringAlgo op,
+                                                const std::string& table,
+                                                const std::string& column) const {
+  if (op != FilteringAlgo::kKMeans) return {};
   auto t = GetTableShared(table);
   if (!t.ok()) return {};
   const Dataset& dataset = *t.value();  // lease: safe across re-registration
-  auto idx = dataset.schema().IndexOf(attr);
+  auto idx = dataset.schema().IndexOf(column);
   if (!idx.ok()) return {};
   std::vector<std::string> values;
   values.reserve(dataset.num_rows());
@@ -335,18 +361,21 @@ std::vector<std::string> CleanDB::SampleCenters(const std::string& table,
     const Value& v = row[idx.value()];
     if (v.type() == ValueType::kString) values.push_back(v.AsString());
   }
-  return ReservoirSample(values, k, options_.filtering.seed);
+  return ReservoirSample(values, options_.filtering.k, options_.filtering.seed);
+}
+
+Status CleanDB::RunOnce(PreparedQuery pq, ViolationSink& sink, QueryResult* summary) {
+  // One code path, not two: the transient plan runs through ExecutePrepared
+  // (snapshot, admission, metrics scope, out-of-core wiring, sink emission).
+  // Cache persistence is off because the plan's nodes are never seen again,
+  // and with it the delta path.
+  pq.persist_cache_ = false;
+  return ExecutePrepared(pq, ExecOptions{}, sink, summary);
 }
 
 Result<OpResult> CleanDB::RunProgrammaticOp(PreparedQuery pq) {
-  // A programmatic op is exactly a one-operation prepared query executed
-  // once, through the shared ExecutePrepared path (snapshot, admission,
-  // metrics scope, out-of-core wiring, sink emission — one code path, not
-  // two). Cache persistence is off because the plan's nodes are never seen
-  // again, and with it the delta path.
-  pq.persist_cache_ = false;
   QueryResultSink sink;
-  CLEANM_RETURN_NOT_OK(ExecutePrepared(pq, ExecOptions{}, sink, &sink.result()));
+  CLEANM_RETURN_NOT_OK(RunOnce(std::move(pq), sink, &sink.result()));
   if (sink.result().ops.empty()) {
     return Status::Internal("programmatic op produced no operation result");
   }
@@ -367,8 +396,11 @@ Result<QueryResult> CleanDB::ExecuteQuery(const CleanMQuery& query) {
 
 Result<OpResult> CleanDB::CheckFd(const std::string& table, const std::string& var,
                                   const FdClause& fd) {
-  CLEANM_ASSIGN_OR_RETURN(CleaningPlan cp, BuildFdPlan(table, var, fd));
-  return RunProgrammaticOp(SingleOpQuery(std::move(cp)));
+  CleanMQuery query;
+  query.from.push_back({table, var});
+  query.fds.push_back(fd);
+  CLEANM_ASSIGN_OR_RETURN(PreparedQuery pq, PrepareQueryImpl(query, nullptr));
+  return RunProgrammaticOp(std::move(pq));
 }
 
 Result<OpResult> CleanDB::CheckDenialConstraint(const std::string& table, ExprPtr pred,
@@ -381,16 +413,11 @@ Result<OpResult> CleanDB::CheckDenialConstraint(const std::string& table, ExprPt
 
 Result<OpResult> CleanDB::Deduplicate(const std::string& table, const std::string& var,
                                       const DedupClause& dedup) {
-  FilteringOptions fopts = options_.filtering;
-  fopts.algo = dedup.op;
-  std::vector<std::string> centers;
-  if (dedup.op == FilteringAlgo::kKMeans && !dedup.attributes.empty() &&
-      dedup.attributes[0]->kind == ExprKind::kField) {
-    centers = SampleCenters(table, dedup.attributes[0]->name, fopts.k);
-  }
-  CLEANM_ASSIGN_OR_RETURN(
-      CleaningPlan cp, BuildDedupPlan(table, var, dedup, fopts, std::move(centers)));
-  return RunProgrammaticOp(SingleOpQuery(std::move(cp)));
+  CleanMQuery query;
+  query.from.push_back({table, var});
+  query.dedups.push_back(dedup);
+  CLEANM_ASSIGN_OR_RETURN(PreparedQuery pq, PrepareQueryImpl(query, nullptr));
+  return RunProgrammaticOp(std::move(pq));
 }
 
 Result<OpResult> CleanDB::ValidateTerms(const std::string& data_table,
@@ -408,124 +435,59 @@ Result<OpResult> CleanDB::ValidateTerms(const std::string& data_table,
     CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> t, GetTableShared(table));
     CLEANM_RETURN_NOT_OK(t->schema().IndexOf(column).status());
   }
-  FilteringOptions fopts = options_.filtering;
-  fopts.algo = cb.op;
-  std::vector<std::string> centers;
-  if (cb.op == FilteringAlgo::kKMeans) {
-    centers = SampleCenters(dict_table, dict_attr, fopts.k);
-  }
-  CLEANM_ASSIGN_OR_RETURN(CleaningPlan cp,
-                          BuildTermValidationPlan(data_table, data_var, dict_table, "d",
-                                                  dict_attr, cb, fopts, std::move(centers)));
+  CLEANM_ASSIGN_OR_RETURN(
+      CleaningPlan cp,
+      BuildTermValidationPlan(data_table, data_var, dict_table, "d", dict_attr, cb,
+                              options_.filtering,
+                              SampleCenters(cb.op, dict_table, dict_attr)));
   return RunProgrammaticOp(SingleOpQuery(std::move(cp)));
 }
 
-Result<Dataset> CleanDB::Transform(const std::string& table, const TransformSpec& spec,
-                                   bool one_pass) {
-  CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> input,
-                          GetTableShared(table));
-  const Schema& schema = input->schema();
-
-  auto split_idx = spec.split_date_column.empty()
-                       ? Result<size_t>(Status::KeyError("unused"))
-                       : schema.IndexOf(spec.split_date_column);
-  auto fill_idx = spec.fill_missing_column.empty()
-                      ? Result<size_t>(Status::KeyError("unused"))
-                      : schema.IndexOf(spec.fill_missing_column);
-  if (!spec.split_date_column.empty() && !split_idx.ok()) return split_idx.status();
-  if (!spec.fill_missing_column.empty() && !fill_idx.ok()) return fill_idx.status();
-
-  // The column average for fill-missing: one aggregation pass (shared by
-  // both execution modes; the paper's plan computes it before repairing).
-  double fill_avg = 0;
-  if (fill_idx.ok()) {
-    double sum = 0;
-    size_t n = 0;
-    for (const auto& row : input->rows()) {
-      const Value& v = row[fill_idx.value()];
-      if (!v.is_null() && v.is_numeric()) {
-        sum += v.ToDouble();
-        n++;
-      }
-    }
-    fill_avg = n ? sum / static_cast<double>(n) : 0;
+Result<Dataset> CleanDB::Transform(const std::string& table, const TransformSpec& spec) {
+  CLEANM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> input, GetTableShared(table));
+  Schema schema = input->schema();
+  for (const std::string* column : {&spec.fill_missing_column, &spec.split_date_column}) {
+    if (!column->empty()) CLEANM_RETURN_NOT_OK(schema.IndexOf(*column).status());
   }
+  // Each query runs once and streams its output records, fields in SELECT
+  // order, into the rows of a Dataset.
+  auto run = [this](const CleanMQuery& query, Schema out_schema) -> Result<Dataset> {
+    CLEANM_ASSIGN_OR_RETURN(PreparedQuery pq, PrepareQueryImpl(query, nullptr));
+    DatasetSink sink(std::move(out_schema));
+    CLEANM_RETURN_NOT_OK(RunOnce(std::move(pq), sink));
+    return sink.TakeDataset();
+  };
+  // Both queries bind the table as `t`, so the second one reads the first
+  // one's wrapped scan from the cache: the table is partitioned once.
+  CleanMQuery query;
+  query.from.push_back({table, "t"});
+  auto column = [](const std::string& name) { return FieldAccess(Var("t"), name); };
 
-  // Fast in-place "YYYY-MM-DD" split (the generated-code path; per-row
-  // builtin dispatch would dominate this lightweight repair).
-  auto split_parts = [](const Value& v, int64_t out3[3]) {
-    out3[0] = out3[1] = out3[2] = -1;
-    if (v.type() != ValueType::kString) return;
-    const std::string& s = v.AsString();
-    int part = 0;
-    int64_t cur = 0;
-    bool any = false;
-    for (char c : s) {
-      if (c == '-') {
-        if (part < 3) out3[part++] = any ? cur : -1;
-        cur = 0;
-        any = false;
-      } else if (c >= '0' && c <= '9') {
-        cur = cur * 10 + (c - '0');
-        any = true;
-      }
-    }
-    if (part < 3) out3[part] = any ? cur : -1;
-  };
-  auto apply_split = [&](const Dataset& in) {
-    Schema out_schema = in.schema();
-    out_schema.AddField({spec.split_date_column + "_year", ValueType::kInt});
-    out_schema.AddField({spec.split_date_column + "_month", ValueType::kInt});
-    out_schema.AddField({spec.split_date_column + "_day", ValueType::kInt});
-    const size_t idx = in.schema().IndexOf(spec.split_date_column).ValueOrDie();
-    Dataset out(out_schema);
-    for (const auto& row : in.rows()) {
-      Row r = row;
-      int64_t parts[3];
-      split_parts(row[idx], parts);
-      for (int p = 0; p < 3; p++) {
-        r.push_back(parts[p] >= 0 ? Value(parts[p]) : Value::Null());
-      }
-      out.Append(std::move(r));
-    }
-    return out;
-  };
-  auto apply_fill = [&](const Dataset& in) {
-    const size_t idx = in.schema().IndexOf(spec.fill_missing_column).ValueOrDie();
-    Dataset out(in.schema());
-    for (const auto& row : in.rows()) {
-      Row r = row;
-      if (r[idx].is_null()) r[idx] = Value(fill_avg);
-      out.Append(std::move(r));
-    }
-    return out;
-  };
-
-  if (one_pass && split_idx.ok() && fill_idx.ok()) {
-    // Single traversal applying both repairs (the CleanDB plan of Table 4).
-    Schema out_schema = schema;
-    out_schema.AddField({spec.split_date_column + "_year", ValueType::kInt});
-    out_schema.AddField({spec.split_date_column + "_month", ValueType::kInt});
-    out_schema.AddField({spec.split_date_column + "_day", ValueType::kInt});
-    Dataset out(out_schema);
-    for (const auto& row : input->rows()) {
-      Row r = row;
-      if (r[fill_idx.value()].is_null()) r[fill_idx.value()] = Value(fill_avg);
-      int64_t parts[3];
-      split_parts(row[split_idx.value()], parts);
-      for (int p = 0; p < 3; p++) {
-        r.push_back(parts[p] >= 0 ? Value(parts[p]) : Value::Null());
-      }
-      out.Append(std::move(r));
-    }
-    return out;
+  Value fill(0.0);  // the fill value of an empty or all-null column
+  if (!spec.fill_missing_column.empty()) {
+    CleanMQuery average = query;
+    average.select_list.push_back(
+        {false, Call("avg", {column(spec.fill_missing_column)}), "avg"});
+    average.group_by.push_back(ConstInt(0));  // one group: the whole table
+    CLEANM_ASSIGN_OR_RETURN(Dataset avg,
+                            run(average, Schema{{"avg", ValueType::kDouble}}));
+    if (avg.num_rows() == 1 && !avg.row(0)[0].is_null()) fill = avg.row(0)[0];
   }
-
-  // Sequential repairs, one full traversal each.
-  Dataset current = *input;
-  if (fill_idx.ok()) current = apply_fill(current);
-  if (split_idx.ok()) current = apply_split(current);
-  return current;
+  for (const Field& field : schema.fields()) {
+    ExprPtr e = column(field.name);
+    if (field.name == spec.fill_missing_column) {
+      e = If(Call("is_null", {e}), Const(fill), e);
+    }
+    query.select_list.push_back({false, std::move(e), field.name});
+  }
+  if (!spec.split_date_column.empty()) {
+    for (const char* part : {"year", "month", "day"}) {
+      const std::string name = spec.split_date_column + "_" + part;
+      query.select_list.push_back({false, Call(part, {column(spec.split_date_column)}), name});
+      schema.AddField({name, ValueType::kInt});
+    }
+  }
+  return run(query, std::move(schema));
 }
 
 std::string CleanDB::ExportMetricsText() const {

@@ -250,6 +250,10 @@ class CleanDB {
   Result<QueryResult> ExecuteQuery(const CleanMQuery& query);
 
   // ---- Programmatic cleaning operations ----
+  //
+  // CheckFd and Deduplicate prepare the one-clause query form (`SELECT *
+  // FROM table var FD(...)` / `DEDUP(...)`) and run it once, so Prepare's
+  // checks apply: an unknown column is kKeyError.
 
   /// FD check: lhs → rhs over `table` (alias `var` inside the exprs).
   Result<OpResult> CheckFd(const std::string& table, const std::string& var,
@@ -277,16 +281,24 @@ class CleanDB {
                                  const std::string& dict_attr,
                                  const ClusterByClause& cb);
 
-  /// Syntactic transformations (Table 4): split a date column into
-  /// year/month/day and/or fill missing numeric values with the column
-  /// average. `one_pass` applies all requested repairs in a single dataset
-  /// traversal; otherwise each repair re-traverses (the baseline).
+  /// Syntactic transformations (Table 4), run on the engine as prepared
+  /// CleanM queries, each executed once like the programmatic ops above.
+  /// With `fill_missing_column` set, a one-group GROUP BY first computes
+  /// avg(column) over its non-null cells; the average's sum follows the
+  /// engine's merge order, so on a non-integral column it may round
+  /// differently from a sequential sum, and an empty or all-null column
+  /// (or one holding a non-numeric cell) fills with 0.0. Then one SELECT
+  /// lists every column, the fill column as `if is_null(c) then <avg>
+  /// else c`, plus `year`, `month` and `day` of `split_date_column` as
+  /// <column>_year, _month and _day: each is the piece's digits, null for
+  /// a missing or digit-less piece. Both repairs thus take one pass over
+  /// the table. The result is a bag: rows come in the engine's node-major
+  /// order, not the table's. An unknown table or spec column is kKeyError.
   struct TransformSpec {
     std::string split_date_column;    ///< empty = skip
     std::string fill_missing_column;  ///< empty = skip
   };
-  Result<Dataset> Transform(const std::string& table, const TransformSpec& spec,
-                            bool one_pass);
+  Result<Dataset> Transform(const std::string& table, const TransformSpec& spec);
 
   engine::Cluster& cluster() { return *cluster_; }
   const CleanDBOptions& options() const { return options_; }
@@ -311,11 +323,6 @@ class CleanDB {
   /// to serve from a /metrics endpoint or diff across executions.
   std::string ExportMetricsText() const;
 
-  /// Samples k-means centers for a grouping clause: from the dictionary
-  /// when given, else from the data column.
-  std::vector<std::string> SampleCenters(const std::string& table,
-                                         const std::string& attr, size_t k) const;
-
  private:
   friend class PreparedQuery;
 
@@ -337,11 +344,18 @@ class CleanDB {
   /// A single-operation PreparedQuery over `cp` (no text, no coalescing).
   /// Defined in prepared_query.cc.
   PreparedQuery SingleOpQuery(CleaningPlan cp);
-  /// Shared execution tail of the programmatic ops: runs the transient
-  /// `pq` once through ExecutePrepared — the same code path (snapshot,
-  /// admission, metrics scope, sink emission) as Prepare→Execute, with
-  /// cache persistence off so the throwaway plan's Nest outputs never
-  /// pollute the session cache — and returns its one operation result.
+  /// The k-means centers a DEDUP or CLUSTER BY plan embeds: under k-means,
+  /// a seeded sample of options_.filtering.k string values of
+  /// `table`.`column`; none for the other algorithms or an unknown column.
+  std::vector<std::string> SampleCenters(FilteringAlgo op, const std::string& table,
+                                         const std::string& column) const;
+  /// Runs the transient `pq` once into `sink` through ExecutePrepared — the
+  /// same code path (snapshot, admission, metrics scope, sink emission) as
+  /// Prepare→Execute — with cache persistence off, so the throwaway plan's
+  /// Nest outputs never pollute the session cache.
+  Status RunOnce(PreparedQuery pq, ViolationSink& sink, QueryResult* summary = nullptr);
+  /// The programmatic ops' tail: RunOnce into a QueryResultSink, returning
+  /// the one operation result.
   Result<OpResult> RunProgrammaticOp(PreparedQuery pq);
   /// Shared Prepare body; `query_text` (when available) positions the
   /// kKeyError of an unknown function / arity mismatch at the recorded

@@ -210,16 +210,15 @@ Result<PreparedQuery> CleanDB::PrepareQueryImpl(const CleanMQuery& query,
     cleaning_plans.push_back(std::move(cp));
   }
   for (const auto& dedup : query.dedups) {
-    FilteringOptions fopts = options_.filtering;
-    fopts.algo = dedup.op;
-    std::vector<std::string> centers;
-    if (dedup.op == FilteringAlgo::kKMeans && !dedup.attributes.empty() &&
-        dedup.attributes[0]->kind == ExprKind::kField) {
-      centers = SampleCenters(base.table, dedup.attributes[0]->name, fopts.k);
-    }
+    // k-means samples its centers from the first attribute's column.
+    const std::string column = !dedup.attributes.empty() &&
+                                       dedup.attributes[0]->kind == ExprKind::kField
+                                   ? dedup.attributes[0]->name
+                                   : std::string();
     CLEANM_ASSIGN_OR_RETURN(
         CleaningPlan cp,
-        BuildDedupPlan(base.table, base.alias, dedup, fopts, std::move(centers)));
+        BuildDedupPlan(base.table, base.alias, dedup, options_.filtering,
+                       SampleCenters(dedup.op, base.table, column)));
     cleaning_plans.push_back(std::move(cp));
   }
   for (const auto& cb : query.cluster_bys) {
@@ -231,17 +230,12 @@ Result<PreparedQuery> CleanDB::PrepareQueryImpl(const CleanMQuery& query,
     if (!cb.term || cb.term->kind != ExprKind::kField) {
       return Status::InvalidArgument("CLUSTER BY term must be a column reference");
     }
-    const std::string attr = cb.term->name;
-    FilteringOptions fopts = options_.filtering;
-    fopts.algo = cb.op;
-    std::vector<std::string> centers;
-    if (cb.op == FilteringAlgo::kKMeans) {
-      centers = SampleCenters(dict.table, attr, fopts.k);
-    }
+    const std::string& attr = cb.term->name;
     CLEANM_ASSIGN_OR_RETURN(
         CleaningPlan cp,
         BuildTermValidationPlan(base.table, base.alias, dict.table, dict.alias, attr,
-                                cb, fopts, std::move(centers)));
+                                cb, options_.filtering,
+                                SampleCenters(cb.op, dict.table, attr)));
     cleaning_plans.push_back(std::move(cp));
   }
   // User SELECT / GROUP BY / HAVING plan — the open language surface. Its

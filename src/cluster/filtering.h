@@ -30,9 +30,8 @@ enum class FilteringAlgo {
 /// Parses "token_filtering"/"tf", "kmeans"/"k-means", "exact"/"key".
 bool ParseFilteringAlgo(std::string_view name, FilteringAlgo* out);
 
-/// Configuration for either algorithm.
+/// Parameters of both algorithms; a clause's <op> picks the algorithm.
 struct FilteringOptions {
-  FilteringAlgo algo = FilteringAlgo::kTokenFiltering;
   size_t q = 2;           ///< token length for token filtering
   size_t k = 10;          ///< number of centers for k-means
   double delta = 1.0;     ///< extra distance slack for multi-assignment

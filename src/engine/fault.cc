@@ -1,7 +1,5 @@
 #include "engine/fault.h"
 
-#include <thread>
-
 namespace cleanm::engine {
 
 namespace {
@@ -52,13 +50,6 @@ FaultInjector::AttemptOutcome FaultInjector::OnTaskAttempt(size_t node) {
   const uint64_t attempt = st.attempts.fetch_add(1, std::memory_order_relaxed);
   const bool targeted =
       options_.target_node < 0 || node == static_cast<size_t>(options_.target_node);
-  if (targeted && options_.latency_spike_probability > 0 &&
-      options_.latency_spike_ns > 0 &&
-      Draw(options_.seed, node, attempt, /*stream=*/1) <
-          options_.latency_spike_probability) {
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(options_.latency_spike_ns));
-  }
   if (!targeted) return out;
   out.fail = attempt < options_.fail_first_attempts ||
              (options_.failure_probability > 0 &&

@@ -7,9 +7,8 @@
 // retry path below relies on (see DESIGN.md, "Fault model & recovery").
 // Failures are *injected* (this cluster is a simulator): a seeded
 // FaultInjector decides per task attempt whether the attempt fails with
-// kUnavailable or suffers a latency spike, deterministically in
-// (seed, node, attempt#), so every failure scenario replays bit-identically
-// in tests and CI.
+// kUnavailable, deterministically in (seed, node, attempt#), so every
+// failure scenario replays bit-identically in tests and CI.
 #pragma once
 
 #include <atomic>
@@ -59,7 +58,7 @@ class NodeUnavailableError : public StatusException {
 struct FaultOptions {
   /// Probability that any one task attempt fails with kUnavailable.
   double failure_probability = 0.0;
-  /// Seed for the deterministic per-(node, attempt) failure/spike decisions.
+  /// Seed for the deterministic per-(node, attempt) failure decisions.
   uint64_t seed = 0;
   /// When ≥ 0, faults fire only on this node (targeted-node trigger).
   int target_node = -1;
@@ -67,10 +66,6 @@ struct FaultOptions {
   /// (on top of failure_probability). Combined with target_node this scripts
   /// exact retry / blacklist scenarios.
   uint64_t fail_first_attempts = 0;
-  /// Probability that a task attempt sleeps latency_spike_ns before running
-  /// (a slow node rather than a dead one).
-  double latency_spike_probability = 0.0;
-  uint64_t latency_spike_ns = 0;
   /// Failed attempts retried per task before the failure is fatal
   /// (kUnavailable propagates to the execution).
   size_t max_task_retries = 3;
@@ -84,8 +79,7 @@ struct FaultOptions {
 
   /// True when any injection can fire — the retry wrapper's fast-path gate.
   bool enabled() const {
-    return failure_probability > 0 || fail_first_attempts > 0 ||
-           latency_spike_probability > 0;
+    return failure_probability > 0 || fail_first_attempts > 0;
   }
 };
 
@@ -103,9 +97,9 @@ class FaultInjector {
     bool newly_blacklisted = false;  ///< this failure crossed the threshold
   };
 
-  /// Called at the start of each task attempt on `node`: applies any
-  /// latency spike (sleeps), then decides deterministically whether the
-  /// attempt fails, updating the consecutive-failure / blacklist state.
+  /// Called at the start of each task attempt on `node`: decides
+  /// deterministically whether the attempt fails, updating the
+  /// consecutive-failure / blacklist state.
   AttemptOutcome OnTaskAttempt(size_t node);
 
   bool blacklisted(size_t node) const {

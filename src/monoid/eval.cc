@@ -45,10 +45,19 @@ Result<Value> EvalBinary(BinaryOp op, const Value& l, const Value& r) {
     }
     case BinaryOp::kEq: return Value(l.Compare(r) == 0);
     case BinaryOp::kNe: return Value(l.Compare(r) != 0);
-    case BinaryOp::kLt: return Value(l.Compare(r) < 0);
-    case BinaryOp::kLe: return Value(l.Compare(r) <= 0);
-    case BinaryOp::kGt: return Value(l.Compare(r) > 0);
-    case BinaryOp::kGe: return Value(l.Compare(r) >= 0);
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe: {
+      // Ordering against null is unknown, as in the engine: Value::Compare
+      // puts null first only so that sorting is total.
+      if (l.is_null() || r.is_null()) return Value::Null();
+      const int c = l.Compare(r);
+      if (op == BinaryOp::kLt) return Value(c < 0);
+      if (op == BinaryOp::kLe) return Value(c <= 0);
+      if (op == BinaryOp::kGt) return Value(c > 0);
+      return Value(c >= 0);
+    }
     case BinaryOp::kAnd:
     case BinaryOp::kOr: {
       if (l.type() != ValueType::kBool || r.type() != ValueType::kBool) {
@@ -92,6 +101,7 @@ Status RunComprehension(const ComprehensionExpr& comp, size_t qi, Env env,
     case Qualifier::Kind::kPredicate: {
       auto pred = EvalExpr(q.expr, env, ctx);
       if (!pred.ok()) return pred.status();
+      if (pred.value().is_null()) return Status::OK();  // unknown: not satisfied
       if (pred.value().type() != ValueType::kBool) {
         return Status::TypeError("predicate did not evaluate to bool: " +
                                  q.expr->ToString());
@@ -128,6 +138,7 @@ Result<Value> EvalExpr(const ExprPtr& e, const Env& env, const EvalContext& ctx)
       // Short-circuit boolean operators.
       if (e->bin_op == BinaryOp::kAnd || e->bin_op == BinaryOp::kOr) {
         CLEANM_ASSIGN_OR_RETURN(Value l, EvalExpr(e->lhs, env, ctx));
+        if (l.is_null()) return Value::Null();
         if (l.type() != ValueType::kBool) {
           return Status::TypeError("boolean operator on non-boolean value");
         }
@@ -141,6 +152,7 @@ Result<Value> EvalExpr(const ExprPtr& e, const Env& env, const EvalContext& ctx)
     }
     case ExprKind::kUnary: {
       CLEANM_ASSIGN_OR_RETURN(Value v, EvalExpr(e->child, env, ctx));
+      if (v.is_null()) return Value::Null();
       if (e->un_op == UnaryOp::kNot) {
         if (v.type() != ValueType::kBool) return Status::TypeError("not on non-bool");
         return Value(!v.AsBool());
@@ -151,6 +163,7 @@ Result<Value> EvalExpr(const ExprPtr& e, const Env& env, const EvalContext& ctx)
     }
     case ExprKind::kIf: {
       CLEANM_ASSIGN_OR_RETURN(Value c, EvalExpr(e->cond, env, ctx));
+      if (c.is_null()) return Value::Null();
       if (c.type() != ValueType::kBool) return Status::TypeError("if condition not bool");
       return EvalExpr(c.AsBool() ? e->then_e : e->else_e, env, ctx);
     }
@@ -328,22 +341,27 @@ Result<Value> Similar(BuiltinArgs args) {
   return Value(StringSimilarity(metric, a, b) >= theta);
 }
 
-/// Extracts the date component at `index` from "YYYY-MM-DD".
+/// Component `index` (0 year, 1 month, 2 day) of a "YYYY-MM-DD" date: the
+/// index-th '-'-separated piece with its digits read as one number, other
+/// characters skipped. Null for a null date and for a missing or digit-less
+/// piece.
 Result<Value> DatePart(const char* fn, const Value& arg, int index) {
+  if (arg.is_null()) return Value::Null();
   CLEANM_ASSIGN_OR_RETURN(std::string_view s, StringArg(fn, arg));
-  auto bad_date = [&] {
-    return Status::InvalidArgument(std::string(fn) + ": bad date '" + std::string(s) +
-                                   "'");
-  };
   size_t pos = 0;
   for (int i = 0; i < index; i++) {
-    const size_t dash = s.find('-', pos);
-    if (dash == std::string_view::npos || dash == pos) return bad_date();
-    pos = dash + 1;
+    pos = s.find('-', pos);
+    if (pos == std::string_view::npos) return Value::Null();
+    pos++;
   }
-  const std::string piece(s.substr(pos, s.find('-', pos) - pos));
-  if (piece.empty()) return bad_date();
-  return Value(static_cast<int64_t>(std::atoi(piece.c_str())));
+  uint64_t number = 0;
+  bool digits = false;
+  for (; pos < s.size() && s[pos] != '-'; pos++) {
+    if (s[pos] < '0' || s[pos] > '9') continue;
+    number = number * 10 + static_cast<uint64_t>(s[pos] - '0');
+    digits = true;
+  }
+  return digits ? Value(static_cast<int64_t>(number)) : Value::Null();
 }
 
 Result<Value> Year(BuiltinArgs args) { return DatePart("year", args[0], 0); }

@@ -43,6 +43,9 @@ struct EvalContext {
 
 /// Evaluates `e` under `env`. Comprehensions iterate their generators in
 /// order (nested-loop semantics) and fold heads with the monoid's merge.
+/// As in the engine, <, <=, > and >= with a null operand give null, a null
+/// propagates through and/or/not and an if condition, and a null predicate
+/// is not satisfied.
 Result<Value> EvalExpr(const ExprPtr& e, const Env& env, const EvalContext& ctx = {});
 
 /// \brief The arguments of one builtin call, read in place: each points at a

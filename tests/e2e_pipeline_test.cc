@@ -206,8 +206,7 @@ void CheckTermValidationEntryPoints(const Dataset& data, const Dataset& dict,
         << v.ToString();
   }
 
-  FilteringOptions fopts = options.filtering;
-  fopts.algo = algo;
+  const FilteringOptions& fopts = options.filtering;
   std::vector<std::string> centers;
   if (algo == FilteringAlgo::kKMeans) centers = ReservoirSample(names, fopts.k, fopts.seed);
   auto cp = BuildTermValidationPlan("authors", "a", "dictionary", "d", "author", cb, fopts,

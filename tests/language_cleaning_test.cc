@@ -3,8 +3,10 @@
 // baseline simulators' documented restrictions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "baselines/baselines.h"
 #include "cleaning/cleandb.h"
@@ -290,30 +292,139 @@ TEST(CleanDBTest, UnifiedQueryCoalescesSharedGroupings) {
   }
 }
 
+/// A dataset's rows as sorted canonical strings: Transform returns a bag,
+/// its rows in the engine's node-major order.
+std::vector<std::string> SortedRows(const Dataset& d) {
+  std::vector<std::string> rows;
+  for (const auto& row : d.rows()) {
+    std::string line;
+    for (const auto& cell : row) line += CanonicalString(cell) + "|";
+    rows.push_back(std::move(line));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
 TEST(CleanDBTest, TransformsSplitDateAndFillMissing) {
   CleanDB db(FastOptions());
   datagen::LineitemOptions lopts;
   lopts.rows = 200;
   lopts.missing_fraction = 0.2;
   lopts.noise_fraction = 0;
-  db.RegisterTable("lineitem", datagen::MakeLineitem(lopts));
+  const Dataset input = datagen::MakeLineitem(lopts);
+  db.RegisterTable("lineitem", input);
 
-  CleanDB::TransformSpec spec;
+  // Expected outputs, written from the spec: a null quantity becomes the
+  // mean of the others (whole numbers, so the sum is exact in any order);
+  // a generated "YYYY-MM-DD" date splits into three ints.
+  const size_t qty = input.schema().IndexOf("quantity").ValueOrDie();
+  const size_t date = input.schema().IndexOf("receiptdate").ValueOrDie();
+  double sum = 0;
+  size_t present = 0;
+  for (const auto& row : input.rows()) {
+    if (row[qty].is_null()) continue;
+    sum += row[qty].AsDouble();
+    present++;
+  }
+  ASSERT_LT(present, input.num_rows());
+  Schema split_schema = input.schema();
+  for (const char* part : {"_year", "_month", "_day"}) {
+    split_schema.AddField({std::string("receiptdate") + part, ValueType::kInt});
+  }
+  Dataset filled(input.schema()), split(split_schema), both(split_schema);
+  for (const auto& row : input.rows()) {
+    Row f = row;
+    if (f[qty].is_null()) f[qty] = Value(sum / static_cast<double>(present));
+    Row parts;
+    const std::string& d = row[date].AsString();
+    for (size_t pos : {0, 5, 8}) {
+      const int64_t part = std::stoi(d.substr(pos));
+      parts.emplace_back(part);
+    }
+    Row s = row;
+    s.insert(s.end(), parts.begin(), parts.end());
+    f.insert(f.end(), parts.begin(), parts.end());
+    split.Append(std::move(s));
+    both.Append(f);
+    f.resize(input.schema().fields().size());
+    filled.Append(std::move(f));
+  }
+
+  CleanDB::TransformSpec split_only, fill_only, spec;
+  split_only.split_date_column = "receiptdate";
+  fill_only.fill_missing_column = "quantity";
   spec.split_date_column = "receiptdate";
   spec.fill_missing_column = "quantity";
-  auto one_pass = db.Transform("lineitem", spec, /*one_pass=*/true).ValueOrDie();
-  auto two_pass = db.Transform("lineitem", spec, /*one_pass=*/false).ValueOrDie();
+  const Dataset out_split = db.Transform("lineitem", split_only).ValueOrDie();
+  const Dataset out_fill = db.Transform("lineitem", fill_only).ValueOrDie();
+  const Dataset one_step = db.Transform("lineitem", spec).ValueOrDie();
+  EXPECT_EQ(out_split.schema().fields().size(), split_schema.fields().size());
+  EXPECT_TRUE(one_step.schema().HasField("receiptdate_day"));
+  EXPECT_EQ(SortedRows(out_split), SortedRows(split));
+  EXPECT_EQ(SortedRows(out_fill), SortedRows(filled));
+  EXPECT_EQ(SortedRows(one_step), SortedRows(both));
 
-  ASSERT_EQ(one_pass.num_rows(), 200u);
-  EXPECT_TRUE(one_pass.schema().HasField("receiptdate_year"));
-  const size_t qty = one_pass.schema().IndexOf("quantity").ValueOrDie();
-  const size_t year = one_pass.schema().IndexOf("receiptdate_year").ValueOrDie();
-  for (size_t i = 0; i < one_pass.num_rows(); i++) {
-    EXPECT_FALSE(one_pass.row(i)[qty].is_null());
-    EXPECT_GE(one_pass.row(i)[year].AsInt(), 1992);
-    // Both execution modes repair identically.
-    EXPECT_TRUE(one_pass.row(i)[qty].Equals(two_pass.row(i)[qty]));
+  // One step equals the two steps: fill, register the result, split it.
+  db.RegisterTable("filled", out_fill);
+  EXPECT_EQ(SortedRows(db.Transform("filled", split_only).ValueOrDie()),
+            SortedRows(one_step));
+  // The identity transform returns the table.
+  EXPECT_EQ(SortedRows(db.Transform("lineitem", {}).ValueOrDie()), SortedRows(input));
+}
+
+TEST(CleanDBTest, TransformSplitsMalformedDatesToNulls) {
+  CleanDB db(FastOptions());
+  Dataset dates(Schema{{"d", ValueType::kString}, {"q", ValueType::kDouble}});
+  for (const char* d : {"1996-03-12", "1994-01-02 ", "", "abc", "1994-13"}) {
+    dates.Append({Value(d), Value(1.0)});
   }
+  dates.Append({Value::Null(), Value::Null()});
+  db.RegisterTable("dates", dates);
+  CleanDB::TransformSpec spec;
+  spec.split_date_column = "d";
+  spec.fill_missing_column = "q";
+  const Dataset out = db.Transform("dates", spec).ValueOrDie();
+  // Each part is its piece's digits, null when the piece is missing or
+  // has none; the one null q fills with the mean 1.0.
+  EXPECT_EQ(SortedRows(out), std::vector<std::string>({
+                                 "1994-01-02 |1.0|1994|1|2|",
+                                 "1994-13|1.0|1994|13|null|",
+                                 "1996-03-12|1.0|1996|3|12|",
+                                 "abc|1.0|null|null|null|",
+                                 "null|1.0|null|null|null|",
+                                 "|1.0|null|null|null|",
+                             }));
+
+  CleanDB::TransformSpec unknown;
+  unknown.split_date_column = "nope";
+  EXPECT_EQ(db.Transform("dates", unknown).status().code(), StatusCode::kKeyError);
+  unknown = {};
+  unknown.fill_missing_column = "nope";
+  EXPECT_EQ(db.Transform("dates", unknown).status().code(), StatusCode::kKeyError);
+  EXPECT_EQ(db.Transform("missing", spec).status().code(), StatusCode::kKeyError);
+}
+
+TEST(CleanDBTest, ProgrammaticFdAndDedupRejectUnknownColumns) {
+  // The programmatic ops prepare the query form, so an unknown column is
+  // kKeyError as in `SELECT * FROM c x FD(x.a, x.nope)`.
+  CleanDB db(FastOptions());
+  Dataset t(Schema{{"a", ValueType::kString}, {"b", ValueType::kString}});
+  t.Append({Value("x"), Value("y")});
+  db.RegisterTable("c", t);
+  EXPECT_EQ(db.Execute("SELECT * FROM c x FD(x.a, x.nope)").status().code(),
+            StatusCode::kKeyError);
+  FdClause fd;
+  fd.lhs = {ParseCleanMExpr("x.a").ValueOrDie()};
+  fd.rhs = {ParseCleanMExpr("x.nope").ValueOrDie()};
+  EXPECT_EQ(db.CheckFd("c", "x", fd).status().code(), StatusCode::kKeyError);
+  DedupClause dedup;
+  dedup.op = FilteringAlgo::kExactKey;
+  dedup.attributes = {ParseCleanMExpr("x.nope").ValueOrDie()};
+  EXPECT_EQ(db.Deduplicate("c", "x", dedup).status().code(), StatusCode::kKeyError);
+  fd.rhs = {ParseCleanMExpr("x.b").ValueOrDie()};
+  dedup.attributes = {ParseCleanMExpr("x.a").ValueOrDie()};
+  EXPECT_TRUE(db.CheckFd("c", "x", fd).ok());
+  EXPECT_TRUE(db.Deduplicate("c", "x", dedup).ok());
 }
 
 TEST(CleanDBTest, ErrorsSurfaceCleanly) {
@@ -357,6 +468,28 @@ TEST(BaselineTest, SparkSqlCartesianDcAbortsOverBudget) {
   auto r = spark.CheckDenialConstraint("lineitem", pred, nullptr, 1000);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("did not terminate"), std::string::npos);
+}
+
+TEST(BaselineTest, SparkSqlExecuteQueryReportsItsOwnCounters) {
+  // Two cold calls on one simulator: the second must not also report the
+  // first one's combination pass. (Re-registering makes the second call
+  // partition the table again instead of reading the session's scan cache.)
+  SparkSqlSim spark(FastOptions());
+  datagen::CustomerOptions copts;
+  copts.base_rows = 200;
+  copts.fd_violation_fraction = 0.05;
+  const Dataset customers = datagen::MakeCustomer(copts);
+  const CleanMQuery query =
+      ParseCleanM("SELECT * FROM customer c FD(c.address, c.nationkey) "
+                  "FD(c.name, c.nationkey)")
+          .ValueOrDie();
+  spark.RegisterTable("customer", customers);
+  const QueryResult first = spark.ExecuteQuery(query).ValueOrDie();
+  spark.RegisterTable("customer", customers);
+  const QueryResult second = spark.ExecuteQuery(query).ValueOrDie();
+  EXPECT_GT(first.metrics.rows_shuffled, 0u);
+  EXPECT_EQ(first.metrics, second.metrics)
+      << first.metrics.ToString() << "\nvs\n" << second.metrics.ToString();
 }
 
 TEST(BaselineTest, BaselinesAgreeWithCleanDBOnViolations) {

@@ -159,6 +159,33 @@ TEST(EvalTest, ShortCircuitBooleans) {
   EXPECT_FALSE(EvalExpr(expr, env).ValueOrDie().AsBool());
 }
 
+TEST(EvalTest, NullOrderingIsUnknown) {
+  // null < 5 is null, not true; a comprehension predicate skips it, and
+  // null propagates through and/or/not and an if condition.
+  Env env;
+  const ExprPtr lt = Binary(BinaryOp::kLt, Const(Value::Null()), ConstInt(5));
+  EXPECT_TRUE(EvalExpr(lt, env).ValueOrDie().is_null());
+  EXPECT_TRUE(EvalExpr(Binary(BinaryOp::kAnd, lt, ConstBool(true)), env)
+                  .ValueOrDie()
+                  .is_null());
+  EXPECT_TRUE(EvalExpr(Unary(UnaryOp::kNot, lt), env).ValueOrDie().is_null());
+  EXPECT_TRUE(
+      EvalExpr(If(lt, ConstInt(1), ConstInt(2)), env).ValueOrDie().is_null());
+  env["xs"] = Value(ValueList{Value(int64_t{3}), Value::Null(), Value(int64_t{7})});
+  auto below_five = Comprehension(
+      "count", Var("x"),
+      {Generator("x", Var("xs")),
+       Predicate(Binary(BinaryOp::kLt, Var("x"), ConstInt(5)))});
+  EXPECT_EQ(EvalExpr(below_five, env).ValueOrDie().AsInt(), 1);
+  // Equality stays two-valued, and a non-bool predicate stays an error.
+  EXPECT_FALSE(EvalExpr(Binary(BinaryOp::kEq, Const(Value::Null()), ConstInt(5)), env)
+                   .ValueOrDie()
+                   .AsBool());
+  auto bad = Comprehension("count", Var("x"),
+                           {Generator("x", Var("xs")), Predicate(ConstInt(1))});
+  EXPECT_EQ(EvalExpr(bad, env).status().code(), StatusCode::kTypeError);
+}
+
 // ---- Builtins ----
 
 TEST(BuiltinTest, StringFunctions) {
@@ -189,7 +216,13 @@ TEST(BuiltinTest, SplitAndDateParts) {
   EXPECT_EQ(EvalBuiltin("year", {Value("1996-03-12")}).ValueOrDie().AsInt(), 1996);
   EXPECT_EQ(EvalBuiltin("month", {Value("1996-03-12")}).ValueOrDie().AsInt(), 3);
   EXPECT_EQ(EvalBuiltin("day", {Value("1996-03-12")}).ValueOrDie().AsInt(), 12);
-  EXPECT_FALSE(EvalBuiltin("year", {Value("")}).ok());
+  // A missing or digit-less piece is null; other characters are skipped.
+  EXPECT_TRUE(EvalBuiltin("year", {Value("")}).ValueOrDie().is_null());
+  EXPECT_TRUE(EvalBuiltin("year", {Value::Null()}).ValueOrDie().is_null());
+  EXPECT_TRUE(EvalBuiltin("year", {Value("abc")}).ValueOrDie().is_null());
+  EXPECT_TRUE(EvalBuiltin("day", {Value("1994-13")}).ValueOrDie().is_null());
+  EXPECT_EQ(EvalBuiltin("day", {Value("1994-01-02 ")}).ValueOrDie().AsInt(), 2);
+  EXPECT_FALSE(EvalBuiltin("year", {Value(int64_t{1996})}).ok());
 }
 
 TEST(BuiltinTest, SimilarityFunctions) {

@@ -133,6 +133,40 @@ TEST_P(PhysicalTest, EquiJoinAndReduceMatchReference) {
   EXPECT_EQ(actual.AsInt(), 50);
 }
 
+TEST_P(PhysicalTest, NullOrderingComparisonsMatchReference) {
+  // An ordering against null is unknown in both evaluators, and a Select
+  // or a Nest's having drops what it cannot decide: of x in {3, null, 7},
+  // only one row passes each comparison with 5.
+  Dataset t(Schema{{"x", ValueType::kInt}});
+  for (const Value& x : {Value(int64_t{3}), Value::Null(), Value(int64_t{7})}) {
+    t.Append({x});
+  }
+  Catalog catalog{{{"t", &t}}};
+  GroupSpec by_x;
+  by_x.algo = FilteringAlgo::kExactKey;
+  by_x.term = FieldAccess(Var("t"), "x");
+  for (BinaryOp op : {BinaryOp::kLt, BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe}) {
+    for (const AlgOpPtr& plan :
+         {SelectOp(Scan("t", "t"), Binary(op, FieldAccess(Var("t"), "x"), ConstInt(5))),
+          NestOp(Scan("t", "t"), by_x, {{"n", "count", Var("t")}},
+                 Binary(op, Var("key"), ConstInt(5)))}) {
+      const std::vector<Value> expected = EvalPlanTuples(plan, catalog).ValueOrDie();
+      std::vector<std::string> reference;
+      for (const auto& tuple : expected) reference.push_back(CanonicalString(tuple));
+      engine::Cluster cluster(FastCluster());
+      PartitionCache cache;
+      Executor exec{&cluster, &catalog, {}, &cache};
+      const Value actual = exec.RunToValue(plan, GetParam()).ValueOrDie();
+      std::vector<std::string> distributed;
+      for (const auto& tuple : actual.AsList()) distributed.push_back(CanonicalString(tuple));
+      std::sort(reference.begin(), reference.end());
+      std::sort(distributed.begin(), distributed.end());
+      EXPECT_EQ(distributed, reference) << plan->ToString();
+      EXPECT_EQ(reference.size(), 1u) << plan->ToString();
+    }
+  }
+}
+
 TEST_P(PhysicalTest, ThetaJoinMatchesReferenceAcrossAlgorithms) {
   Dataset t(Schema{{"price", ValueType::kDouble}, {"discount", ValueType::kDouble}});
   Rng rng(5);

@@ -90,6 +90,11 @@ python3 tools/check_trace_json.py build-release/trace_unified.json
 # and the tf q=2 run must report pairs.
 ./build-release/bench_term_validation --check
 
+# Table 4 gate (E5 on the engine): the one-step transform partitions
+# lineitem once and the two-step transform twice (rows_scanned n and 2n);
+# one step against two steps is an advisory wall-clock gate.
+./build-release/bench_transformations --check
+
 # Fault-injection seed sweep under ThreadSanitizer: three deterministic
 # failure schedules through the session-concurrency stress suite. Each seed
 # replays a different set of injected task failures while concurrent
@@ -121,4 +126,4 @@ python3 tools/check_bench_json.py build-release/BENCH_cluster.json \
 python3 cleanbench/selftest.py
 
 set +x
-echo "CI OK: release + asan + ubsan + tsan presets built and tested clean; dispatch, prepared-reexec, UDF-aggregate, pipeline, out-of-core, fault-tolerance, observability, delta-incremental, and term-validation gates passed; fault seed sweep clean under tsan; bench JSON and Chrome trace validated; cleanbench selftest (digest gates, diff-stream replay, deterministic counters) passed."
+echo "CI OK: release + asan + ubsan + tsan presets built and tested clean; dispatch, prepared-reexec, UDF-aggregate, pipeline, out-of-core, fault-tolerance, observability, delta-incremental, term-validation and transformation gates passed; fault seed sweep clean under tsan; bench JSON and Chrome trace validated; cleanbench selftest (digest gates, diff-stream replay, deterministic counters) passed."
